@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,11 +123,47 @@ class GreedyTrace:
 # marginals of the surviving candidates do not change).
 
 
-class _HomogeneousEngine:
-    """Candidate gains for a single shared oracle.
+class _BatchedEngine:
+    """Candidate gains for a homogeneous bundle whose oracle offers a batched
+    incremental state.
 
-    Prefers the oracle's batched incremental state, then its marginal method,
-    and falls back to paired value calls.
+    Survivors live in a boolean mask indexed by item id; every epoch scores
+    and ranks them in one numpy pass and hands the ranked pairs out lazily, so
+    Python work is paid only for the candidates a caller actually takes.
+    """
+
+    def __init__(self, bundle: ObjectiveBundle, candidates):
+        self.bundle = bundle
+        self._state = bundle.base_oracle.incremental()
+        self._alive = np.zeros(bundle.ground[-1] + 1, dtype=bool)
+        self._alive[np.fromiter(candidates, np.intp)] = True
+
+    def positive_candidates(self, t: int) -> Iterable[tuple[int, float]]:
+        """(item, weighted gain) for gains > 0, ordered by gain desc, id asc."""
+        w = self.bundle.suffix_weight(t)
+        alive = np.flatnonzero(self._alive)
+        if w == 0.0 or not alive.size:
+            return ()
+        gains = self._state.gains()[alive]
+        self.bundle.counter.add(len(alive))
+        mask = gains > 0.0
+        items = alive[mask]
+        vals = w * gains[mask]
+        order = np.lexsort((items, -vals))
+        return zip(items[order].tolist(), vals[order].tolist())
+
+    def remove(self, item: int) -> None:
+        self._alive[item] = False
+
+    def accept(self, item: int) -> None:
+        self._alive[item] = False
+        self._state.add(item)
+
+
+class _HomogeneousEngine:
+    """Candidate gains for a single shared oracle without a batched state.
+
+    Prefers the oracle's marginal method and falls back to paired value calls.
     """
 
     def __init__(self, bundle: ObjectiveBundle, candidates):
@@ -135,28 +172,14 @@ class _HomogeneousEngine:
         self.alive = set(int(i) for i in candidates)
         oracle = bundle.base_oracle
         self._oracle = oracle
-        self._state = None
-        self._marginal = None
-        if hasattr(oracle, "incremental"):
-            self._state = oracle.incremental()
-        elif hasattr(oracle, "marginal"):
-            self._marginal = oracle.marginal
+        self._marginal = oracle.marginal if hasattr(oracle, "marginal") else None
 
-    def positive_candidates(self, t: int) -> list[tuple[int, float]]:
-        """(item, weighted gain) for gains > 0, sorted by gain desc, id asc."""
+    def positive_candidates(self, t: int) -> Iterable[tuple[int, float]]:
+        """(item, weighted gain) for gains > 0, ordered by gain desc, id asc."""
         w = self.bundle.suffix_weight(t)
         if w == 0.0 or not self.alive:
             return []
         counter = self.bundle.counter
-        if self._state is not None:
-            arr = np.fromiter(sorted(self.alive), dtype=int)
-            gains = self._state.gains()[arr]
-            counter.add(len(arr))
-            mask = gains > 0.0
-            items = arr[mask]
-            vals = w * gains[mask]
-            order = np.lexsort((items, -vals))
-            return [(int(items[o]), float(vals[o])) for o in order]
         pairs = []
         if self._marginal is not None:
             counter.add(len(self.alive))
@@ -180,8 +203,6 @@ class _HomogeneousEngine:
     def accept(self, item: int) -> None:
         self.alive.discard(item)
         self.members.add(item)
-        if self._state is not None:
-            self._state.add(item)
 
 
 class _HeterogeneousEngine:
@@ -193,7 +214,8 @@ class _HeterogeneousEngine:
         self.members: set = set()
         self.alive = set(int(i) for i in candidates)
 
-    def positive_candidates(self, t: int) -> list[tuple[int, float]]:
+    def positive_candidates(self, t: int) -> Iterable[tuple[int, float]]:
+        """(item, weighted gain) for gains > 0, ordered by gain desc, id asc."""
         bundle = self.bundle
         lams = bundle.weights.lambdas
         active = [j for j in range(t, bundle.k + 1) if lams[j - 1] != 0.0]
@@ -221,9 +243,11 @@ class _HeterogeneousEngine:
 
 
 def _make_engine(bundle: ObjectiveBundle, candidates):
-    if bundle.homogeneous:
-        return _HomogeneousEngine(bundle, candidates)
-    return _HeterogeneousEngine(bundle, candidates)
+    if not bundle.homogeneous:
+        return _HeterogeneousEngine(bundle, candidates)
+    if hasattr(bundle.base_oracle, "incremental"):
+        return _BatchedEngine(bundle, candidates)
+    return _HomogeneousEngine(bundle, candidates)
 
 
 def _check_k(bundle: ObjectiveBundle, k) -> int:
@@ -266,11 +290,8 @@ def sampling_greedy(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None =
     considered: list[tuple[int, float, int]] = []
     t = 1
     while t <= k:
-        batch = engine.positive_candidates(t)
-        if not batch:
-            break
         advanced = False
-        for item, gain in batch:
+        for item, gain in engine.positive_candidates(t):
             engine.remove(item)
             bit = stream.draw()
             considered.append((item, gain, bit))
@@ -312,10 +333,10 @@ def presampled_greedy(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None
     cap = min(k, len(pool))
     t = 1
     while len(out) < cap:
-        batch = engine.positive_candidates(t)
-        if not batch:
+        best = next(iter(engine.positive_candidates(t)), None)
+        if best is None:
             break
-        item, _ = batch[0]
+        item, _ = best
         engine.accept(item)
         out.append(item)
         t += 1

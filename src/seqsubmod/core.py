@@ -11,6 +11,7 @@ monotonicity, and oracles are not required to vanish on the empty set.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
@@ -87,8 +88,8 @@ class WeightProfile:
         if not lams:
             raise ValueError("weight profile must have at least one position")
         for j, lam in enumerate(lams, start=1):
-            if not lam >= 0.0:
-                raise ValueError(f"lambda_{j} = {lam} is not nonnegative")
+            if not 0.0 <= lam < math.inf:
+                raise ValueError(f"lambda_{j} = {lam} is not finite and nonnegative")
         # suffix[t-1] = sum of lambda_j for j >= t, with a trailing zero.
         suffix = [0.0] * (len(lams) + 1)
         for t in range(len(lams) - 1, -1, -1):
@@ -183,9 +184,6 @@ class ObjectiveBundle:
         if not self.homogeneous:
             raise ValueError("bundle is not homogeneous")
         return self.oracles[0]
-
-    def ground_set(self) -> frozenset:
-        return frozenset(self.ground)
 
     def suffix_weight(self, t: int) -> float:
         return self.weights.suffix_sum(t)

@@ -9,6 +9,7 @@ experiment reproduces its output file byte for byte.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -40,6 +41,8 @@ class ScaledOracle:
     def __init__(self, base, scale: float):
         self.base = base
         self.scale = float(scale)
+        if not math.isfinite(self.scale):
+            raise ValueError(f"scale {self.scale} is not finite")
 
     def __call__(self, items) -> float:
         return self.scale * float(self.base(items))
@@ -143,6 +146,21 @@ def _floats(tokens, where: str) -> list[float]:
         raise InstanceFormatError(f"{where}: expected numbers, got {tokens}") from exc
 
 
+def _one_float(tokens, where: str) -> float:
+    vals = _floats(tokens, where)
+    if len(vals) != 1:
+        raise InstanceFormatError(f"{where}: expected one number")
+    return vals[0]
+
+
+def _one_int(tokens, where: str) -> int:
+    try:
+        (value,) = tokens
+        return int(value)
+    except ValueError as exc:
+        raise InstanceFormatError(f"{where}: expected one integer") from exc
+
+
 def read_instance(path: str) -> Instance:
     """Parse an instance file; matrix companions resolve relative to it."""
     rows = _tokenize(path)
@@ -186,15 +204,9 @@ def read_instance(path: str) -> Instance:
                 raise InstanceFormatError(f"family must be one of {FAMILIES}")
             fields["family"] = rest[0]
         elif key == "n":
-            try:
-                fields["n"] = int(rest[0])
-            except (IndexError, ValueError) as exc:
-                raise InstanceFormatError("n: expected one integer") from exc
+            fields["n"] = _one_int(rest, key)
         elif key in ("alpha", "beta", "eta"):
-            vals = _floats(rest, key)
-            if len(vals) != 1:
-                raise InstanceFormatError(f"{key}: expected one number")
-            fields[key] = vals[0]
+            fields[key] = _one_float(rest, key)
         elif key in ("ratings", "rewards"):
             fields["ratings"] = tuple(_floats(rest, key))
         elif key == "scales":
@@ -240,7 +252,9 @@ def _validate_instance(inst: Instance, matrix_key) -> None:
             raise InstanceFormatError(
                 f"penalties are {inst.penalties.shape}, expected ({inst.n}, {inst.n})")
     try:
-        inst.oracle()
+        base = inst.oracle()
+        for scale in inst.scales or ():
+            ScaledOracle(base, scale)
     except InstanceFormatError:
         raise
     except ValueError as exc:
@@ -341,14 +355,10 @@ def read_experiment(path: str) -> ExperimentFile:
             if len(rest) != 1:
                 raise InstanceFormatError("instance: expected one path")
             fields["instance_path"] = os.path.join(base_dir, rest[0])
-        elif key == "k":
-            fields["k"] = int(rest[0])
+        elif key in ("k", "seed", "rounds"):
+            fields[key] = _one_int(rest, key)
         elif key == "p":
-            fields["p"] = _floats(rest, "p")[0]
-        elif key == "seed":
-            fields["seed"] = int(rest[0])
-        elif key == "rounds":
-            fields["rounds"] = int(rest[0])
+            fields["p"] = _one_float(rest, key)
         elif key == "constraint":
             if rest == ["both"]:
                 fields["constraints"] = ("flexible", "fixed")

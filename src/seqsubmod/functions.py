@@ -18,6 +18,20 @@ def _ids(items) -> list[int]:
     return sorted(int(i) for i in items)
 
 
+def _sorted_index(items) -> np.ndarray:
+    """Ascending index array of a collection of item ids."""
+    if not hasattr(items, "__len__"):
+        items = tuple(items)
+    idx = np.fromiter(items, np.intp, len(items))
+    idx.sort()
+    return idx
+
+
+def _require_finite(values, what: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} must be finite")
+
+
 class ModularPenaltyFn:
     """f(S) = sum of per-item rewards minus the pairwise penalties inside S.
 
@@ -35,6 +49,8 @@ class ModularPenaltyFn:
         rows = [[float(x) for x in row] for row in penalties]
         if len(rows) != self.n or any(len(row) != self.n for row in rows):
             raise ValueError(f"penalty matrix must be {self.n}x{self.n}")
+        _require_finite(self.rewards, "rewards")
+        _require_finite(rows, "penalties")
         for i in range(self.n):
             if rows[i][i] != 0.0:
                 raise ValueError("penalty diagonal must be zero")
@@ -89,6 +105,7 @@ class CoverageFn:
     def __init__(self, covers, weights):
         self.covers = [frozenset(int(e) for e in c) for c in covers]
         self.weights = [float(w) for w in weights]
+        _require_finite(self.weights, "element weights")
         if any(w < 0 for w in self.weights):
             raise ValueError("element weights must be nonnegative")
         m = len(self.weights)
@@ -166,6 +183,9 @@ class CoverageDiversityFn:
             raise ValueError("ratings must be a nonempty vector")
         if self.similarity.shape != (n, n):
             raise ValueError(f"similarity must be {n}x{n}")
+        _require_finite(self.ratings, "ratings")
+        _require_finite(self.similarity, "similarity entries")
+        _require_finite((alpha, beta, eta), "alpha, beta and eta")
         if not np.array_equal(self.similarity, self.similarity.T):
             raise ValueError("similarity matrix must be symmetric")
         if np.any(self.similarity < 0):
@@ -183,20 +203,19 @@ class CoverageDiversityFn:
         self.row_sums = self.similarity.sum(axis=1)
         self._diag = np.diag(self.similarity).copy()
 
-    def diversity_value(self, items) -> float:
-        idx = _ids(items)
-        if not idx:
-            return 0.0
-        block = self.similarity[np.ix_(idx, idx)]
+    def _diversity(self, idx: np.ndarray) -> float:
+        """g(S) for a sorted index array; the |S|x|S| block is gathered with
+        two ``take`` calls, the same C-contiguous array ``np.ix_`` builds, so
+        its ``sum`` is bit-identical."""
+        block = self.similarity.take(idx, 0).take(idx, 1)
         return float(self.row_sums[idx].sum() - self.eta * block.sum())
 
+    def diversity_value(self, items) -> float:
+        return self._diversity(_sorted_index(items))
+
     def __call__(self, items) -> float:
-        idx = _ids(items)
-        if not idx:
-            return 0.0
-        block = self.similarity[np.ix_(idx, idx)]
-        coverage = float(self.row_sums[idx].sum() - self.eta * block.sum())
-        return self.alpha * float(self.ratings[idx].sum()) + self.beta * coverage
+        idx = _sorted_index(items)
+        return self.alpha * float(self.ratings[idx].sum()) + self.beta * self._diversity(idx)
 
     def diversity_marginal(self, item: int, items) -> float:
         """g(item | S) for item not in S, via one row slice."""

@@ -1,13 +1,16 @@
 """Independent reference implementations used to derive expected values.
 
 Everything here is written from the objective's definition with plain Python
-loops and no imports from the package under test, so agreement between these
-and the library is evidence, not circularity.
+loops (numpy only for the covdiv block sums) and no imports from the package
+under test, so agreement between these and the library is evidence, not
+circularity.
 """
 
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
 
 
 def naive_F(oracles, lambdas, items) -> float:
@@ -107,3 +110,19 @@ def naive_diversity_greedy(fn, ids, k) -> tuple:
         chosen.append(best_item)
         remaining.remove(best_item)
     return tuple(chosen)
+
+
+def ix_covdiv_value(fn, items, diversity_only=False) -> float:
+    """Coverage-diversity value with the |S|x|S| block gathered by np.ix_.
+
+    The library gathers the same block with ``take``; the two must agree to
+    the last bit, so compare with ``==``.
+    """
+    idx = sorted(int(i) for i in items)
+    if not idx:
+        return 0.0
+    block = fn.similarity[np.ix_(idx, idx)]
+    coverage = float(fn.row_sums[idx].sum() - fn.eta * block.sum())
+    if diversity_only:
+        return coverage
+    return fn.alpha * float(fn.ratings[idx].sum()) + fn.beta * coverage

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from seqsubmod import (
     FIXED,
     FLEXIBLE,
     CoinStream,
+    CoverageDiversityFn,
     CoverageFn,
     EnumerationTooLargeError,
+    GreedyTrace,
     InfeasibleError,
     ModularPenaltyFn,
     P_STAR,
@@ -28,9 +31,11 @@ from seqsubmod import (
     presampled_greedy,
     sampling_greedy,
     sampling_greedy_j,
+    similarity_from_tags,
     verify_trace,
 )
 from seqsubmod.files import synthetic_covdiv_instance, synthetic_modular_instance
+from seqsubmod.harness import UserTypeDistribution, make_weights
 
 from oracles import naive_best, naive_diversity_greedy
 
@@ -129,6 +134,106 @@ class TestSamplingGreedy:
             a, _ = sampling_greedy(fast, 4, SamplerConfig(P_STAR, seed))
             b, _ = sampling_greedy(slow, 4, SamplerConfig(P_STAR, seed))
             assert a == b
+
+
+def _eager_ranking(state, alive, w, calls):
+    """Batched ranking as a fully built list: every positive candidate becomes
+    an (item, gain) tuple, gain desc and id asc, before the first is used."""
+    if w == 0.0 or not alive:
+        return []
+    arr = np.fromiter(sorted(alive), dtype=int)
+    gains = state.gains()[arr]
+    calls.append(len(arr))
+    mask = gains > 0.0
+    items = arr[mask]
+    vals = w * gains[mask]
+    order = np.lexsort((items, -vals))
+    return [(int(items[o]), float(vals[o])) for o in order]
+
+
+def _eager_greedy(bundle, pool, coins):
+    """The positive-marginal greedy over eager rankings: with a coin stream it
+    is sampling_greedy (returns the GreedyTrace), without one it places the
+    top candidate every epoch, as presampled_greedy's second phase does."""
+    fn = bundle.base_oracle
+    state = fn.incremental()
+    alive = set(pool)
+    cap = bundle.k if coins is not None else min(bundle.k, len(pool))
+    out, considered, calls = [], [], []
+    while len(out) < cap:
+        batch = _eager_ranking(state, alive, bundle.suffix_weight(len(out) + 1), calls)
+        if not batch:
+            break
+        if coins is None:
+            batch = batch[:1]
+        for item, gain in batch:
+            alive.discard(item)
+            bit = coins.draw() if coins is not None else 1
+            considered.append((item, gain, bit))
+            if bit:
+                out.append(item)
+                state.add(item)
+                break
+        else:
+            break
+    seq = Sequence(tuple(out))
+    return GreedyTrace(tuple(considered), seq), sum(calls)
+
+
+def _check_against_eager(bundle, seeds):
+    """sampling_greedy, presampled_greedy and fixed_length_solve must match
+    the eager-list greedy in trace, output and oracle calls for every seed."""
+    k = bundle.k
+    ground = list(bundle.ground)
+    for seed in seeds:
+        cfg = SamplerConfig(P_STAR, seed)
+
+        before = bundle.counter.calls
+        seq, trace = sampling_greedy(bundle, k, cfg)
+        calls = bundle.counter.calls - before
+        stream = CoinStream(cfg.p, rng=random.Random(f"{seed}:coins"))
+        want, want_calls = _eager_greedy(bundle, ground, stream)
+        assert trace == want and seq == want.output
+        assert calls == want_calls
+        verify_trace(bundle, trace)
+
+        coin_rng = random.Random(f"{seed}:coins")
+        pool = [i for i in ground if coin_rng.random() < cfg.p]
+        before = bundle.counter.calls
+        got = presampled_greedy(bundle, k, cfg)
+        calls = bundle.counter.calls - before
+        want, want_calls = _eager_greedy(bundle, pool, None)
+        assert got == want.output and calls == want_calls
+
+        padded = fixed_length_solve(bundle, k, cfg)
+        unused = sorted(set(ground) - set(seq.items))
+        fill = random.Random(f"{seed}:backup").sample(unused, k - len(seq))
+        assert padded.items == seq.items + tuple(sorted(fill))
+
+
+class TestLazyRanking:
+    """The lazily consumed ranking walks exactly the eager list's order."""
+
+    @pytest.mark.parametrize("dist", (UserTypeDistribution.uniform(30),
+                                      UserTypeDistribution.normal(30, 15.0, 5.0)),
+                             ids=("uniform", "normal-15-5"))
+    def test_covdiv_catalog(self, dist):
+        fn = synthetic_covdiv_instance(300, seed=21).oracle()
+        _check_against_eager(homogeneous_bundle(fn, make_weights(dist), n=300), range(20))
+
+    def test_exact_ties_go_to_lowest_id(self):
+        # Four tag groups and three rating levels: many candidates share a
+        # gain bit for bit, so only the id tie-break orders them.
+        n = 40
+        tags = np.zeros((n, 4))
+        tags[np.arange(n), np.arange(n) % 4] = 0.5
+        ratings = [float(1 + i % 3) for i in range(n)]
+        fn = CoverageDiversityFn(ratings, similarity_from_tags(tags), 1.0, 0.5, 2.0)
+        bundle = homogeneous_bundle(fn, make_weights(UserTypeDistribution.uniform(8)), n=n)
+        _, trace = sampling_greedy(bundle, 8, SamplerConfig(P_STAR, 0))
+        gains = [gain for _, gain, _ in trace.considered]
+        assert len(set(gains)) < len(gains)
+        _check_against_eager(bundle, range(20))
 
 
 class TestVerifyTrace:

@@ -183,6 +183,18 @@ class TestExperiment:
         assert meta["rounds"] == "4"
         assert all(c.rounds == 4 for c in stats.cells)
 
+    @pytest.mark.parametrize("key", ("k", "p", "seed", "rounds"))
+    def test_bare_spec_key_is_bad_input(self, tmp_path, capsys, key):
+        spec = self._setup(tmp_path)
+        with open(spec) as fh:
+            lines = [line for line in fh.read().splitlines()
+                     if line.split()[0] != key]
+        with open(spec, "w") as fh:
+            fh.write("\n".join(lines + [key]) + "\n")
+        code, _ = run_cli("experiment", "--spec", spec, "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert f"{key}: expected one" in capsys.readouterr().err
+
     def test_covdiv_on_wrong_family(self, tmp_path, capsys):
         spec = self._setup(tmp_path, algorithms="sg covdiv")
         code, _ = run_cli("experiment", "--spec", spec,

@@ -68,6 +68,11 @@ class TestWeightProfile:
         with pytest.raises(ValueError):
             WeightProfile(())
 
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            WeightProfile((0.5, bad))
+
     @given(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=6))
     def test_suffix_matches_tail_sum(self, lams):
         w = WeightProfile(tuple(lams))

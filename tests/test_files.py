@@ -20,6 +20,7 @@ from seqsubmod import (
     write_matrix,
     write_results,
 )
+from seqsubmod.files import ScaledOracle
 from seqsubmod.functions import tiny_instance
 
 
@@ -156,6 +157,24 @@ class TestInstanceErrors:
         with pytest.raises(InstanceFormatError):
             read_instance(str(tmp_path / "nope.txt"))
 
+    @pytest.mark.parametrize("bad", ("nan", "inf", "-inf"))
+    def test_non_finite_numbers_rejected(self, tmp_path, bad):
+        modular = "family modular-penalty\nn 2\nrewards {r}\npenalties inline\n0 1\n1 0\n"
+        covdiv = ("family covdiv\nn 2\nratings {r}\nalpha {a}\nbeta 1\neta 2\n"
+                  "similarity inline\n0 0.5\n0.5 0\n")
+        bodies = (modular.format(r=f"{bad} 1"),
+                  modular.format(r="1 1") + f"scales 1 {bad}\n",
+                  covdiv.format(r=f"1 {bad}", a="1"),
+                  covdiv.format(r="1 1", a=bad))
+        for body in bodies:
+            with pytest.raises(InstanceFormatError, match="finite"):
+                read_instance(self._write(tmp_path, body))
+
+    @pytest.mark.parametrize("bad", (float("nan"), float("inf"), float("-inf")))
+    def test_scaled_oracle_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ScaledOracle(tiny_instance(), bad)
+
     def test_scales_length_checked_at_bundle(self):
         base = synthetic_modular_instance(4, seed=2)
         inst = Instance(family=base.family, n=4, ratings=base.ratings,
@@ -241,7 +260,13 @@ class TestExperimentFiles:
                      "instance a.txt\n",             # no k
                      "instance a.txt\nk 2\nconstraint sometimes\n",
                      "instance a.txt\nk 2\ndistribution pareto 1\n",
-                     "instance a.txt\nk 2\nwhat now\n"):
+                     "instance a.txt\nk 2\nwhat now\n",
+                     "instance a.txt\nk\n",        # bare keys
+                     "instance a.txt\nk 2\np\n",
+                     "instance a.txt\nk 2\nseed\n",
+                     "instance a.txt\nk 2\nrounds\n",
+                     "instance a.txt\nk 2 3\n",    # extra value
+                     "instance a.txt\nk 1e400\n"):
             spec_path = str(tmp_path / "exp.txt")
             with open(spec_path, "w") as fh:
                 fh.write(body)

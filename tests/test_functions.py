@@ -13,8 +13,13 @@ from seqsubmod import (
     auto_scale,
     similarity_from_tags,
     submodularity_probe,
+    synthetic_covdiv_instance,
     tiny_instance,
 )
+
+from oracles import ix_covdiv_value
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
 
 
 class TestModularPenalty:
@@ -44,6 +49,13 @@ class TestModularPenalty:
             ModularPenaltyFn((1.0, 1.0), ((0.0, 1.0), (2.0, 0.0)))  # asymmetric
         with pytest.raises(ValueError):
             ModularPenaltyFn((1.0, 1.0), ((0.0, -1.0), (-1.0, 0.0)))  # negative
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ModularPenaltyFn((bad, 1.0), ((0.0, 1.0), (1.0, 0.0)))
+        with pytest.raises(ValueError, match="finite"):
+            ModularPenaltyFn((1.0, 1.0), ((0.0, bad), (bad, 0.0)))
 
 
 class TestCoverageDiversity:
@@ -105,6 +117,39 @@ class TestCoverageDiversity:
             CoverageDiversityFn((1.0, 1.0), ((0.0, 0.3), (0.2, 0.0)), 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             CoverageDiversityFn((-1.0,), ((0.0,),), 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejects_non_finite(self, bad):
+        sim = ((0.0, 0.5), (0.5, 0.0))
+        with pytest.raises(ValueError, match="finite"):
+            CoverageDiversityFn((bad, 1.0), sim, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            CoverageDiversityFn((1.0, 1.0), ((0.0, bad), (bad, 0.0)), 1.0, 1.0, 1.0)
+        for alpha, beta, eta in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+            with pytest.raises(ValueError):
+                CoverageDiversityFn((1.0, 1.0), sim, alpha, beta, eta)
+
+    def test_value_bit_identical_to_ix_reference(self):
+        fn = synthetic_covdiv_instance(120, d=10, seed=13).oracle()
+        rng = np.random.default_rng(2024)
+        sets = [frozenset()] + [frozenset({i}) for i in range(fn.n)]
+        for _ in range(500):
+            size = int(rng.integers(2, fn.n + 1))
+            sets.append(frozenset(rng.choice(fn.n, size, replace=False).tolist()))
+        for items in sets:
+            assert fn(items) == ix_covdiv_value(fn, items)
+            assert fn.diversity_value(items) == ix_covdiv_value(fn, items, diversity_only=True)
+
+    def test_value_accepts_any_id_collection(self):
+        fn = synthetic_covdiv_instance(30, d=6, seed=4).oracle()
+        items = [17, 3, 29, 8]
+        want = ix_covdiv_value(fn, items)
+        for form in (items, tuple(items), set(items), frozenset(items),
+                     [np.int64(i) for i in items], np.array(items), iter(items)):
+            assert fn(form) == want
+        for empty in ([], set(), frozenset(), ()):
+            assert fn(empty) == 0.0
+            assert fn.diversity_value(empty) == 0.0
 
 
 class TestSimilarityFromTags:
@@ -192,6 +237,11 @@ class TestCoverageFn:
     def test_monotone(self):
         fn = CoverageFn([(0,), (0, 1)], (1.0, 5.0))
         assert fn({0, 1}) >= fn({0}) >= fn(set())
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CoverageFn([(0,), (1,)], (1.0, bad))
 
 
 class TestAutoScale:
