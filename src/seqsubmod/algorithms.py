@@ -27,6 +27,7 @@ import numpy as np
 from .core import (
     EvalCounter,
     ObjectiveBundle,
+    OracleEvaluationError,
     Sequence,
     as_sequence,
     evaluate_F,
@@ -206,31 +207,51 @@ class _HomogeneousEngine:
 
 
 class _HeterogeneousEngine:
-    """Candidate gains for per-position oracles; one base value per position
-    and epoch, then one grown-set value per candidate and position."""
+    """Candidate gains for per-position oracles:
+    sum_{j>=t, lambda_j != 0} lambda_j * f_j(i | S) for every survivor i.
+
+    A position whose oracle has ``marginal`` answers f_j(i | S) directly, one
+    counted call per candidate.  A position without one falls back to
+    f_j(S + i) - f_j(S): one base value per epoch, then one grown-set value
+    per candidate.  Terms are summed in position order either way.
+    """
 
     def __init__(self, bundle: ObjectiveBundle, candidates):
         self.bundle = bundle
         self.members: set = set()
         self.alive = set(int(i) for i in candidates)
+        self._marginals = tuple(getattr(oracle, "marginal", None) for oracle in bundle.oracles)
 
     def positive_candidates(self, t: int) -> Iterable[tuple[int, float]]:
         """(item, weighted gain) for gains > 0, ordered by gain desc, id asc."""
         bundle = self.bundle
         lams = bundle.weights.lambdas
-        active = [j for j in range(t, bundle.k + 1) if lams[j - 1] != 0.0]
-        if not active or not self.alive:
+        terms = [(j, lams[j - 1], self._marginals[j - 1])
+                 for j in range(t, bundle.k + 1) if lams[j - 1] != 0.0]
+        if not terms or not self.alive:
             return []
-        base_set = frozenset(self.members)
-        bases = {j: bundle.oracle_value(j, base_set) for j in active}
+        members = self.members
+        base_set = frozenset(members)
+        bases = {j: bundle.oracle_value(j, base_set) for j, _, marginal in terms
+                 if marginal is None}
+        bundle.counter.add(len(self.alive) * (len(terms) - len(bases)))
         pairs = []
-        for i in sorted(self.alive):
-            grown = frozenset(self.members | {i})
-            gain = 0.0
-            for j in active:
-                gain += lams[j - 1] * (bundle.oracle_value(j, grown) - bases[j])
-            if gain > 0.0:
-                pairs.append((i, gain))
+        j = t
+        try:
+            for i in sorted(self.alive):
+                grown = frozenset(members | {i}) if bases else None
+                gain = 0.0
+                for j, lam, marginal in terms:
+                    if marginal is None:
+                        gain += lam * (bundle.oracle_value(j, grown) - bases[j])
+                    else:
+                        gain += lam * marginal(i, members)
+                if gain > 0.0:
+                    pairs.append((i, gain))
+        except OracleEvaluationError:
+            raise
+        except Exception as exc:
+            raise OracleEvaluationError(j, str(exc)) from exc
         pairs.sort(key=lambda pair: (-pair[1], pair[0]))
         return pairs
 

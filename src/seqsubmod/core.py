@@ -148,6 +148,7 @@ class ObjectiveBundle:
     ``homogeneous`` marks that every position shares one oracle object, which
     unlocks suffix-weight shortcuts (all positions j >= t see the same set, so
     their contribution collapses to suffix_sum(t) times one evaluation).
+    ``ground_set`` holds the ground ids as a frozenset for membership checks.
     """
 
     weights: WeightProfile
@@ -155,10 +156,12 @@ class ObjectiveBundle:
     ground: tuple[int, ...]
     homogeneous: bool
     counter: EvalCounter = field(default_factory=EvalCounter, compare=False, repr=False)
+    ground_set: frozenset = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         ground = tuple(sorted(int(i) for i in self.ground))
-        if len(set(ground)) != len(ground):
+        ground_set = frozenset(ground)
+        if len(ground_set) != len(ground):
             raise ValueError("ground set has repeated item ids")
         if not ground:
             raise ValueError("ground set is empty")
@@ -168,6 +171,7 @@ class ObjectiveBundle:
                 f"for k={self.weights.k}"
             )
         object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "ground_set", ground_set)
         object.__setattr__(self, "oracles", tuple(self.oracles))
 
     @property
@@ -239,9 +243,11 @@ def _resolve_ground(n, ground) -> tuple[int, ...]:
 
 
 def _checked_items(bundle: ObjectiveBundle, seq: Sequence) -> tuple[int, ...]:
-    extra = set(seq.items) - set(bundle.ground)
-    if extra:
-        raise ValueError(f"items {sorted(extra)} are outside the ground set")
+    """The sequence's items, after an O(len(seq)) ground-membership check."""
+    ground = bundle.ground_set
+    if not ground.issuperset(seq.items):
+        extra = sorted(i for i in seq.items if i not in ground)
+        raise ValueError(f"items {extra} are outside the ground set")
     return seq.items
 
 
@@ -287,7 +293,7 @@ def marginal_gain(bundle: ObjectiveBundle, seq, item: int, t: int) -> float:
     item = int(item)
     if item in seq.items:
         raise ValueError(f"item {item} is already in the sequence")
-    if item not in set(bundle.ground):
+    if item not in bundle.ground_set:
         raise ValueError(f"item {item} is outside the ground set")
     if not 1 <= t <= bundle.k:
         raise ValueError(f"position t={t} outside 1..{bundle.k}")

@@ -2,9 +2,12 @@
 
 Instances and specs are `key value` line files (``#`` starts a comment);
 matrices are headerless whitespace-separated float rows, either inline after
-their introducing key or in a companion file.  All floats are written with
-``repr``, so write -> read round-trips bit-exactly and rerunning a seeded
-experiment reproduces its output file byte for byte.
+their introducing key or in a companion file.  A file is read once and only
+its key lines are split into tokens: every matrix, inline or companion, is
+parsed by a single ``np.loadtxt`` call, so inline and companion rows accept
+the same numbers.  All floats are written with ``repr`` and parsed with
+correct rounding, so write -> read round-trips bit-exactly and rerunning a
+seeded experiment reproduces its output file byte for byte.
 """
 
 from __future__ import annotations
@@ -116,27 +119,43 @@ def write_matrix(path: str, matrix) -> None:
 
 
 def read_matrix(path: str) -> np.ndarray:
+    return _load_matrix(path, path)
+
+
+def _load_matrix(source, where: str) -> np.ndarray:
+    """One ``np.loadtxt`` pass over a file path or a list of row strings."""
     try:
-        return np.loadtxt(path, ndmin=2)
-    except Exception as exc:
-        raise InstanceFormatError(f"{path}: not a float matrix ({exc})") from exc
+        return np.loadtxt(source, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise InstanceFormatError(f"{where}: not a float matrix ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
 # Instances.
 
 
-def _tokenize(path: str) -> list[list[str]]:
-    rows = []
+def _content_lines(path: str) -> list[str]:
+    """The file's lines with comments and surrounding blanks stripped; empty
+    lines are dropped."""
     try:
         with open(path) as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if line:
-                    rows.append(line.split())
-    except OSError as exc:
+            raw_lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InstanceFormatError(f"cannot read {path}: {exc}") from exc
-    return rows
+    lines = []
+    for raw in raw_lines:
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append(line)
+    return lines
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
 def _floats(tokens, where: str) -> list[float]:
@@ -161,16 +180,34 @@ def _one_int(tokens, where: str) -> int:
         raise InstanceFormatError(f"{where}: expected one integer") from exc
 
 
+def _inline_block(key: str, lines: list[str], start: int, n: int) -> np.ndarray:
+    """The inline matrix that starts at ``lines[start]``: the next ``n`` lines
+    for similarity and penalties, the run of lines that open with a number
+    for tags.  The block is parsed by one ``np.loadtxt`` call."""
+    if key == "tags":
+        end = start
+        while end < len(lines) and _is_number(lines[end].split(None, 1)[0]):
+            end += 1
+    else:
+        end = min(start + n, len(lines))
+    if end - start != n:
+        raise InstanceFormatError(f"{key}: expected {n} inline rows, got {end - start}")
+    return _load_matrix(lines[start:end], f"{key} inline")
+
+
 def read_instance(path: str) -> Instance:
-    """Parse an instance file; matrix companions resolve relative to it."""
-    rows = _tokenize(path)
+    """Parse an instance file; matrix companions resolve relative to it.
+
+    Only key lines are split into tokens; an inline matrix block goes to
+    numpy whole, so a large matrix costs one parse, not one ``float`` per
+    entry.
+    """
+    lines = _content_lines(path)
     base_dir = os.path.dirname(os.path.abspath(path))
     fields: dict = {}
-    matrix_key: str | None = None
-    matrix_rows: list[list[float]] = []
     i = 0
-    while i < len(rows):
-        key, *rest = rows[i]
+    while i < len(lines):
+        key, *rest = lines[i].split()
         i += 1
         if key in ("similarity", "penalties", "tags"):
             if not rest:
@@ -179,25 +216,14 @@ def read_instance(path: str) -> Instance:
                 n = fields.get("n")
                 if n is None:
                     raise InstanceFormatError("n must come before inline matrices")
-                want = n if key != "tags" else None
-                collected = []
-                while i < len(rows) and (want is None or len(collected) < want):
-                    probe = rows[i]
-                    try:
-                        collected.append([float(t) for t in probe])
-                    except ValueError:
-                        break
-                    i += 1
-                if want is not None and len(collected) != want:
-                    raise InstanceFormatError(f"{key}: expected {want} inline rows")
-                fields[key] = np.array(collected)
+                fields[key] = _inline_block(key, lines, i, n)
+                i += n
             elif rest[0] == "file":
                 if len(rest) != 2:
                     raise InstanceFormatError(f"{key}: expected 'file PATH'")
                 fields[key] = read_matrix(os.path.join(base_dir, rest[1]))
             else:
                 raise InstanceFormatError(f"{key}: expected 'inline' or 'file', got {rest[0]!r}")
-            matrix_key = key
             continue
         if key == "family":
             if len(rest) != 1 or rest[0] not in FAMILIES:
@@ -205,6 +231,8 @@ def read_instance(path: str) -> Instance:
             fields["family"] = rest[0]
         elif key == "n":
             fields["n"] = _one_int(rest, key)
+            if fields["n"] < 1:
+                raise InstanceFormatError(f"n: must be at least 1, got {fields['n']}")
         elif key in ("alpha", "beta", "eta"):
             fields[key] = _one_float(rest, key)
         elif key in ("ratings", "rewards"):
@@ -225,18 +253,21 @@ def read_instance(path: str) -> Instance:
         tags = fields["tags"]
         if tags.shape[0] != n:
             raise InstanceFormatError(f"tags have {tags.shape[0]} rows for n={n}")
-        similarity = similarity_from_tags(tags)
+        try:
+            similarity = similarity_from_tags(tags)
+        except ValueError as exc:
+            raise InstanceFormatError(f"tags: {exc}") from exc
     penalties = fields.get("penalties")
     inst = Instance(
         family=family, n=n, ratings=ratings,
         alpha=fields.get("alpha"), beta=fields.get("beta"), eta=fields.get("eta"),
         similarity=similarity, penalties=penalties, scales=fields.get("scales"),
     )
-    _validate_instance(inst, matrix_key)
+    _validate_instance(inst)
     return inst
 
 
-def _validate_instance(inst: Instance, matrix_key) -> None:
+def _validate_instance(inst: Instance) -> None:
     if inst.family == "covdiv":
         if inst.similarity is None:
             raise InstanceFormatError("covdiv instances need similarity or tags")
@@ -346,11 +377,10 @@ class ExperimentFile:
 
 
 def read_experiment(path: str) -> ExperimentFile:
-    rows = _tokenize(path)
     base_dir = os.path.dirname(os.path.abspath(path))
     fields: dict = {"distributions": []}
-    for row in rows:
-        key, *rest = row
+    for line in _content_lines(path):
+        key, *rest = line.split()
         if key == "instance":
             if len(rest) != 1:
                 raise InstanceFormatError("instance: expected one path")

@@ -266,6 +266,7 @@ def similarity_from_tags(tags) -> np.ndarray:
     tags = np.asarray(tags, dtype=float)
     if tags.ndim != 2 or tags.size == 0:
         raise ValueError("tags must be a nonempty n x d matrix")
+    _require_finite(tags, "tag entries")
     if np.any(tags < 0) or np.any(tags > 1):
         raise ValueError("tag entries must lie in [0, 1]")
     n = tags.shape[0]

@@ -34,7 +34,8 @@ from seqsubmod import (
     similarity_from_tags,
     verify_trace,
 )
-from seqsubmod.files import synthetic_covdiv_instance, synthetic_modular_instance
+from seqsubmod import OracleEvaluationError, algorithms
+from seqsubmod.files import Instance, synthetic_covdiv_instance, synthetic_modular_instance
 from seqsubmod.harness import UserTypeDistribution, make_weights
 
 from oracles import naive_best, naive_diversity_greedy
@@ -234,6 +235,131 @@ class TestLazyRanking:
         gains = [gain for _, gain, _ in trace.considered]
         assert len(set(gains)) < len(gains)
         _check_against_eager(bundle, range(20))
+
+
+class _ValueDifferenceEngine:
+    """The heterogeneous engine as it was before it used ``marginal``: one base
+    value per active position and epoch, then one grown-set value per
+    candidate and position.  ``base_calls`` tallies the base values of the
+    positions whose oracle has ``marginal``."""
+
+    def __init__(self, bundle, candidates):
+        self.bundle = bundle
+        self.members = set()
+        self.alive = set(int(i) for i in candidates)
+        self.base_calls = 0
+
+    def positive_candidates(self, t):
+        bundle = self.bundle
+        lams = bundle.weights.lambdas
+        active = [j for j in range(t, bundle.k + 1) if lams[j - 1] != 0.0]
+        if not active or not self.alive:
+            return []
+        base_set = frozenset(self.members)
+        bases = {j: bundle.oracle_value(j, base_set) for j in active}
+        self.base_calls += sum(hasattr(bundle.oracles[j - 1], "marginal") for j in active)
+        pairs = []
+        for i in sorted(self.alive):
+            grown = frozenset(self.members | {i})
+            gain = 0.0
+            for j in active:
+                gain += lams[j - 1] * (bundle.oracle_value(j, grown) - bases[j])
+            if gain > 0.0:
+                pairs.append((i, gain))
+        pairs.sort(key=lambda pair: (-pair[1], pair[0]))
+        return pairs
+
+    def remove(self, item):
+        self.alive.discard(item)
+
+    def accept(self, item):
+        self.alive.discard(item)
+        self.members.add(item)
+
+
+def _check_against_value_differences(bundle, seeds, monkeypatch):
+    """sampling_greedy must consider the same items with the same coins as the
+    value-difference engine, with gains equal to 1e-12 relative, and call the
+    oracles less often by exactly the base values of marginal positions."""
+    for seed in seeds:
+        cfg = SamplerConfig(P_STAR, seed)
+        before = bundle.counter.calls
+        seq, trace = sampling_greedy(bundle, bundle.k, cfg)
+        calls = bundle.counter.calls - before
+        engines = []
+
+        def old_engine(b, candidates):
+            engines.append(_ValueDifferenceEngine(b, candidates))
+            return engines[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(algorithms, "_make_engine", old_engine)
+            before = bundle.counter.calls
+            want_seq, want = sampling_greedy(bundle, bundle.k, cfg)
+            want_calls = bundle.counter.calls - before
+        assert seq == want_seq
+        assert [(i, c) for i, _, c in trace.considered] == \
+               [(i, c) for i, _, c in want.considered]
+        for (_, gain, _), (_, want_gain, _) in zip(trace.considered, want.considered):
+            assert gain == pytest.approx(want_gain, rel=1e-12, abs=0.0)
+        assert calls == want_calls - engines[0].base_calls
+        verify_trace(bundle, trace)
+
+
+def _scaled_modular_bundle(seed):
+    n, k = 40, 8
+    rng = np.random.default_rng([seed, 5])
+    base = synthetic_modular_instance(n, seed=seed)
+    inst = Instance(family=base.family, n=n, ratings=base.ratings, penalties=base.penalties,
+                    scales=tuple(float(x) for x in rng.uniform(0.5, 1.5, k)))
+    return inst.bundle(tuple(float(x) for x in rng.uniform(0.1, 1.0, k)))
+
+
+class TestHeterogeneousMarginals:
+    """Heterogeneous gains from ``marginal`` match the value differences."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_scaled_modular(self, monkeypatch, seed):
+        _check_against_value_differences(_scaled_modular_bundle(300 + seed), (seed,),
+                                         monkeypatch)
+
+    def test_coverage_positions(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        covers = [rng.choice(30, size=int(rng.integers(1, 6)), replace=False) for _ in range(25)]
+        oracles = tuple(CoverageFn(covers, rng.uniform(0.0, 2.0, 30)) for _ in range(6))
+        bundle = heterogeneous_bundle(oracles, (0.9, 0.0, 0.4, 0.7, 0.2, 1.0), n=25)
+        _check_against_value_differences(bundle, range(10), monkeypatch)
+
+    def test_mixed_marginal_and_value_positions(self, monkeypatch):
+        inst = synthetic_modular_instance(12, seed=14)
+        fn = inst.oracle()
+        cov = CoverageFn([(i % 5, (i * 3) % 7) for i in range(12)], [1.0] * 7)
+        oracles = (fn, lambda s: 0.5 * fn(s), cov, lambda s: float(len(s) % 3), fn)
+        bundle = heterogeneous_bundle(oracles, (1.0, 0.6, 0.3, 0.2, 0.8), n=12)
+        _check_against_value_differences(bundle, range(10), monkeypatch)
+        # Marginal positions cost one call per candidate; value positions keep
+        # one base value per epoch plus one grown value per candidate.
+        counted = heterogeneous_bundle(oracles, (1.0, 0.6, 0.3, 0.2, 0.8), n=12)
+        counted.counter.calls = 0
+        algorithms._HeterogeneousEngine(counted, range(12)).positive_candidates(2)
+        assert counted.counter.calls == 12 * 2 + (1 + 12) * 2
+
+    def test_failing_marginal_reports_position(self):
+        class Exploding:
+            def __call__(self, items):
+                return 0.0
+
+            def marginal(self, item, items):
+                if items:
+                    raise RuntimeError("boom")
+                return 1.0
+
+        fn = synthetic_modular_instance(6, seed=3).oracle()
+        bundle = heterogeneous_bundle((fn, fn, Exploding()), (1.0, 1.0, 1.0), n=6)
+        with pytest.raises(OracleEvaluationError) as err:
+            sampling_greedy(bundle, 3, SamplerConfig(1.0, 0))
+        assert err.value.position == 3
+        assert "boom" in str(err.value)
 
 
 class TestVerifyTrace:

@@ -111,6 +111,23 @@ class TestSolve:
         code, _ = run_cli("solve", "--instance", bad, "--k", "2", capsys=capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("body, message", (
+        ("family modular-penalty\nn 2\nrewards 1 1\npenalties inline\n0 1\n1\n",
+         "error: penalties inline: not a float matrix"),
+        ("family covdiv\nn 2\nratings 1 1\nalpha 1\nbeta 1\neta 2\n"
+         "tags inline\n0.5 1.5\n0.2 0.1\n", "error: tags: tag entries must lie in [0, 1]"),
+        ("family covdiv\nn 2\nratings 1 1\nalpha 1\nbeta 1\neta 2\n"
+         "tags inline\n0.5 nan\n0.2 0.1\n", "error: tags: tag entries must be finite"),
+        ("family modular-penalty\nn -2\nrewards 1 1\n", "error: n: must be at least 1"),
+    ), ids=("ragged-matrix", "tag-outside-unit", "nan-tag", "n-below-one"))
+    def test_malformed_block_is_bad_input(self, tmp_path, capsys, body, message):
+        bad = str(tmp_path / "bad.txt")
+        with open(bad, "w") as fh:
+            fh.write(body)
+        code, _ = run_cli("solve", "--instance", bad, "--k", "1")
+        assert code == 2
+        assert capsys.readouterr().err.startswith(message)
+
     def test_bad_weight_specs(self, tiny_path, capsys):
         for spec in ("normal:abc,1", "normal:2", "explicit:1", "pareto:1"):
             code, _ = run_cli("solve", "--instance", tiny_path, "--k", "2",

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from seqsubmod import (
     EvalCounter,
     ModularPenaltyFn,
+    ObjectiveBundle,
     OracleEvaluationError,
     Sequence,
     WeightProfile,
@@ -192,6 +193,32 @@ class TestMarginalGain:
     def test_position_out_of_range(self, tiny_bundle):
         with pytest.raises(ValueError):
             marginal_gain(tiny_bundle, [], 0, 3)
+
+    def test_outside_ground_rejected(self, tiny_fn):
+        bundle = homogeneous_bundle(tiny_fn, (1.0, 1.0), ground=(0, 2))
+        with pytest.raises(ValueError, match=r"item 1 is outside"):
+            marginal_gain(bundle, [0], 1, 2)
+        with pytest.raises(ValueError, match=r"items \[1\] are outside"):
+            marginal_gain(bundle, [1], 0, 2)
+        with pytest.raises(ValueError, match=r"items \[1, 5\] are outside"):
+            evaluate_F(bundle, [5, 0, 1])
+
+
+class TestGroundSet:
+    def test_cached_frozenset(self, tiny_fn):
+        bundle = homogeneous_bundle(tiny_fn, (1.0, 1.0), ground=(2, 0, 1))
+        assert bundle.ground == (0, 1, 2)
+        assert bundle.ground_set == frozenset({0, 1, 2})
+        assert isinstance(bundle.ground_set, frozenset)
+        assert "ground_set" not in repr(bundle)
+
+    def test_not_an_argument_and_not_compared(self, tiny_fn):
+        with pytest.raises(TypeError):
+            ObjectiveBundle(weights=WeightProfile((1.0,)), oracles=(tiny_fn,), ground=(0,),
+                            homogeneous=True, ground_set=frozenset({0}))
+        a = homogeneous_bundle(tiny_fn, (1.0, 1.0), n=3)
+        b = homogeneous_bundle(tiny_fn, (1.0, 1.0), ground=(0, 1, 2))
+        assert a == b
 
 
 class TestTelescoping:

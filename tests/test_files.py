@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqsubmod import (
     FIXED,
@@ -109,6 +111,109 @@ class TestInstanceRoundTrip:
         assert read_instance(path) == inst
 
 
+def _same_bytes(a, b) -> bool:
+    """Equal dtype, shape and bytes, which tells -0.0 from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_exact_round_trip(path, inst):
+    write_instance(path, inst)
+    back = read_instance(path)
+    assert back == inst
+    assert _same_bytes(back.ratings, inst.ratings)
+    for key in ("similarity", "penalties"):
+        if getattr(inst, key) is not None:
+            assert _same_bytes(getattr(back, key), np.asarray(getattr(inst, key), dtype=float))
+    if inst.scales is not None:
+        assert _same_bytes(back.scales, inst.scales)
+    return back
+
+
+EXTREME_FLOATS = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                  0.1, 1 / 3, 2.0 ** 52 + 1.0)
+
+
+class TestExactParse:
+    """write_instance -> read_instance gives byte-equal arrays."""
+
+    @pytest.mark.parametrize("n", (1, 2, 50, 300))
+    def test_covdiv(self, tmp_path, n):
+        inst = synthetic_covdiv_instance(n, d=6, seed=100 + n, density=0.4)
+        _assert_exact_round_trip(str(tmp_path / "inst.txt"), inst)
+
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_modular_penalty(self, tmp_path, seed):
+        inst = synthetic_modular_instance(40, seed=seed, penalty_prob=0.7)
+        _assert_exact_round_trip(str(tmp_path / "inst.txt"), inst)
+
+    def test_scales(self, tmp_path):
+        base = synthetic_modular_instance(12, seed=8)
+        scales = tuple(np.random.default_rng(8).uniform(0.5, 1.5, 5))
+        inst = Instance(family=base.family, n=12, ratings=base.ratings,
+                        penalties=base.penalties, scales=scales)
+        _assert_exact_round_trip(str(tmp_path / "inst.txt"), inst)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_finite_floats(self, tmp_path_factory, data):
+        # Penalties take any nonnegative finite float (the diagonal may be
+        # -0.0), rewards any finite float.
+        n = data.draw(st.integers(1, 5))
+        extreme = st.sampled_from(EXTREME_FLOATS)
+        magnitude = st.one_of(extreme, st.floats(0.0, allow_nan=False, allow_infinity=False))
+        signed = st.one_of(extreme, extreme.map(lambda x: -x),
+                           st.floats(allow_nan=False, allow_infinity=False))
+        pen = np.zeros((n, n))
+        for i in range(n):
+            pen[i, i] = data.draw(st.sampled_from((0.0, -0.0)))
+            for j in range(i + 1, n):
+                pen[i, j] = pen[j, i] = data.draw(magnitude)
+        rewards = tuple(data.draw(signed) for _ in range(n))
+        inst = Instance(family="modular-penalty", n=n, ratings=rewards, penalties=pen)
+        path = str(tmp_path_factory.mktemp("exact") / "inst.txt")
+        _assert_exact_round_trip(path, inst)
+
+    def test_extreme_floats_in_every_block(self, tmp_path):
+        n = len(EXTREME_FLOATS)
+        sim = np.zeros((n, n))
+        for i, x in enumerate(EXTREME_FLOATS):
+            sim[i, :] = sim[:, i] = x
+        inst = Instance(family="covdiv", n=n, ratings=EXTREME_FLOATS[:n], alpha=1.0,
+                        beta=5e-324, eta=1.7976931348623157e308, similarity=sim)
+        with np.errstate(over="ignore"):  # the row sums of the largest entry overflow
+            back = _assert_exact_round_trip(str(tmp_path / "inst.txt"), inst)
+        assert np.signbit(back.similarity[1, 1])
+
+    def test_comments_and_blank_lines_inside_the_block(self, tmp_path):
+        inst = synthetic_modular_instance(4, seed=5)
+        path = str(tmp_path / "inst.txt")
+        write_instance(path, inst)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        start = lines.index("penalties inline") + 1
+        edited = lines[:start]
+        for row in lines[start:]:
+            edited += ["", f"{row}   # row note", "   # a comment-only line"]
+        with open(path, "w") as fh:
+            fh.write("\n".join(edited) + "\n")
+        back = read_instance(path)
+        assert back == inst and _same_bytes(back.penalties, inst.penalties)
+
+    def test_tags_inline_then_another_key(self, tmp_path):
+        tags = np.array([[1.0, 0.0], [0.5, 0.2], [5e-324, 0.3]])
+        lines = ["family covdiv", "n 3", "alpha 1.0", "tags inline"]
+        lines += [" ".join(repr(float(v)) for v in row) + "  # tag row" for row in tags]
+        lines += ["", "ratings 1.0 2.0 3.0", "beta 0.5", "eta 2.0"]
+        path = str(tmp_path / "inst.txt")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        inst = read_instance(path)
+        from seqsubmod import similarity_from_tags
+        assert _same_bytes(inst.similarity, similarity_from_tags(tags))
+        assert inst.ratings == (1.0, 2.0, 3.0) and inst.eta == 2.0
+
+
 class TestInstanceErrors:
     def _write(self, tmp_path, text):
         path = str(tmp_path / "bad.txt")
@@ -156,6 +261,43 @@ class TestInstanceErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InstanceFormatError):
             read_instance(str(tmp_path / "nope.txt"))
+
+    def test_binary_file(self, tmp_path):
+        path = str(tmp_path / "blob.bin")
+        with open(path, "wb") as fh:
+            fh.write(b"family \xff\xfe covdiv\n")
+        with pytest.raises(InstanceFormatError):
+            read_instance(path)
+
+    MODULAR = "family modular-penalty\nn {n}\nrewards 1 1 1\npenalties inline\n{rows}"
+    COVDIV_TAGS = "family covdiv\nn 3\nratings 1 1 1\nalpha 1\nbeta 1\neta 2\ntags inline\n{rows}"
+
+    @pytest.mark.parametrize("body, key", (
+        (MODULAR.format(n=3, rows="0 0 0\n0 0\n0 0 0\n"), "penalties"),
+        (MODULAR.format(n=3, rows="0 0 0\n0 0 0\n"), "penalties"),
+        (MODULAR.format(n=3, rows="0 0 0\n0 0 0\nscales 1 1\n"), "penalties"),
+        (MODULAR.format(n=3, rows="0 0 0\n0 1_0 0\n0 0 0\n"), "penalties"),
+        (MODULAR.format(n=3, rows="0 0 0\n0 0 banana\n0 0 0\n"), "penalties"),
+        (COVDIV_TAGS.format(rows="0.5 0.5\n0.5\n0.1 0.2\n"), "tags"),
+        (COVDIV_TAGS.format(rows="0.5 0.5\n0.5 0.1\n"), "tags"),
+        (COVDIV_TAGS.format(rows="0.5 0.5\n0.5 1.5\n0.1 0.2\n"), "tags"),
+        (COVDIV_TAGS.format(rows="0.5 0.5\n0.5 -0.25\n0.1 0.2\n"), "tags"),
+        (COVDIV_TAGS.format(rows="0.5 0.5\nnan 0.1\n0.1 0.2\n"), "tags"),
+        (COVDIV_TAGS.format(rows="0.5 0.5\ninf 0.1\n0.1 0.2\n"), "tags"),
+        ("family modular-penalty\nn -2\nrewards 1\npenalties inline\n0\n", "n"),
+        ("family modular-penalty\nn 0\nrewards\n", "n"),
+    ), ids=("ragged", "short", "short-then-key", "underscore", "word",
+            "ragged-tags", "short-tags", "tag-above-one", "negative-tag", "nan-tag",
+            "inf-tag", "negative-n", "zero-n"))
+    def test_bad_block_names_its_key(self, tmp_path, body, key):
+        with pytest.raises(InstanceFormatError, match=rf"^{key}\b"):
+            read_instance(self._write(tmp_path, body))
+
+    def test_non_finite_tags_are_rejected_at_the_source(self):
+        from seqsubmod import similarity_from_tags
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="tag entries must be finite"):
+                similarity_from_tags([[0.5, bad], [0.1, 0.2]])
 
     @pytest.mark.parametrize("bad", ("nan", "inf", "-inf"))
     def test_non_finite_numbers_rejected(self, tmp_path, bad):
