@@ -128,36 +128,57 @@ class _BatchedEngine:
     """Candidate gains for a homogeneous bundle whose oracle offers a batched
     incremental state.
 
-    Survivors live in a boolean mask indexed by item id; every epoch scores
-    and ranks them in one numpy pass and hands the ranked pairs out lazily, so
-    Python work is paid only for the candidates a caller actually takes.
+    Survivors live in a boolean mask indexed by item id.  Every epoch scores
+    them in one numpy pass into an id-indexed vector of weighted gains (-inf
+    for dead or non-positive candidates) and hands candidates out by
+    repeated ``argmax``, which returns the lowest id among equal maxima: the
+    order is "weighted gain desc, id asc", and a coin stream that accepts
+    after a few candidates pays for those few, not for a full sort.  An epoch
+    that outlasts ARGMAX_PICKS candidates ranks the rest with one ``lexsort``.
     """
+
+    ARGMAX_PICKS = 8
 
     def __init__(self, bundle: ObjectiveBundle, candidates):
         self.bundle = bundle
         self._state = bundle.base_oracle.incremental()
         self._alive = np.zeros(bundle.ground[-1] + 1, dtype=bool)
         self._alive[np.fromiter(candidates, np.intp)] = True
+        self._count = int(self._alive.sum())
 
     def positive_candidates(self, t: int) -> Iterable[tuple[int, float]]:
         """(item, weighted gain) for gains > 0, ordered by gain desc, id asc."""
         w = self.bundle.suffix_weight(t)
-        alive = np.flatnonzero(self._alive)
-        if w == 0.0 or not alive.size:
+        if w == 0.0 or not self._count:
             return ()
-        gains = self._state.gains()[alive]
-        self.bundle.counter.add(len(alive))
-        mask = gains > 0.0
-        items = alive[mask]
-        vals = w * gains[mask]
-        order = np.lexsort((items, -vals))
-        return zip(items[order].tolist(), vals[order].tolist())
+        gains = self._state.gains()[:self._alive.size]
+        self.bundle.counter.add(self._count)
+        # Rank on w * gain, as the pairs report it: two raw gains can round
+        # to one weighted value, and then the id decides.
+        vals = np.where(self._alive & (gains > 0.0), w * gains, -np.inf)
+        return self._ranked(vals)
+
+    def _ranked(self, vals: np.ndarray):
+        for _ in range(self.ARGMAX_PICKS):
+            item = int(vals.argmax())
+            top = vals[item]
+            if top == -np.inf:
+                return
+            vals[item] = -np.inf
+            yield item, float(top)
+        items = np.flatnonzero(vals > -np.inf)
+        rest = vals[items]
+        order = np.lexsort((items, -rest))
+        yield from zip(items[order].tolist(), rest[order].tolist())
 
     def remove(self, item: int) -> None:
-        self._alive[item] = False
+        # sampling_greedy removes an item and then accepts it: count it once.
+        if self._alive[item]:
+            self._alive[item] = False
+            self._count -= 1
 
     def accept(self, item: int) -> None:
-        self._alive[item] = False
+        self.remove(item)
         self._state.add(item)
 
 
@@ -611,19 +632,20 @@ def baseline_covdiv(fn, bundle: ObjectiveBundle, k=None, constraint: str = FLEXI
     if constraint not in (FLEXIBLE, FIXED):
         raise ValueError(f"unknown constraint {constraint!r}")
     state = fn.incremental()
-    alive = sorted(bundle.ground)
+    alive = np.zeros(bundle.ground[-1] + 1, dtype=bool)
+    alive[list(bundle.ground)] = True
+    count = bundle.n
     out: list[int] = []
-    while len(out) < k and alive:
-        arr = np.fromiter(alive, dtype=int)
-        gains = state.diversity_gains()[arr]
-        bundle.counter.add(len(arr))
-        best = int(np.argmax(gains))  # argmax takes the first, i.e. lowest id
-        if not gains[best] > 0.0:
+    while len(out) < k and count:
+        bundle.counter.add(count)
+        gains = np.where(alive, state.diversity_gains()[:alive.size], -np.inf)
+        item = int(gains.argmax())  # argmax takes the first, i.e. lowest id
+        if not gains[item] > 0.0:
             break
-        item = int(arr[best])
         out.append(item)
         state.add(item)
-        alive.remove(item)
+        alive[item] = False
+        count -= 1
     if constraint == FIXED and len(out) < k:
         pool = sorted(set(bundle.ground) - set(out))
         extra = _draw_backup(_backup_rng(cfg), pool, k - len(out), backup)
@@ -636,13 +658,13 @@ def baseline_quality(ratings, k: int) -> Sequence:
 
     Always returns exactly k items regardless of constraint mode.
     """
-    scores = [float(r) for r in ratings]
+    scores = np.asarray(ratings, dtype=float)
     if k > len(scores):
         raise InfeasibleError(f"k={k} exceeds the {len(scores)} rated items")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    return Sequence(tuple(order[:k]))
+    order = np.argsort(-scores, kind="stable")  # stable: equal ratings keep id order
+    return Sequence(tuple(order[:k].tolist()))
 
 
 def verify_trace(bundle: ObjectiveBundle, trace: GreedyTrace, tol: float = 1e-9) -> None:

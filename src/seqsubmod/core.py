@@ -15,6 +15,8 @@ import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
+import numpy as np
+
 SetOracle = Callable[[frozenset], float]
 
 
@@ -149,6 +151,8 @@ class ObjectiveBundle:
     unlocks suffix-weight shortcuts (all positions j >= t see the same set, so
     their contribution collapses to suffix_sum(t) times one evaluation).
     ``ground_set`` holds the ground ids as a frozenset for membership checks.
+    ``prefix_evaluator`` is the shared oracle's ``prefix_values`` method when
+    the bundle is homogeneous and the oracle has one, else None.
     """
 
     weights: WeightProfile
@@ -157,6 +161,7 @@ class ObjectiveBundle:
     homogeneous: bool
     counter: EvalCounter = field(default_factory=EvalCounter, compare=False, repr=False)
     ground_set: frozenset = field(init=False, compare=False, repr=False)
+    prefix_evaluator: Callable | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         ground = tuple(sorted(int(i) for i in self.ground))
@@ -173,6 +178,8 @@ class ObjectiveBundle:
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "ground_set", ground_set)
         object.__setattr__(self, "oracles", tuple(self.oracles))
+        evaluator = getattr(self.oracles[0], "prefix_values", None) if self.homogeneous else None
+        object.__setattr__(self, "prefix_evaluator", evaluator)
 
     @property
     def k(self) -> int:
@@ -193,14 +200,37 @@ class ObjectiveBundle:
         return self.weights.suffix_sum(t)
 
     def oracle_value(self, j: int, items: frozenset) -> float:
-        """Evaluate f_j on a set, counting the call and wrapping failures."""
+        """Evaluate f_j on a set, counting the call and wrapping failures,
+        non-finite values included."""
         self.counter.add(1)
         try:
-            return float(self.oracles[j - 1](items))
+            value = float(self.oracles[j - 1](items))
         except OracleEvaluationError:
             raise
         except Exception as exc:
             raise OracleEvaluationError(j, str(exc)) from exc
+        if not math.isfinite(value):
+            raise OracleEvaluationError(j, f"non-finite value {value}")
+        return value
+
+    def oracle_prefix_values(self, items: tuple[int, ...]) -> list[float]:
+        """f(items[:1]), ..., f(items[:m]) through ``prefix_evaluator``: one
+        counted call per prefix, as ``oracle_value`` would count them.
+
+        A failure of the evaluator is reported at position 1, the first
+        position it serves; a non-finite value at the position of its prefix.
+        """
+        self.counter.add(len(items))
+        try:
+            values = self.prefix_evaluator(items)
+        except OracleEvaluationError:
+            raise
+        except Exception as exc:
+            raise OracleEvaluationError(1, str(exc)) from exc
+        if not np.isfinite(values).all():
+            j = next(j for j, v in enumerate(values, start=1) if not math.isfinite(v))
+            raise OracleEvaluationError(j, f"non-finite value {values[j - 1]}")
+        return values
 
 
 def homogeneous_bundle(oracle, weights, n=None, ground=None, counter=None) -> ObjectiveBundle:
@@ -256,7 +286,8 @@ def evaluate_F(bundle: ObjectiveBundle, seq) -> float:
 
     Positions beyond len(seq) see the full selection (prefix saturation);
     positions beyond k never contribute.  Homogeneous bundles reuse the
-    saturated value instead of re-evaluating it per position.
+    saturated value instead of re-evaluating it per position, and score
+    their prefixes in one ``prefix_evaluator`` call when the oracle has one.
     """
     seq = as_sequence(seq)
     items = _checked_items(bundle, seq)
@@ -267,10 +298,14 @@ def evaluate_F(bundle: ObjectiveBundle, seq) -> float:
     running: set = set()
     if bundle.homogeneous:
         value = None
-        for j in range(1, limit + 1):
-            running.add(items[j - 1])
-            value = bundle.oracle_value(j, frozenset(running))
-            total += lams[j - 1] * value
+        if limit and bundle.prefix_evaluator is not None:
+            for lam, value in zip(lams, bundle.oracle_prefix_values(items[:limit])):
+                total += lam * value
+        else:
+            for j in range(1, limit + 1):
+                running.add(items[j - 1])
+                value = bundle.oracle_value(j, frozenset(running))
+                total += lams[j - 1] * value
         if limit < k:
             if value is None:
                 value = bundle.oracle_value(limit + 1, frozenset(running))

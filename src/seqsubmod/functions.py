@@ -217,6 +217,35 @@ class CoverageDiversityFn:
         idx = _sorted_index(items)
         return self.alpha * float(self.ratings[idx].sum()) + self.beta * self._diversity(idx)
 
+    def prefix_values(self, items) -> list[float]:
+        """[f(items[:1]), ..., f(items[:m])] for a sequence of distinct ids,
+        each equal to ``self(items[:j])`` bit for bit.
+
+        The m x m block of the whole sequence is gathered once in ascending-id
+        order, with its ratings and row sums.  Each prefix takes its ascending
+        positions from those small arrays, so every sum sees the same elements
+        in the same C-contiguous order as ``__call__`` does.  (A running,
+        cumulative form would be cheaper but rounds differently.)
+        """
+        seq = np.fromiter(items, np.intp, len(items))
+        order = np.argsort(seq)
+        ids = seq[order]
+        ratings = self.ratings[ids]
+        row_sums = self.row_sums[ids]
+        block = self.similarity.take(ids, 0).take(ids, 1)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        member = np.zeros(len(order), dtype=bool)
+        alpha, beta, eta = self.alpha, self.beta, self.eta
+        values = []
+        for r in rank.tolist():
+            member[r] = True
+            pos = member.nonzero()[0]
+            sub = block.take(pos, 0).take(pos, 1)
+            diversity = float(row_sums.take(pos).sum() - eta * sub.sum())
+            values.append(alpha * float(ratings.take(pos).sum()) + beta * diversity)
+        return values
+
     def diversity_marginal(self, item: int, items) -> float:
         """g(item | S) for item not in S, via one row slice."""
         idx = _ids(items)

@@ -181,13 +181,16 @@ def _eager_greedy(bundle, pool, coins):
     return GreedyTrace(tuple(considered), seq), sum(calls)
 
 
-def _check_against_eager(bundle, seeds):
+def _check_against_eager(bundle, seeds, p=P_STAR, verified=None):
     """sampling_greedy, presampled_greedy and fixed_length_solve must match
-    the eager-list greedy in trace, output and oracle calls for every seed."""
+    the eager-list greedy in trace, output and oracle calls for every seed;
+    verify_trace replays the first ``verified`` traces (all by default).
+    Returns the traces."""
     k = bundle.k
     ground = list(bundle.ground)
-    for seed in seeds:
-        cfg = SamplerConfig(P_STAR, seed)
+    traces = []
+    for count, seed in enumerate(seeds):
+        cfg = SamplerConfig(p, seed)
 
         before = bundle.counter.calls
         seq, trace = sampling_greedy(bundle, k, cfg)
@@ -196,7 +199,9 @@ def _check_against_eager(bundle, seeds):
         want, want_calls = _eager_greedy(bundle, ground, stream)
         assert trace == want and seq == want.output
         assert calls == want_calls
-        verify_trace(bundle, trace)
+        if verified is None or count < verified:
+            verify_trace(bundle, trace)
+        traces.append(trace)
 
         coin_rng = random.Random(f"{seed}:coins")
         pool = [i for i in ground if coin_rng.random() < cfg.p]
@@ -210,6 +215,7 @@ def _check_against_eager(bundle, seeds):
         unused = sorted(set(ground) - set(seq.items))
         fill = random.Random(f"{seed}:backup").sample(unused, k - len(seq))
         assert padded.items == seq.items + tuple(sorted(fill))
+    return traces
 
 
 class TestLazyRanking:
@@ -220,7 +226,8 @@ class TestLazyRanking:
                              ids=("uniform", "normal-15-5"))
     def test_covdiv_catalog(self, dist):
         fn = synthetic_covdiv_instance(300, seed=21).oracle()
-        _check_against_eager(homogeneous_bundle(fn, make_weights(dist), n=300), range(20))
+        _check_against_eager(homogeneous_bundle(fn, make_weights(dist), n=300), range(80),
+                             verified=20)
 
     def test_exact_ties_go_to_lowest_id(self):
         # Four tag groups and three rating levels: many candidates share a
@@ -235,6 +242,36 @@ class TestLazyRanking:
         gains = [gain for _, gain, _ in trace.considered]
         assert len(set(gains)) < len(gains)
         _check_against_eager(bundle, range(20))
+
+    def test_weighted_ties_go_to_lowest_id(self):
+        # Item 3's raw gain is one ulp above item 1's, and w is chosen so
+        # that both weighted gains round to the same float: the ranking is
+        # on the weighted value, so the lower id comes first.
+        lo = 1.2345
+        hi = math.nextafter(lo, 2.0)
+        rng = np.random.default_rng(0)
+        w = next(float(x) for x in rng.uniform(0.1, 1.0, 1000) if x * hi == x * lo)
+        ratings = [0.5, lo, 0.25, hi, 0.75, 0.125]
+        n = len(ratings)
+        fn = CoverageDiversityFn(ratings, np.zeros((n, n)), 1.0, 0.0, 1.0)
+        bundle = homogeneous_bundle(fn, (w,), n=n)
+        _, trace = sampling_greedy(bundle, 1, coins=[0, 0, 1])
+        assert [item for item, _, _ in trace.considered] == [1, 3, 4]
+        assert trace.considered[0][1] == trace.considered[1][1]
+        _check_against_eager(bundle, range(20))
+
+    def test_small_p_reaches_the_lexsort_fallback(self):
+        fn = synthetic_covdiv_instance(300, seed=22).oracle()
+        bundle = homogeneous_bundle(fn, make_weights(UserTypeDistribution.uniform(20)), n=300)
+        traces = _check_against_eager(bundle, range(8), p=0.05, verified=2)
+        picks = algorithms._BatchedEngine.ARGMAX_PICKS
+        longest = 0
+        for trace in traces:
+            run = 0
+            for _, _, coin in trace.considered:
+                run = 0 if coin else run + 1
+                longest = max(longest, run)
+        assert longest > picks
 
 
 class _ValueDifferenceEngine:
@@ -623,6 +660,49 @@ class TestBaselines:
         assert len(flexible) < 6  # eta=35 kills marginals early here
         assert len(fixed) == 6
         assert fixed.items[: len(flexible)] == flexible.items
+
+    def test_covdiv_matches_list_version(self):
+        # The reference: survivors in a sorted list, one np.fromiter per step.
+        def list_version(fn, bundle, k):
+            state = fn.incremental()
+            alive = sorted(bundle.ground)
+            out = []
+            while len(out) < k and alive:
+                arr = np.fromiter(alive, dtype=int)
+                gains = state.diversity_gains()[arr]
+                bundle.counter.add(len(arr))
+                best = int(np.argmax(gains))
+                if not gains[best] > 0.0:
+                    break
+                out.append(int(arr[best]))
+                state.add(out[-1])
+                alive.remove(out[-1])
+            return tuple(out)
+
+        n = 40
+        tags = np.zeros((n, 4))
+        tags[np.arange(n), np.arange(n) % 4] = 0.5
+        tied = CoverageDiversityFn([1.0] * n, similarity_from_tags(tags), 1.0, 0.5, 1.0)
+        cases = [(tied, range(n), 12)]
+        for idx in range(6):
+            eta = (1.0, 4.0)[idx % 2]  # eta=1 often fills k, eta=4 runs out of positive gains
+            fn = synthetic_covdiv_instance(80, d=8, seed=900 + idx, density=0.2, eta=eta).oracle()
+            cases.append((fn, range(80), 25))
+            cases.append((fn, range(3, 80, 2), 25))
+        for fn, ground, k in cases:
+            bundle = homogeneous_bundle(fn, (1.0,) * k, ground=ground)
+            got = baseline_covdiv(fn, bundle, k, FLEXIBLE)
+            calls = bundle.counter.calls
+            assert got.items == list_version(fn, bundle, k)
+            assert bundle.counter.calls == 2 * calls
+
+    def test_quality_matches_sorted_version(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 7, 50, 500):
+            ratings = tuple(float(x) for x in rng.integers(0, 6, n)) + (0.0, -0.0)
+            want = sorted(range(len(ratings)), key=lambda i: (-ratings[i], i))
+            for k in (0, 1, n // 2, len(ratings)):
+                assert baseline_quality(ratings, k).items == tuple(want[:k])
 
     def test_covdiv_ignores_ratings(self):
         inst = synthetic_covdiv_instance(15, d=5, seed=77, density=0.4)

@@ -119,7 +119,10 @@ class TestSolve:
         ("family covdiv\nn 2\nratings 1 1\nalpha 1\nbeta 1\neta 2\n"
          "tags inline\n0.5 nan\n0.2 0.1\n", "error: tags: tag entries must be finite"),
         ("family modular-penalty\nn -2\nrewards 1 1\n", "error: n: must be at least 1"),
-    ), ids=("ragged-matrix", "tag-outside-unit", "nan-tag", "n-below-one"))
+        ("family modular-penalty\nn 2\nrewards 1_0 2\npenalties inline\n0 0\n0 0\n",
+         "error: rewards: expected numbers"),
+    ), ids=("ragged-matrix", "tag-outside-unit", "nan-tag", "n-below-one",
+            "underscore-on-key-line"))
     def test_malformed_block_is_bad_input(self, tmp_path, capsys, body, message):
         bad = str(tmp_path / "bad.txt")
         with open(bad, "w") as fh:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,9 +16,11 @@ from seqsubmod import (
     heterogeneous_bundle,
     homogeneous_bundle,
     marginal_gain,
+    synthetic_covdiv_instance,
     telescoping_value,
     tiny_instance,
 )
+from seqsubmod.harness import UserTypeDistribution, make_weights
 
 from oracles import naive_F
 
@@ -202,6 +205,113 @@ class TestMarginalGain:
             marginal_gain(bundle, [1], 0, 2)
         with pytest.raises(ValueError, match=r"items \[1, 5\] are outside"):
             evaluate_F(bundle, [5, 0, 1])
+
+
+def _direct_F(bundle, items):
+    """evaluate_F of a homogeneous bundle by one counted value call per
+    prefix (the path for oracles without ``prefix_values``): the float bits
+    and oracle calls the prefix evaluator must reproduce."""
+    fn, lams, k = bundle.base_oracle, bundle.weights.lambdas, bundle.k
+    limit = min(len(items), k)
+    total, value = 0.0, None
+    for j in range(1, limit + 1):
+        value = float(fn(frozenset(items[:j])))
+        total += lams[j - 1] * value
+    if limit < k:
+        if value is None:
+            value = float(fn(frozenset()))
+        total += bundle.suffix_weight(limit + 1) * value
+    return total, max(limit, 1)
+
+
+class TestPrefixEvaluator:
+    @pytest.mark.parametrize("dist", (UserTypeDistribution.uniform(20),
+                                      UserTypeDistribution.normal(20, 8.0, 3.0)),
+                             ids=("uniform", "normal-8-3"))
+    def test_matches_direct_loop(self, dist):
+        fn = synthetic_covdiv_instance(120, d=10, seed=31).oracle()
+        bundle = homogeneous_bundle(fn, make_weights(dist), n=120)
+        assert bundle.prefix_evaluator is not None
+        rng = np.random.default_rng(5)
+        for length in (0, 1, 7, 19, 20, 21, 45, 120):
+            for _ in range(3):
+                seq = tuple(rng.choice(120, length, replace=False).tolist())
+                before = bundle.counter.calls
+                got = evaluate_F(bundle, seq)
+                want, calls = _direct_F(bundle, seq)
+                assert got == want
+                assert bundle.counter.calls - before == calls
+
+    def test_sparse_ground(self):
+        fn = synthetic_covdiv_instance(60, d=8, seed=32).oracle()
+        bundle = homogeneous_bundle(fn, (0.5, 0.0, 1.5, 0.25), ground=range(1, 60, 4))
+        for seq in ((57, 1, 33), (5, 9, 13, 17, 21), (41,)):
+            assert evaluate_F(bundle, seq) == _direct_F(bundle, seq)[0]
+
+    def test_resolved_once_per_bundle(self, tiny_fn):
+        fn = synthetic_covdiv_instance(10, d=4, seed=1).oracle()
+        covdiv = homogeneous_bundle(fn, (1.0, 1.0), n=10)
+        assert covdiv.prefix_evaluator == fn.prefix_values
+        assert "prefix_evaluator" not in repr(covdiv)
+        assert homogeneous_bundle(tiny_fn, (1.0, 1.0), n=3).prefix_evaluator is None
+        assert heterogeneous_bundle((fn, fn), (1.0, 1.0), n=10).prefix_evaluator is None
+        assert covdiv == homogeneous_bundle(fn, (1.0, 1.0), ground=range(10))
+
+
+class _Prefixed:
+    """A homogeneous oracle with a prefix evaluator that can go wrong."""
+
+    def __init__(self, bad_at=None, value=math.nan, raises=False):
+        self.bad_at, self.value, self.raises = bad_at, value, raises
+
+    def __call__(self, items):
+        return float(len(items))
+
+    def prefix_values(self, items):
+        if self.raises:
+            raise RuntimeError("boom")
+        values = [float(j) for j in range(1, len(items) + 1)]
+        if self.bad_at is not None and self.bad_at <= len(values):
+            values[self.bad_at - 1] = self.value
+        return values
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_value_path(self, bad):
+        bundle = homogeneous_bundle(lambda s: bad if len(s) == 2 else 1.0, (1.0,) * 3, n=4)
+        with pytest.raises(OracleEvaluationError, match="non-finite") as err:
+            evaluate_F(bundle, [0, 1, 2])
+        assert err.value.position == 2
+        hetero = heterogeneous_bundle((lambda s: 0.0, lambda s: bad), (1.0, 1.0), n=3)
+        with pytest.raises(OracleEvaluationError) as err:
+            evaluate_F(hetero, [0])
+        assert err.value.position == 2
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_marginal_gain_path(self, bad):
+        bundle = homogeneous_bundle(lambda s: bad if 3 in s else 1.0, (1.0,) * 3, n=4)
+        assert marginal_gain(bundle, [0], 1, 2) == 0.0
+        with pytest.raises(OracleEvaluationError, match="non-finite") as err:
+            marginal_gain(bundle, [0], 3, 2)
+        assert err.value.position == 2
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_prefix_path(self, bad):
+        bundle = homogeneous_bundle(_Prefixed(bad_at=3, value=bad), (1.0,) * 5, n=6)
+        assert bundle.prefix_evaluator is not None
+        assert evaluate_F(bundle, [0, 1]) == 1.0 + 2.0 * 4
+        with pytest.raises(OracleEvaluationError, match="non-finite") as err:
+            evaluate_F(bundle, [0, 1, 2, 3])
+        assert err.value.position == 3
+
+    def test_prefix_evaluator_failure_has_a_position(self):
+        bundle = homogeneous_bundle(_Prefixed(raises=True), (1.0,) * 3, n=4)
+        with pytest.raises(OracleEvaluationError, match="boom") as err:
+            evaluate_F(bundle, [2, 0])
+        assert err.value.position == 1
+        # The empty sequence takes the value path, which the oracle serves.
+        assert evaluate_F(bundle, []) == 0.0
 
 
 class TestGroundSet:

@@ -134,8 +134,29 @@ EXTREME_FLOATS = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157
                   0.1, 1 / 3, 2.0 ** 52 + 1.0)
 
 
+NUMBER_CHARS = "0123456789+-.eEinfatyINFATYx_\u0661\u00bd\uff11"
+
+
 class TestExactParse:
     """write_instance -> read_instance gives byte-equal arrays."""
+
+    @given(st.one_of(st.text(NUMBER_CHARS, min_size=1, max_size=10),
+                     st.sampled_from(("1_0", "0_5", "\u0661", "nan", "-inf", "Infinity",
+                                      "1e400", "5e-324", ".5", "5.", "1e", "0x10"))))
+    @settings(max_examples=400, deadline=None)
+    def test_key_lines_take_the_numbers_matrix_rows_take(self, tmp_path_factory, token):
+        try:
+            want = float(np.loadtxt([token], ndmin=1)[0])
+        except ValueError:
+            want = None
+        path = str(tmp_path_factory.mktemp("grammar") / "inst.txt")
+        with open(path, "w") as fh:
+            fh.write(f"family modular-penalty\nn 1\nrewards {token}\npenalties inline\n0\n")
+        if want is None or not np.isfinite(want):
+            with pytest.raises(InstanceFormatError, match="^rewards"):
+                read_instance(path)
+        else:
+            assert _same_bytes(np.array(read_instance(path).ratings), np.array([want]))
 
     @pytest.mark.parametrize("n", (1, 2, 50, 300))
     def test_covdiv(self, tmp_path, n):
@@ -286,9 +307,19 @@ class TestInstanceErrors:
         (COVDIV_TAGS.format(rows="0.5 0.5\ninf 0.1\n0.1 0.2\n"), "tags"),
         ("family modular-penalty\nn -2\nrewards 1\npenalties inline\n0\n", "n"),
         ("family modular-penalty\nn 0\nrewards\n", "n"),
+        # Key lines take the numbers matrix rows take: no Python-only literals.
+        (MODULAR.format(n=3, rows="0 0 0\n0 0 0\n0 0 0\n").replace("rewards 1 1", "rewards 1_0 1"),
+         "rewards"),
+        (COVDIV_TAGS.format(rows="0.5 0.5\n0.5 0.1\n0.1 0.2\n").replace("ratings 1 1", "ratings 1 \u0661"),
+         "ratings"),
+        (COVDIV_TAGS.format(rows="0.5 0.5\n0.5 0.1\n0.1 0.2\n").replace("alpha 1", "alpha 1_0"),
+         "alpha"),
+        (MODULAR.format(n=3, rows="0 0 0\n0 0 0\n0 0 0\n") + "scales 1 1_0\n", "scales"),
+        (COVDIV_TAGS.format(rows="0.5 0.5\n1_0 0.1\n0.1 0.2\n"), "tags"),
     ), ids=("ragged", "short", "short-then-key", "underscore", "word",
             "ragged-tags", "short-tags", "tag-above-one", "negative-tag", "nan-tag",
-            "inf-tag", "negative-n", "zero-n"))
+            "inf-tag", "negative-n", "zero-n", "underscore-rewards", "arabic-digit-ratings",
+            "underscore-alpha", "underscore-scales", "underscore-tag-row"))
     def test_bad_block_names_its_key(self, tmp_path, body, key):
         with pytest.raises(InstanceFormatError, match=rf"^{key}\b"):
             read_instance(self._write(tmp_path, body))
@@ -408,7 +439,9 @@ class TestExperimentFiles:
                      "instance a.txt\nk 2\nseed\n",
                      "instance a.txt\nk 2\nrounds\n",
                      "instance a.txt\nk 2 3\n",    # extra value
-                     "instance a.txt\nk 1e400\n"):
+                     "instance a.txt\nk 1e400\n",
+                     "instance a.txt\nk 2\np 0_5\n",  # not a number in matrix rows either
+                     "instance a.txt\nk 2\ndistribution normal 1_0 2\n"):
             spec_path = str(tmp_path / "exp.txt")
             with open(spec_path, "w") as fh:
                 fh.write(body)

@@ -152,6 +152,47 @@ class TestCoverageDiversity:
             assert fn.diversity_value(empty) == 0.0
 
 
+class TestPrefixValues:
+    """prefix_values must reproduce the value of every prefix to the last bit."""
+
+    @staticmethod
+    def _check(fn, seq):
+        got = fn.prefix_values(seq)
+        assert got == [fn(frozenset(seq[:j])) for j in range(1, len(seq) + 1)]
+        assert got == [ix_covdiv_value(fn, seq[:j]) for j in range(1, len(seq) + 1)]
+
+    def test_random_sequences(self):
+        fn = synthetic_covdiv_instance(200, d=12, seed=8).oracle()
+        rng = np.random.default_rng(77)
+        for _ in range(60):
+            m = int(rng.integers(1, 80))
+            self._check(fn, tuple(rng.choice(fn.n, m, replace=False).tolist()))
+
+    def test_length_one_and_full_ground(self):
+        fn = synthetic_covdiv_instance(40, d=6, seed=9).oracle()
+        for i in (0, 17, 39):
+            self._check(fn, (i,))
+        perm = tuple(np.random.default_rng(1).permutation(fn.n).tolist())
+        self._check(fn, perm)
+        self._check(fn, tuple(range(fn.n)))
+        self._check(fn, tuple(reversed(range(fn.n))))
+
+    def test_sparse_ids(self):
+        # Ground sets that are not 0..n-1: every third id, in scrambled order.
+        fn = synthetic_covdiv_instance(150, d=10, seed=10).oracle()
+        ids = np.arange(2, 150, 3)
+        self._check(fn, tuple(np.random.default_rng(2).permutation(ids).tolist()))
+
+    def test_repeated_similarity_entries(self):
+        # Three tag groups and integer ratings: many equal entries and ties.
+        n = 36
+        tags = np.zeros((n, 3))
+        tags[np.arange(n), np.arange(n) % 3] = 0.5
+        fn = CoverageDiversityFn([float(i % 4) for i in range(n)], similarity_from_tags(tags),
+                                 1.0, 0.25, 2.0)
+        self._check(fn, tuple(np.random.default_rng(3).permutation(n).tolist()))
+
+
 class TestSimilarityFromTags:
     def test_identical_rows(self):
         t = np.array([[0.3, 0.4], [0.3, 0.4]])
