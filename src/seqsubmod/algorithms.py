@@ -29,7 +29,6 @@ from .core import (
     ObjectiveBundle,
     OracleEvaluationError,
     Sequence,
-    as_sequence,
     evaluate_F,
     homogeneous_bundle,
     marginal_gain,
@@ -117,6 +116,15 @@ class GreedyTrace:
     output: Sequence
 
 
+def _finite(position: int, item: int, gain) -> float:
+    """``gain`` as a float; OracleEvaluationError at ``position`` if it is
+    NaN or infinite, which ``gain > 0`` would otherwise silently skip."""
+    gain = float(gain)
+    if not math.isfinite(gain):
+        raise OracleEvaluationError(position, f"non-finite marginal {gain} for item {item}")
+    return gain
+
+
 # ---------------------------------------------------------------------------
 # Marginal engines.  One greedy step needs the weighted marginal
 # sum_{j>=t} lambda_j * f_j(i | pi) of every surviving candidate; the engines
@@ -153,6 +161,9 @@ class _BatchedEngine:
             return ()
         gains = self._state.gains()[:self._alive.size]
         self.bundle.counter.add(self._count)
+        if not np.isfinite(gains).all():
+            for item in np.flatnonzero(self._alive & ~np.isfinite(gains)).tolist():
+                _finite(t, item, gains[item])
         # Rank on w * gain, as the pairs report it: two raw gains can round
         # to one weighted value, and then the id decides.
         vals = np.where(self._alive & (gains > 0.0), w * gains, -np.inf)
@@ -206,14 +217,14 @@ class _HomogeneousEngine:
         if self._marginal is not None:
             counter.add(len(self.alive))
             for i in sorted(self.alive):
-                m = self._marginal(i, self.members)
+                m = _finite(t, i, self._marginal(i, self.members))
                 if m > 0.0:
                     pairs.append((i, w * m))
         else:
             base = float(self._oracle(frozenset(self.members)))
             counter.add(len(self.alive) + 1)
             for i in sorted(self.alive):
-                m = float(self._oracle(frozenset(self.members | {i}))) - base
+                m = _finite(t, i, float(self._oracle(frozenset(self.members | {i}))) - base)
                 if m > 0.0:
                     pairs.append((i, w * m))
         pairs.sort(key=lambda pair: (-pair[1], pair[0]))
@@ -266,7 +277,7 @@ class _HeterogeneousEngine:
                     if marginal is None:
                         gain += lam * (bundle.oracle_value(j, grown) - bases[j])
                     else:
-                        gain += lam * marginal(i, members)
+                        gain += lam * _finite(j, i, marginal(i, members))
                 if gain > 0.0:
                     pairs.append((i, gain))
         except OracleEvaluationError:
@@ -411,10 +422,17 @@ def fixed_length_solve(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | Non
     cfg = cfg if cfg is not None else SamplerConfig()
     k = _check_k(bundle, k)
     seq, _ = sampling_greedy(bundle, k, cfg, coins=coins)
+    return _pad_to_k(bundle, seq, k, cfg, backup)
+
+
+def _pad_to_k(bundle: ObjectiveBundle, seq: Sequence, k: int, cfg: SamplerConfig,
+              forced=None) -> Sequence:
+    """``seq`` plus a uniform draw of k - len(seq) unused items from cfg's backup
+    stream, in ascending id order; ``forced`` fixes the draw.  No oracle calls."""
     if len(seq) == k:
         return seq
-    pool = sorted(set(bundle.ground) - set(seq.items))
-    extra = _draw_backup(_backup_rng(cfg), pool, k - len(seq), backup)
+    pool = sorted(bundle.ground_set - seq.to_set())
+    extra = _draw_backup(_backup_rng(cfg), pool, k - len(seq), forced)
     return Sequence(seq.items + tuple(sorted(extra)))
 
 
@@ -461,7 +479,8 @@ def _sampled_set_greedy(fn, ground, cap: int, stream: CoinStream,
     """Deferred-coin positive-marginal greedy on a plain set function.
 
     Returns accepted items in acceptance order; stops at ``cap`` accepts or
-    when no surviving candidate has a strictly positive marginal.
+    when no surviving candidate has a strictly positive marginal.  A
+    non-finite marginal raises OracleEvaluationError at the greedy step.
     """
     members: set = set()
     added: list[int] = []
@@ -473,7 +492,7 @@ def _sampled_set_greedy(fn, ground, cap: int, stream: CoinStream,
             if counter is not None:
                 counter.add(len(alive))
             for i in sorted(alive):
-                m = float(fn.marginal(i, members))
+                m = _finite(len(added) + 1, i, fn.marginal(i, members))
                 if m > 0.0:
                     pairs.append((i, m))
         else:
@@ -481,7 +500,7 @@ def _sampled_set_greedy(fn, ground, cap: int, stream: CoinStream,
             if counter is not None:
                 counter.add(len(alive) + 1)
             for i in sorted(alive):
-                m = float(fn(frozenset(members | {i}))) - base
+                m = _finite(len(added) + 1, i, float(fn(frozenset(members | {i}))) - base)
                 if m > 0.0:
                     pairs.append((i, m))
         if not pairs:
@@ -646,11 +665,8 @@ def baseline_covdiv(fn, bundle: ObjectiveBundle, k=None, constraint: str = FLEXI
         state.add(item)
         alive[item] = False
         count -= 1
-    if constraint == FIXED and len(out) < k:
-        pool = sorted(set(bundle.ground) - set(out))
-        extra = _draw_backup(_backup_rng(cfg), pool, k - len(out), backup)
-        out.extend(sorted(extra))
-    return Sequence(tuple(out))
+    seq = Sequence(tuple(out))
+    return _pad_to_k(bundle, seq, k, cfg, backup) if constraint == FIXED else seq
 
 
 def baseline_quality(ratings, k: int) -> Sequence:

@@ -29,8 +29,8 @@ from .core import evaluate_F
 from .files import (
     ExperimentFile,
     InstanceFormatError,
+    _read_instance,
     read_experiment,
-    read_instance,
     synthetic_covdiv_instance,
     synthetic_modular_instance,
     write_instance,
@@ -88,9 +88,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    instance = read_instance(args.instance)
+    instance, oracle = _read_instance(args.instance)
     weights = make_weights(_parse_weight_spec(args.weights, args.k))
-    bundle = instance.bundle(weights)
+    bundle = instance.bundle(weights, oracle=oracle)
     cfg = SamplerConfig(p=args.p, seed=args.seed)
     name = args.algorithm
     if name == "sg":
@@ -104,7 +104,7 @@ def cmd_solve(args) -> int:
         seq = homogeneous_solve(bundle, args.k, cfg)
     elif name == "covdiv":
         _require_covdiv(instance, "the covdiv baseline")
-        seq = baseline_covdiv(instance.oracle(), bundle, args.k, args.constraint, cfg)
+        seq = baseline_covdiv(oracle, bundle, args.k, args.constraint, cfg)
     elif name == "quality":
         seq = baseline_quality(instance.ratings, args.k)
     else:
@@ -117,9 +117,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    instance = read_instance(args.instance)
+    instance, oracle = _read_instance(args.instance)
     weights = make_weights(_parse_weight_spec(args.weights, args.k))
-    bundle = instance.bundle(weights)
+    bundle = instance.bundle(weights, oracle=oracle)
     cfg = SamplerConfig(p=args.p, seed=args.seed)
     verdict = bound_check(bundle, args.k, args.mode, cfg, args.rounds,
                           factor=args.factor, monotone=args.monotone)
@@ -138,13 +138,13 @@ def cmd_experiment(args) -> int:
         exp.rounds = args.rounds
     if args.seed is not None:
         exp.seed = args.seed
-    instance = read_instance(exp.instance_path)
+    instance, oracle = _read_instance(exp.instance_path)
     if "covdiv" in exp.algorithms:
         _require_covdiv(instance, "the covdiv baseline")
     if instance.scales is not None:
         raise InstanceFormatError("experiments run on homogeneous instances only")
     spec = ExperimentSpec(
-        oracle=instance.oracle(),
+        oracle=oracle,
         ratings=instance.ratings,
         n=instance.n,
         k=exp.k,

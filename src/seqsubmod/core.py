@@ -12,7 +12,7 @@ monotonicity, and oracles are not required to vanish on the empty set.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -82,9 +82,10 @@ class Instance:
             return ModularPenaltyFn(self.ratings, self.penalties.tolist())
         raise InstanceFormatError(f"unknown family {self.family!r}")
 
-    def bundle(self, weights, counter: EvalCounter | None = None) -> ObjectiveBundle:
+    def bundle(self, weights, counter: EvalCounter | None = None, oracle=None) -> ObjectiveBundle:
+        """Bundle under ``weights``; pass ``oracle`` if this instance's oracle is built."""
         profile = as_weights(weights)
-        base = self.oracle()
+        base = oracle if oracle is not None else self.oracle()
         if self.scales is None:
             return homogeneous_bundle(base, profile, n=self.n, counter=counter)
         if len(self.scales) != profile.k:
@@ -183,6 +184,7 @@ def _one_float(tokens, where: str) -> float:
 
 def _one_int(tokens, where: str) -> int:
     try:
+        _floats(tokens, where)  # refuses 1_0 and non-ASCII digits, as every number field does
         (value,) = tokens
         return int(value)
     except ValueError as exc:
@@ -211,6 +213,11 @@ def read_instance(path: str) -> Instance:
     numpy whole, so a large matrix costs one parse, not one ``float`` per
     entry.
     """
+    return _read_instance(path)[0]
+
+
+def _read_instance(path: str) -> tuple[Instance, object]:
+    """read_instance, plus the oracle built to validate the instance."""
     lines = _content_lines(path)
     base_dir = os.path.dirname(os.path.abspath(path))
     fields: dict = {}
@@ -272,11 +279,11 @@ def read_instance(path: str) -> Instance:
         alpha=fields.get("alpha"), beta=fields.get("beta"), eta=fields.get("eta"),
         similarity=similarity, penalties=penalties, scales=fields.get("scales"),
     )
-    _validate_instance(inst)
-    return inst
+    return inst, _validate_instance(inst)
 
 
-def _validate_instance(inst: Instance) -> None:
+def _validate_instance(inst: Instance):
+    """The instance's oracle; InstanceFormatError if it cannot be built."""
     if inst.family == "covdiv":
         if inst.similarity is None:
             raise InstanceFormatError("covdiv instances need similarity or tags")
@@ -299,6 +306,7 @@ def _validate_instance(inst: Instance) -> None:
         raise
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from exc
+    return base
 
 
 def write_instance(path: str, inst: Instance) -> None:

@@ -3,21 +3,22 @@ runner, and empirical verification of the approximation guarantees.
 
 Every round r of an experiment runs under its own derived seed, so reruns are
 bit-identical, rounds are order-independent, and two algorithms can be run on
-matched per-round randomness by sharing the base seed.  Wall-clock time is
-measured but kept out of all comparisons and serialized output.
+matched per-round randomness by sharing the base seed.  That matching makes
+cells repeat each other's work, so an experiment runs each distinct solver
+run once and hands its result to every cell that asks for it.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .algorithms import (
     FIXED,
     FLEXIBLE,
     P_STAR,
     SamplerConfig,
+    _pad_to_k,
     baseline_covdiv,
     baseline_quality,
     brute_force,
@@ -26,7 +27,7 @@ from .algorithms import (
     homogeneous_solve,
     sampling_greedy,
 )
-from .core import EvalCounter, Sequence, WeightProfile, evaluate_F, homogeneous_bundle
+from .core import Sequence, WeightProfile, evaluate_F, homogeneous_bundle
 
 HOMOGENEOUS = "homogeneous"
 
@@ -138,8 +139,10 @@ class ExperimentSpec:
 class CellStats:
     """Aggregate of one (algorithm, distribution, constraint) cell.
 
-    Per-round values are kept so aggregates can always be recomputed;
-    wall_time never participates in equality.
+    Per-round values are kept so aggregates can always be recomputed.
+    ``oracle_calls[r]`` is what a standalone run of the cell's algorithm
+    counts in round r, even when the experiment ran that work once for
+    several cells: shared work is executed, and counted, once.
     """
 
     algorithm: str
@@ -148,7 +151,6 @@ class CellStats:
     values: tuple[float, ...]
     lengths: tuple[int, ...]
     oracle_calls: tuple[int, ...]
-    wall_time: float = field(compare=False, default=0.0)
 
     @property
     def rounds(self) -> int:
@@ -198,68 +200,76 @@ class RunStats:
         return found[0]
 
 
-def _dispatch(name: str, bundle, oracle, ratings, k: int, constraint: str,
-              cfg: SamplerConfig) -> Sequence:
-    if name == "sg":
-        if constraint == FIXED:
-            return fixed_length_solve(bundle, k, cfg)
-        return sampling_greedy(bundle, k, cfg)[0]
-    if name == "fixed":
-        return fixed_length_solve(bundle, k, cfg)
-    if name == "homog":
-        return homogeneous_solve(bundle, k, cfg)
-    if name == "covdiv":
-        return baseline_covdiv(oracle, bundle, k, constraint, cfg)
-    if name == "quality":
-        return baseline_quality(ratings, k)
-    raise ValueError(f"unknown algorithm {name!r}")
-
-
-def run_monte_carlo(spec: ExperimentSpec) -> RunStats:
-    """Run every (distribution, algorithm) cell for ``spec.rounds`` rounds.
-
-    Round r of every cell uses SamplerConfig(spec.p, round_seed(base_seed, r)),
-    so cells see matched randomness and the whole table is reproducible from
-    (spec, base_seed) alone.
+class _ProfileRuns:
+    """The distinct solver runs of one weight profile, each executed on its
+    first request and shared by every cell that asks for it: per round one
+    sampling_greedy, one backup pad of it and one homogeneous_solve; per
+    profile one covdiv greedy (padded again each round under FIXED) and one
+    quality sequence.  A run keeps the oracle calls of its one execution.
+    evaluate_F is a pure function of the items, so values are cached by them.
     """
-    cells: list[CellStats] = []
-    for dist in spec.distributions:
+
+    def __init__(self, spec: ExperimentSpec, dist: UserTypeDistribution):
         weights = make_weights(dist)
         if weights.k != spec.k:
             raise ValueError(f"distribution {dist.label} has k={weights.k}, expected {spec.k}")
-        counter = EvalCounter()
-        bundle = homogeneous_bundle(spec.oracle, weights, n=spec.n, counter=counter)
-        for name in spec.algorithms:
-            t0 = time.perf_counter()
-            values: list[float] = []
-            lengths: list[int] = []
-            calls: list[int] = []
-            for r in range(spec.rounds):
-                cfg = SamplerConfig(spec.p, round_seed(spec.base_seed, r))
-                before = counter.calls
-                seq = _dispatch(name, bundle, spec.oracle, spec.ratings,
-                                spec.k, spec.constraint, cfg)
-                calls.append(counter.calls - before)
-                values.append(evaluate_F(bundle, seq))
-                lengths.append(len(seq))
-            cells.append(CellStats(
-                algorithm=name,
-                distribution=dist.label,
-                constraint=spec.constraint,
-                values=tuple(values),
-                lengths=tuple(lengths),
-                oracle_calls=tuple(calls),
-                wall_time=time.perf_counter() - t0,
-            ))
-    return RunStats(tuple(cells))
+        self.spec = spec
+        self.bundle = homogeneous_bundle(spec.oracle, weights, n=spec.n)
+        self._runs: dict = {}
+        self._values: dict = {}
+
+    def _once(self, key, solve) -> tuple[Sequence, int]:
+        if key not in self._runs:
+            before = self.bundle.counter.calls
+            seq = solve()
+            self._runs[key] = (seq, self.bundle.counter.calls - before)
+        return self._runs[key]
+
+    def row(self, name: str, constraint: str, r: int, cfg: SamplerConfig) -> tuple[float, int, int]:
+        """(F, length, oracle calls) of a standalone run of ``name`` in round r."""
+        spec, bundle, k = self.spec, self.bundle, self.spec.k
+        if name == "quality":
+            seq, calls = self._once(name, lambda: baseline_quality(spec.ratings, k))
+        elif name == "homog":
+            seq, calls = self._once((name, r), lambda: homogeneous_solve(bundle, k, cfg))
+        elif name == "covdiv":
+            seq, calls = self._once(name, lambda: baseline_covdiv(spec.oracle, bundle, k, FLEXIBLE))
+        else:
+            seq, calls = self._once(("sg", r), lambda: sampling_greedy(bundle, k, cfg)[0])
+        if name in ("sg", "fixed", "covdiv") and (constraint == FIXED or name == "fixed"):
+            seq = self._once(("pad", name == "covdiv", r), lambda: _pad_to_k(bundle, seq, k, cfg))[0]
+        if seq.items not in self._values:
+            self._values[seq.items] = evaluate_F(bundle, seq)
+        return self._values[seq.items], len(seq), calls
+
+
+def run_monte_carlo(spec: ExperimentSpec) -> RunStats:
+    """comparative_experiment under ``spec.constraint`` alone."""
+    return comparative_experiment(spec, (spec.constraint,))
 
 
 def comparative_experiment(spec: ExperimentSpec,
                            constraints: tuple[str, ...] = (FLEXIBLE, FIXED)) -> RunStats:
-    """run_monte_carlo once per constraint, merged into one table."""
-    cells: list[CellStats] = []
+    """Every (constraint, distribution, algorithm) cell for ``spec.rounds``
+    rounds, in that order.
+
+    Round r of every cell uses SamplerConfig(spec.p, round_seed(base_seed, r)),
+    so cells see matched randomness and the whole table is reproducible from
+    (spec, base_seed) alone.  Each distinct computation runs once and every
+    cell reports what a standalone run of its algorithm gives.
+    """
+    cfgs, profiles, cells = None, [], []
     for constraint in constraints:
-        cells.extend(run_monte_carlo(replace(spec, constraint=constraint)).cells)
+        if constraint not in (FLEXIBLE, FIXED):
+            raise ValueError(f"unknown constraint {constraint!r}")
+        for i, dist in enumerate(spec.distributions):
+            if i == len(profiles):
+                profiles.append(_ProfileRuns(spec, dist))
+            for name in spec.algorithms:
+                cfgs = cfgs or [SamplerConfig(spec.p, round_seed(spec.base_seed, r))
+                                for r in range(spec.rounds)]
+                rows = [profiles[i].row(name, constraint, r, cfg) for r, cfg in enumerate(cfgs)]
+                cells.append(CellStats(name, dist.label, constraint, *zip(*rows)))
     return RunStats(tuple(cells))
 
 
@@ -329,12 +339,8 @@ def bound_check(bundle, k, mode: str, cfg: SamplerConfig, rounds: int,
         else:
             seq = homogeneous_solve(bundle, k, run_cfg)
         values.append(evaluate_F(bundle, seq))
-    mean = sum(values) / len(values)
-    if len(values) > 1:
-        var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-        stderr = math.sqrt(var) / math.sqrt(len(values))
-    else:
-        stderr = 0.0
+    stats = CellStats(mode, "", mode, tuple(values), (), ())
+    mean, stderr = stats.mean, stats.stderr
     fac = factor if factor is not None else bound_factor(cfg.p, mode, k, bundle.n, monotone)
     margin = mean - (fac * opt_value - 3.0 * stderr)
     return BoundVerdict(

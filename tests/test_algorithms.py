@@ -399,6 +399,67 @@ class TestHeterogeneousMarginals:
         assert "boom" in str(err.value)
 
 
+class _Poisoned:
+    """f(S) = |S| on six items, except that item 2's marginal is ``bad``."""
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def __call__(self, items):
+        return self.bad if 2 in items else float(len(items))
+
+
+class _PoisonedMarginal(_Poisoned):
+    def marginal(self, item, items):
+        return self.bad if item == 2 else 1.0
+
+
+class _PoisonedState:
+    def __init__(self, bad):
+        self.bad = bad
+
+    def gains(self):
+        return np.array([1.0, 1.0, self.bad, 1.0, 1.0, 1.0])
+
+    def add(self, item):
+        pass
+
+
+class _PoisonedBatched(_Poisoned):
+    def incremental(self):
+        return _PoisonedState(self.bad)
+
+
+class TestNonFiniteGains:
+    """A NaN or infinite marginal raises instead of being skipped (NaN fails
+    ``gain > 0``) or ranked first (+inf)."""
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    @pytest.mark.parametrize("oracle", (_Poisoned, _PoisonedMarginal, _PoisonedBatched),
+                             ids=("value-difference", "marginal", "batched"))
+    def test_homogeneous_engines(self, oracle, bad):
+        bundle = homogeneous_bundle(oracle(bad), (0.5, 0.5), n=6)
+        with pytest.raises(OracleEvaluationError, match="item 2") as err:
+            sampling_greedy(bundle, 2, SamplerConfig(0.5, 1))
+        assert err.value.position == 1
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    def test_heterogeneous_marginal_position(self, bad):
+        fn = CoverageFn([(0,)] * 6, (1.0,))
+        bundle = heterogeneous_bundle((fn, _PoisonedMarginal(bad)), (1.0, 1.0), n=6)
+        with pytest.raises(OracleEvaluationError, match="item 2") as err:
+            sampling_greedy(bundle, 2, SamplerConfig(0.5, 1))
+        assert err.value.position == 2
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    def test_complement_greedy(self, bad):
+        bundle = homogeneous_bundle(_PoisonedMarginal(bad), (0.25,) * 4, n=6)
+        with pytest.raises(OracleEvaluationError, match="item 2"):
+            alg2_second_half(bundle, 4, SamplerConfig(0.5, 1))
+        with pytest.raises(OracleEvaluationError, match="item 2"):
+            sampling_greedy_j(_PoisonedMarginal(bad), 6, 2, SamplerConfig(0.5, 1))
+
+
 class TestVerifyTrace:
     def test_rejects_tampered_order(self, tiny_bundle):
         _, trace = sampling_greedy(tiny_bundle, 2, SamplerConfig(0.5, 0), coins=[0, 1])

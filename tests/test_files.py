@@ -316,10 +316,14 @@ class TestInstanceErrors:
          "alpha"),
         (MODULAR.format(n=3, rows="0 0 0\n0 0 0\n0 0 0\n") + "scales 1 1_0\n", "scales"),
         (COVDIV_TAGS.format(rows="0.5 0.5\n1_0 0.1\n0.1 0.2\n"), "tags"),
+        # Integer key lines too: int() alone would read these as 3.
+        (MODULAR.format(n="0_3", rows="0 0 0\n0 0 0\n0 0 0\n"), "n"),
+        (MODULAR.format(n="\u0663", rows="0 0 0\n0 0 0\n0 0 0\n"), "n"),
     ), ids=("ragged", "short", "short-then-key", "underscore", "word",
             "ragged-tags", "short-tags", "tag-above-one", "negative-tag", "nan-tag",
             "inf-tag", "negative-n", "zero-n", "underscore-rewards", "arabic-digit-ratings",
-            "underscore-alpha", "underscore-scales", "underscore-tag-row"))
+            "underscore-alpha", "underscore-scales", "underscore-tag-row",
+            "underscore-n", "arabic-digit-n"))
     def test_bad_block_names_its_key(self, tmp_path, body, key):
         with pytest.raises(InstanceFormatError, match=rf"^{key}\b"):
             read_instance(self._write(tmp_path, body))
@@ -441,7 +445,10 @@ class TestExperimentFiles:
                      "instance a.txt\nk 2 3\n",    # extra value
                      "instance a.txt\nk 1e400\n",
                      "instance a.txt\nk 2\np 0_5\n",  # not a number in matrix rows either
-                     "instance a.txt\nk 2\ndistribution normal 1_0 2\n"):
+                     "instance a.txt\nk 2\ndistribution normal 1_0 2\n",
+                     "instance a.txt\nk 0_2\n",     # integers take the same grammar
+                     "instance a.txt\nk 2\nseed 1_7\n",
+                     "instance a.txt\nk 2\nrounds \u0665\n"):
             spec_path = str(tmp_path / "exp.txt")
             with open(spec_path, "w") as fh:
                 fh.write(body)

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,22 +11,30 @@ from seqsubmod import (
     CellStats,
     CoverageFn,
     ExperimentSpec,
+    InfeasibleError,
     P_STAR,
     SamplerConfig,
     UserTypeDistribution,
+    baseline_covdiv,
+    baseline_quality,
     bound_check,
     bound_factor,
     brute_force,
     comparative_experiment,
     evaluate_F,
+    fixed_length_solve,
     homogeneous_bundle,
+    homogeneous_solve,
     make_weights,
     round_seed,
     run_monte_carlo,
     sampling_greedy,
+    write_instance,
 )
+from seqsubmod.cli import main
 from seqsubmod.files import synthetic_covdiv_instance, synthetic_modular_instance
 from seqsubmod.functions import tiny_instance
+from seqsubmod.harness import EXPERIMENT_ALGORITHMS
 
 from oracles import exact_expectation
 
@@ -191,7 +201,7 @@ class TestCellStats:
         cell = CellStats(algorithm="sg", distribution="UNIFORM",
                          constraint=FLEXIBLE, values=values,
                          lengths=(1, 2, 2, 2, 3),
-                         oracle_calls=(5, 6, 7, 8, 9), wall_time=0.0)
+                         oracle_calls=(5, 6, 7, 8, 9))
         assert cell.mean == pytest.approx(np.mean(values))
         assert cell.std == pytest.approx(np.std(values, ddof=1))
         assert cell.stderr == pytest.approx(np.std(values, ddof=1) / math.sqrt(5))
@@ -204,7 +214,7 @@ class TestCellStats:
     def test_single_round_spread(self):
         cell = CellStats(algorithm="sg", distribution="UNIFORM",
                          constraint=FLEXIBLE, values=(3.0,), lengths=(1,),
-                         oracle_calls=(2,), wall_time=0.0)
+                         oracle_calls=(2,))
         assert cell.std == 0.0 and cell.stderr == 0.0
 
 
@@ -263,3 +273,119 @@ class TestBoundCheck:
         verdict = bound_check(bundle, 2, FIXED, SamplerConfig(P_STAR, 4), rounds=200)
         assert verdict.factor == pytest.approx(bound_factor(P_STAR, FIXED, k=2, n=6))
         assert verdict.passed
+
+
+# ---------------------------------------------------------------------------
+# The experiment planner against a reference loop that runs every cell's
+# algorithm on its own.
+
+
+def _standalone(name, bundle, spec, constraint, cfg):
+    """One cell's algorithm run by itself, as a caller of the public solvers would."""
+    if name == "sg":
+        if constraint == FIXED:
+            return fixed_length_solve(bundle, spec.k, cfg)
+        return sampling_greedy(bundle, spec.k, cfg)[0]
+    if name == "fixed":
+        return fixed_length_solve(bundle, spec.k, cfg)
+    if name == "homog":
+        return homogeneous_solve(bundle, spec.k, cfg)
+    if name == "covdiv":
+        return baseline_covdiv(spec.oracle, bundle, spec.k, constraint, cfg)
+    return baseline_quality(spec.ratings, spec.k)
+
+
+def _reference_cells(spec, constraints):
+    cells = []
+    for constraint in constraints:
+        for dist in spec.distributions:
+            bundle = homogeneous_bundle(spec.oracle, make_weights(dist), n=spec.n)
+            for name in spec.algorithms:
+                values, lengths, calls = [], [], []
+                for r in range(spec.rounds):
+                    cfg = SamplerConfig(spec.p, round_seed(spec.base_seed, r))
+                    before = bundle.counter.calls
+                    seq = _standalone(name, bundle, spec, constraint, cfg)
+                    calls.append(bundle.counter.calls - before)
+                    values.append(evaluate_F(bundle, seq))
+                    lengths.append(len(seq))
+                cells.append(CellStats(name, dist.label, constraint, tuple(values),
+                                       tuple(lengths), tuple(calls)))
+    return cells
+
+
+def _covdiv_spec(seed):
+    inst = synthetic_covdiv_instance(14, d=5, seed=8, density=0.3, eta=2.0)
+    return ExperimentSpec(
+        oracle=inst.oracle(), ratings=inst.ratings, n=14, k=4,
+        algorithms=EXPERIMENT_ALGORITHMS,
+        distributions=(UserTypeDistribution.uniform(4),
+                       UserTypeDistribution.normal(4, 2.0, 1.0)),
+        rounds=7, base_seed=seed)
+
+
+def _modular_spec(seed):
+    # k = ceil(n/2), so homog runs its two-block strategy
+    inst = synthetic_modular_instance(7, seed=3)
+    return ExperimentSpec(
+        oracle=inst.oracle(), ratings=inst.ratings, n=7, k=4,
+        algorithms=("homog", "quality", "fixed", "sg"),
+        distributions=(UserTypeDistribution.explicit((0.4, 0.3, 0.2, 0.1)),
+                       UserTypeDistribution.uniform(4)),
+        rounds=7, base_seed=seed)
+
+
+class TestPlanner:
+    @pytest.mark.parametrize("make_spec", (_covdiv_spec, _modular_spec),
+                             ids=("covdiv", "modular"))
+    @pytest.mark.parametrize("seed", (0, 29))
+    @pytest.mark.parametrize("constraints", ((FLEXIBLE, FIXED), (FIXED,), (FLEXIBLE,)),
+                             ids=("both", "fixed", "flexible"))
+    def test_equals_standalone_cells(self, make_spec, seed, constraints):
+        spec = make_spec(seed)
+        want = _reference_cells(spec, constraints)
+        got = comparative_experiment(spec, constraints).cells
+        assert got == tuple(want)  # values, lengths, oracle_calls and cell order
+        if len(constraints) == 1:
+            single = run_monte_carlo(replace(spec, constraint=constraints[0])).cells
+            assert single == tuple(want)
+
+    def test_shared_runs_still_count_their_calls(self):
+        stats = comparative_experiment(_covdiv_spec(0))
+        greedy = stats.cell("sg", "UNIFORM", FLEXIBLE).oracle_calls
+        for name, constraint in (("sg", FIXED), ("fixed", FLEXIBLE), ("fixed", FIXED)):
+            assert stats.cell(name, "UNIFORM", constraint).oracle_calls == greedy
+        assert stats.cell("quality", "UNIFORM", FIXED).oracle_calls == (0,) * 7
+        covdiv = stats.cell("covdiv", "UNIFORM", FLEXIBLE).oracle_calls
+        assert covdiv[0] > 0 and set(covdiv) == {covdiv[0]}
+        assert stats.cell("covdiv", "UNIFORM", FIXED).oracle_calls == covdiv
+
+    def test_errors_keep_their_type(self):
+        spec = _modular_spec(0)
+        with pytest.raises(AttributeError):  # covdiv needs a diversity state
+            comparative_experiment(replace(spec, algorithms=("sg", "covdiv")))
+        with pytest.raises(InfeasibleError):
+            comparative_experiment(replace(spec, ratings=spec.ratings[:3]))
+        with pytest.raises(ValueError):
+            comparative_experiment(spec, (FLEXIBLE, "loose"))
+
+    @pytest.mark.parametrize("family, digest", (
+        ("covdiv", "1714c1abc1e51b8dcd4f639064cfd3c86839885eed511e555def531d5dc6e1bc"),
+        ("modular", "eeb67ebf81387b0361bcebaa53ddeb6ab425bc518f192e10b14946b7e4fca489"),
+    ))
+    def test_results_file_golden(self, tmp_path, family, digest):
+        # Digests of the files the per-cell experiment loop wrote before the
+        # planner shared runs between cells.
+        if family == "covdiv":
+            inst = synthetic_covdiv_instance(14, d=5, seed=8, density=0.3, eta=2.0)
+            body = ("k 4\nseed 5\nalgorithms sg fixed homog covdiv quality\n"
+                    "distribution uniform\ndistribution normal 2 1\n")
+        else:
+            inst = synthetic_modular_instance(7, seed=3)
+            body = ("k 4\nseed 5\nalgorithms homog quality fixed sg\n"
+                    "distribution explicit 0.4 0.3 0.2 0.1\ndistribution uniform\n")
+        write_instance(str(tmp_path / "inst.txt"), inst)
+        spec, out = tmp_path / "exp.txt", tmp_path / "results.csv"
+        spec.write_text(f"instance inst.txt\nrounds 9\nconstraint both\n{body}")
+        assert main(["experiment", "--spec", str(spec), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
