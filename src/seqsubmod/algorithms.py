@@ -21,6 +21,7 @@ import math
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .core import (
     OracleEvaluationError,
     Sequence,
     evaluate_F,
-    homogeneous_bundle,
     marginal_gain,
 )
 from .functions import ComplementFn
@@ -95,10 +95,6 @@ def _coin_stream(cfg: SamplerConfig, coins) -> CoinStream:
     return CoinStream(cfg.p, forced=coins)
 
 
-def _backup_rng(cfg: SamplerConfig) -> random.Random:
-    return random.Random(f"{cfg.seed}:backup")
-
-
 def derive_seed(base_seed: int, tag: str) -> int:
     """Deterministic 63-bit child seed for a named sub-stream."""
     return random.Random(f"{base_seed}:{tag}").getrandbits(63)
@@ -123,6 +119,13 @@ def _finite(position: int, item: int, gain) -> float:
     if not math.isfinite(gain):
         raise OracleEvaluationError(position, f"non-finite marginal {gain} for item {item}")
     return gain
+
+
+def _rank(pairs: list) -> list:
+    """Order (item, gain) pairs built in ascending id order by gain desc, id
+    asc: a reversed sort stays stable, so equal gains keep their id order."""
+    pairs.sort(key=itemgetter(1), reverse=True)
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +196,22 @@ class _BatchedEngine:
         self._state.add(item)
 
 
+def _running_pairs(gains: list, alive, w: float, position: int) -> list[tuple[int, float]]:
+    """(item, w * gain) for the alive items whose running gain is positive,
+    ordered by weighted gain desc, id asc.  A non-finite gain of an alive item
+    raises at ``position``; one min/max pass per epoch keeps that check off
+    the per-candidate path."""
+    if not -math.inf < min(gains) <= max(gains) < math.inf:
+        for i in sorted(alive):
+            _finite(position, i, gains[i])
+    return _rank([(i, w * gains[i]) for i in sorted(alive) if gains[i] > 0.0])
+
+
 class _HomogeneousEngine:
     """Candidate gains for a single shared oracle without a batched state.
 
-    Prefers the oracle's marginal method and falls back to paired value calls.
+    Reads the oracle's running gains when it offers ``running_gains()``, else
+    calls its marginal method, else falls back to paired value calls.
     """
 
     def __init__(self, bundle: ObjectiveBundle, candidates):
@@ -205,6 +220,7 @@ class _HomogeneousEngine:
         self.alive = set(int(i) for i in candidates)
         oracle = bundle.base_oracle
         self._oracle = oracle
+        self._state = oracle.running_gains() if hasattr(oracle, "running_gains") else None
         self._marginal = oracle.marginal if hasattr(oracle, "marginal") else None
 
     def positive_candidates(self, t: int) -> Iterable[tuple[int, float]]:
@@ -213,6 +229,9 @@ class _HomogeneousEngine:
         if w == 0.0 or not self.alive:
             return []
         counter = self.bundle.counter
+        if self._state is not None:
+            counter.add(len(self.alive))
+            return _running_pairs(self._state.gains, self.alive, w, t)
         pairs = []
         if self._marginal is not None:
             counter.add(len(self.alive))
@@ -227,8 +246,7 @@ class _HomogeneousEngine:
                 m = _finite(t, i, float(self._oracle(frozenset(self.members | {i}))) - base)
                 if m > 0.0:
                     pairs.append((i, w * m))
-        pairs.sort(key=lambda pair: (-pair[1], pair[0]))
-        return pairs
+        return _rank(pairs)
 
     def remove(self, item: int) -> None:
         self.alive.discard(item)
@@ -236,6 +254,8 @@ class _HomogeneousEngine:
     def accept(self, item: int) -> None:
         self.alive.discard(item)
         self.members.add(item)
+        if self._state is not None:
+            self._state.add(item)
 
 
 class _HeterogeneousEngine:
@@ -284,8 +304,7 @@ class _HeterogeneousEngine:
             raise
         except Exception as exc:
             raise OracleEvaluationError(j, str(exc)) from exc
-        pairs.sort(key=lambda pair: (-pair[1], pair[0]))
-        return pairs
+        return _rank(pairs)
 
     def remove(self, item: int) -> None:
         self.alive.discard(item)
@@ -396,8 +415,10 @@ def presampled_greedy(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None
     return Sequence(tuple(out))
 
 
-def _draw_backup(rng: random.Random, pool: list[int], m: int, forced) -> list[int]:
-    """Uniform m-subset of pool in draw order; forced lists are validated."""
+def _draw_backup(cfg: SamplerConfig, pool: list[int], m: int, forced) -> list[int]:
+    """Uniform m-subset of pool in draw order from cfg's backup stream; forced
+    lists are validated.  The stream is seeded only for a draw of m > 0 items
+    (an empty draw consumes no state, so skipping it changes nothing)."""
     if m < 0:
         raise InfeasibleError("backup pool smaller than the required fill")
     if forced is not None:
@@ -409,7 +430,9 @@ def _draw_backup(rng: random.Random, pool: list[int], m: int, forced) -> list[in
         return picked
     if m > len(pool):
         raise InfeasibleError("backup pool smaller than the required fill")
-    return rng.sample(pool, m)
+    if m == 0:
+        return []
+    return random.Random(f"{cfg.seed}:backup").sample(pool, m)
 
 
 def fixed_length_solve(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None = None,
@@ -432,7 +455,7 @@ def _pad_to_k(bundle: ObjectiveBundle, seq: Sequence, k: int, cfg: SamplerConfig
     if len(seq) == k:
         return seq
     pool = sorted(bundle.ground_set - seq.to_set())
-    extra = _draw_backup(_backup_rng(cfg), pool, k - len(seq), forced)
+    extra = _draw_backup(cfg, pool, k - len(seq), forced)
     return Sequence(seq.items + tuple(sorted(extra)))
 
 
@@ -463,55 +486,52 @@ def homogeneous_first_half(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig |
     h = _half(bundle.n)
     if k < h:
         raise InfeasibleError(f"k={k} below ceil(n/2)={h}; use the direct fixed-length solver")
-    inner = homogeneous_bundle(
-        bundle.base_oracle,
-        bundle.weights.lambdas[:h],
-        ground=bundle.ground,
-        counter=bundle.counter,
-    )
-    core = fixed_length_solve(inner, h, cfg, coins=coins, backup=backup)
-    pad = [i for i in bundle.ground if i not in core.to_set()][: k - h]
+    core = fixed_length_solve(bundle.head(h), h, cfg, coins=coins, backup=backup)
+    placed = core.to_set()
+    pad = [i for i in bundle.ground if i not in placed][: k - h]
     return Sequence(core.items + tuple(pad))
 
 
-def _sampled_set_greedy(fn, ground, cap: int, stream: CoinStream,
-                        counter: EvalCounter | None = None) -> list[int]:
-    """Deferred-coin positive-marginal greedy on a plain set function.
+def _complement_greedy(base, ground, cap: int, stream: CoinStream,
+                       counter: EvalCounter | None = None) -> list[int]:
+    """Deferred-coin positive-marginal greedy on g(S) = f(V minus S) over
+    V = ``ground``.
 
     Returns accepted items in acceptance order; stops at ``cap`` accepts or
-    when no surviving candidate has a strictly positive marginal.  A
-    non-finite marginal raises OracleEvaluationError at the greedy step.
+    when no surviving candidate has a strictly positive marginal.  Gains come
+    from the base's ``complement_gains`` state when it has one, else from
+    ``ComplementFn.marginal``; either way each candidate counts one oracle
+    call.  A non-finite marginal raises OracleEvaluationError at the greedy
+    step.
     """
+    fn = ComplementFn(base, ground)
+    state = base.complement_gains(fn.ground) if hasattr(base, "complement_gains") else None
     members: set = set()
     added: list[int] = []
-    alive = set(int(i) for i in ground)
-    has_marginal = hasattr(fn, "marginal")
+    alive = set(fn.ground)
     while len(added) < cap:
-        pairs = []
-        if has_marginal:
-            if counter is not None:
-                counter.add(len(alive))
-            for i in sorted(alive):
-                m = _finite(len(added) + 1, i, fn.marginal(i, members))
-                if m > 0.0:
-                    pairs.append((i, m))
+        position = len(added) + 1
+        if counter is not None:
+            counter.add(len(alive))
+        if state is not None:
+            pairs = _running_pairs(state.gains, alive, 1.0, position)
         else:
-            base = float(fn(frozenset(members)))
-            if counter is not None:
-                counter.add(len(alive) + 1)
+            pairs = []
             for i in sorted(alive):
-                m = _finite(len(added) + 1, i, float(fn(frozenset(members | {i}))) - base)
+                m = _finite(position, i, fn.marginal(i, members))
                 if m > 0.0:
                     pairs.append((i, m))
+            _rank(pairs)
         if not pairs:
             break
-        pairs.sort(key=lambda pair: (-pair[1], pair[0]))
         advanced = False
         for item, _ in pairs:
             alive.discard(item)
             if stream.draw():
                 members.add(item)
                 added.append(item)
+                if state is not None:
+                    state.add(item)
                 advanced = True
                 break
         if not advanced:
@@ -548,12 +568,11 @@ def alg2_second_half(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None 
         if len(added) > h:
             raise ValueError(f"at most ceil(n/2)={h} accepted items")
     else:
-        comp = ComplementFn(bundle.base_oracle, bundle.ground)
         stream = _coin_stream(cfg, coins)
-        added = _sampled_set_greedy(comp, bundle.ground, h, stream, bundle.counter)
+        added = _complement_greedy(bundle.base_oracle, bundle.ground, h, stream, bundle.counter)
     tail = list(reversed(added[n - k:]))
     pool = sorted(set(bundle.ground) - set(added))
-    fill = _draw_backup(_backup_rng(cfg), pool, h - len(added), forced_backup)
+    fill = _draw_backup(cfg, pool, h - len(added), forced_backup)
     rest = sorted(set(bundle.ground) - set(added) - set(fill))
     return Sequence(tuple(rest + fill + tail))
 
@@ -575,11 +594,10 @@ def sampling_greedy_j(oracle, n: int, j: int, cfg: SamplerConfig | None = None,
     if not 1 <= j <= n:
         raise ValueError(f"j={j} outside 1..{n}")
     cap = n - j
-    comp = ComplementFn(oracle, ids)
     stream = _coin_stream(cfg, coins)
-    added = _sampled_set_greedy(comp, ids, cap, stream)
+    added = _complement_greedy(oracle, ids, cap, stream)
     pool = sorted(set(ids) - set(added))
-    fill = _draw_backup(_backup_rng(cfg), pool, cap - len(added), forced_backup)
+    fill = _draw_backup(cfg, pool, cap - len(added), forced_backup)
     return frozenset(added) | frozenset(fill)
 
 
@@ -597,12 +615,30 @@ def homogeneous_solve(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None
     k = _check_k(bundle, k)
     if k < _half(bundle.n):
         return fixed_length_solve(bundle, k, cfg)
+    return _two_block(bundle, k, cfg)[0]
+
+
+def _homogeneous_scored(bundle: ObjectiveBundle, k, cfg: SamplerConfig) -> tuple[Sequence, float]:
+    """homogeneous_solve(bundle, k, cfg) and its F, with each sequence scored
+    once: the two-block branch hands on the F it picked its winner by."""
+    if bundle.homogeneous and _check_k(bundle, k) >= _half(bundle.n):
+        return _two_block(bundle, k, cfg)
+    seq = homogeneous_solve(bundle, k, cfg)
+    return seq, evaluate_F(bundle, seq)
+
+
+def _two_block(bundle: ObjectiveBundle, k: int, cfg: SamplerConfig) -> tuple[Sequence, float]:
+    """The better of the first-half and complement sequences, truncated to k,
+    with its F (ties favor the first half).  Positions past k never
+    contribute, so the full sequence's F is the truncated one's."""
     first = homogeneous_first_half(
         bundle, k, SamplerConfig(cfg.p, derive_seed(cfg.seed, "first")))
     second = alg2_second_half(
         bundle, k, SamplerConfig(cfg.p, derive_seed(cfg.seed, "second")))
-    best = first if evaluate_F(bundle, first) >= evaluate_F(bundle, second) else second
-    return best.prefix(k)
+    first_value, second_value = evaluate_F(bundle, first), evaluate_F(bundle, second)
+    if first_value >= second_value:
+        return first.prefix(k), first_value
+    return second.prefix(k), second_value
 
 
 # ---------------------------------------------------------------------------

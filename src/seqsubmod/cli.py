@@ -8,6 +8,7 @@ format, 3 infeasible request (k too large, enumeration guard tripped).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .algorithms import (
@@ -17,11 +18,11 @@ from .algorithms import (
     InfeasibleError,
     P_STAR,
     SamplerConfig,
+    _homogeneous_scored,
     baseline_covdiv,
     baseline_quality,
     brute_force,
     fixed_length_solve,
-    homogeneous_solve,
     presampled_greedy,
     sampling_greedy,
 )
@@ -29,7 +30,10 @@ from .core import evaluate_F
 from .files import (
     ExperimentFile,
     InstanceFormatError,
+    _one_float,
+    _one_int,
     _read_instance,
+    _validate_instance,
     read_experiment,
     synthetic_covdiv_instance,
     synthetic_modular_instance,
@@ -51,6 +55,25 @@ EXIT_BAD_INPUT = 2
 EXIT_INFEASIBLE = 3
 
 SOLVE_ALGORITHMS = ("sg", "presampled", "fixed", "homog", "covdiv", "quality", "brute")
+
+
+def _int_arg(text: str) -> int:
+    """An integer flag, in the grammar of the files' integer key lines."""
+    try:
+        return _one_int([text], "integer")
+    except InstanceFormatError as exc:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+
+
+def _float_arg(text: str) -> float:
+    """A finite number flag, in the grammar of the files' number key lines."""
+    try:
+        value = _one_float([text], "number")
+    except InstanceFormatError as exc:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_weight_spec(spec: str, k: int) -> UserTypeDistribution:
@@ -77,11 +100,14 @@ def _require_covdiv(instance, why: str):
 
 
 def cmd_gen(args) -> int:
+    if args.n < 1:
+        raise InstanceFormatError(f"n: must be at least 1, got {args.n}")
     if args.family == "covdiv":
         inst = synthetic_covdiv_instance(args.n, d=args.tags, seed=args.seed,
                                          density=args.density, eta=args.eta)
     else:
         inst = synthetic_modular_instance(args.n, seed=args.seed)
+    _validate_instance(inst)  # a file every reader rejects is never written
     write_instance(args.out, inst)
     print(f"wrote {args.family} instance with n={args.n} to {args.out}")
     return EXIT_OK
@@ -93,6 +119,7 @@ def cmd_solve(args) -> int:
     bundle = instance.bundle(weights, oracle=oracle)
     cfg = SamplerConfig(p=args.p, seed=args.seed)
     name = args.algorithm
+    value = None
     if name == "sg":
         seq = (fixed_length_solve(bundle, args.k, cfg) if args.constraint == FIXED
                else sampling_greedy(bundle, args.k, cfg)[0])
@@ -101,7 +128,7 @@ def cmd_solve(args) -> int:
     elif name == "fixed":
         seq = fixed_length_solve(bundle, args.k, cfg)
     elif name == "homog":
-        seq = homogeneous_solve(bundle, args.k, cfg)
+        seq, value = _homogeneous_scored(bundle, args.k, cfg)
     elif name == "covdiv":
         _require_covdiv(instance, "the covdiv baseline")
         seq = baseline_covdiv(oracle, bundle, args.k, args.constraint, cfg)
@@ -109,7 +136,8 @@ def cmd_solve(args) -> int:
         seq = baseline_quality(instance.ratings, args.k)
     else:
         seq, _ = brute_force(bundle, args.k, args.constraint)
-    value = evaluate_F(bundle, seq)
+    if value is None:
+        value = evaluate_F(bundle, seq)
     print(" ".join(str(i) for i in seq))
     print(f"F {value!r}")
     print(f"oracle_calls {bundle.counter.calls}")
@@ -180,34 +208,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a synthetic instance file")
     gen.add_argument("--family", choices=("covdiv", "modular-penalty"), required=True)
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--n", type=_int_arg, required=True)
+    gen.add_argument("--seed", type=_int_arg, default=0)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--tags", type=int, default=25, help="tag dimension (covdiv)")
-    gen.add_argument("--density", type=float, default=0.15, help="tag sparsity (covdiv)")
-    gen.add_argument("--eta", type=float, default=35.0, help="similarity penalty weight (covdiv)")
+    gen.add_argument("--tags", type=_int_arg, default=25, help="tag dimension (covdiv)")
+    gen.add_argument("--density", type=_float_arg, default=0.15, help="tag sparsity (covdiv)")
+    gen.add_argument("--eta", type=_float_arg, default=35.0, help="similarity penalty weight (covdiv)")
     gen.set_defaults(func=cmd_gen)
 
     solve = sub.add_parser("solve", help="solve one instance")
     solve.add_argument("--instance", required=True)
-    solve.add_argument("--k", type=int, required=True)
+    solve.add_argument("--k", type=_int_arg, required=True)
     solve.add_argument("--algorithm", choices=SOLVE_ALGORITHMS, default="sg")
     solve.add_argument("--constraint", choices=(FLEXIBLE, FIXED), default=FLEXIBLE)
     solve.add_argument("--weights", default="uniform",
                        help="uniform | normal:MU,SIGMA | explicit:V1,V2,...")
-    solve.add_argument("--p", type=float, default=P_STAR)
-    solve.add_argument("--seed", type=int, default=0)
+    solve.add_argument("--p", type=_float_arg, default=P_STAR)
+    solve.add_argument("--seed", type=_int_arg, default=0)
     solve.set_defaults(func=cmd_solve)
 
     check = sub.add_parser("check", help="verify an approximation bound empirically")
     check.add_argument("--instance", required=True)
-    check.add_argument("--k", type=int, required=True)
+    check.add_argument("--k", type=_int_arg, required=True)
     check.add_argument("--mode", choices=(FLEXIBLE, FIXED, HOMOGENEOUS), default=FLEXIBLE)
     check.add_argument("--weights", default="uniform")
-    check.add_argument("--p", type=float, default=P_STAR)
-    check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--rounds", type=int, default=2000)
-    check.add_argument("--factor", type=float, default=None,
+    check.add_argument("--p", type=_float_arg, default=P_STAR)
+    check.add_argument("--seed", type=_int_arg, default=0)
+    check.add_argument("--rounds", type=_int_arg, default=2000)
+    check.add_argument("--factor", type=_float_arg, default=None,
                        help="override the bound factor")
     check.add_argument("--monotone", action="store_true",
                        help="instance is monotone (enables the p=1 factor 1/2)")
@@ -216,8 +244,8 @@ def _build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="run a comparative experiment spec")
     exp.add_argument("--spec", required=True)
     exp.add_argument("--out", required=True)
-    exp.add_argument("--rounds", type=int, default=None, help="override spec rounds")
-    exp.add_argument("--seed", type=int, default=None, help="override spec seed")
+    exp.add_argument("--rounds", type=_int_arg, default=None, help="override spec rounds")
+    exp.add_argument("--seed", type=_int_arg, default=None, help="override spec seed")
     exp.set_defaults(func=cmd_experiment)
     return parser
 

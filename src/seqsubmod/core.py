@@ -15,8 +15,6 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-import numpy as np
-
 SetOracle = Callable[[frozenset], float]
 
 
@@ -162,6 +160,7 @@ class ObjectiveBundle:
     counter: EvalCounter = field(default_factory=EvalCounter, compare=False, repr=False)
     ground_set: frozenset = field(init=False, compare=False, repr=False)
     prefix_evaluator: Callable | None = field(init=False, compare=False, repr=False)
+    _heads: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         ground = tuple(sorted(int(i) for i in self.ground))
@@ -199,6 +198,16 @@ class ObjectiveBundle:
     def suffix_weight(self, t: int) -> float:
         return self.weights.suffix_sum(t)
 
+    def head(self, k: int) -> "ObjectiveBundle":
+        """The homogeneous bundle of the first ``k`` positions, sharing this
+        bundle's oracle, ground and counter; built once per bundle and k."""
+        head = self._heads.get(k)
+        if head is None:
+            head = self._heads[k] = homogeneous_bundle(
+                self.base_oracle, self.weights.lambdas[:k], ground=self.ground,
+                counter=self.counter)
+        return head
+
     def oracle_value(self, j: int, items: frozenset) -> float:
         """Evaluate f_j on a set, counting the call and wrapping failures,
         non-finite values included."""
@@ -227,7 +236,7 @@ class ObjectiveBundle:
             raise
         except Exception as exc:
             raise OracleEvaluationError(1, str(exc)) from exc
-        if not np.isfinite(values).all():
+        if not all(map(math.isfinite, values)):
             j = next(j for j, v in enumerate(values, start=1) if not math.isfinite(v))
             raise OracleEvaluationError(j, f"non-finite value {values[j - 1]}")
         return values

@@ -2,13 +2,16 @@
 coverage, and complement views, plus a randomized submodularity probe.
 
 Every family exposes ``__call__(items) -> float``; families that can do better
-than value differences also expose ``marginal(item, items)`` and, for the
-vectorized coverage-diversity family, an ``incremental()`` state that serves
-batched marginals for every item at once.
+than value differences also expose ``marginal(item, items)``.  The vectorized
+coverage-diversity family adds an ``incremental()`` state that serves batched
+marginals for every item at once; the modular-penalty family adds
+``running_gains()`` and ``complement_gains(ground)``, plain-list states of the
+same kind for its own gains and for those of its complement.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +44,7 @@ class ModularPenaltyFn:
     checks) that is faster than numpy round-trips.
     """
 
-    __slots__ = ("rewards", "penalties", "n")
+    __slots__ = ("rewards", "penalties", "n", "_complement_start")
 
     def __init__(self, rewards, penalties):
         self.rewards = [float(r) for r in rewards]
@@ -60,9 +63,14 @@ class ModularPenaltyFn:
                 if rows[i][j] < 0.0:
                     raise ValueError("penalties must be nonnegative")
         self.penalties = rows
+        self._complement_start = None
 
     def __call__(self, items) -> float:
-        ids = _ids(items)
+        return self._sorted_value(_ids(items))
+
+    def _sorted_value(self, ids: list[int]) -> float:
+        """f of an ascending id list: each reward, then the penalties of its
+        row to the later ids, subtracted one by one."""
         total = 0.0
         pens = self.penalties
         for a, i in enumerate(ids):
@@ -72,6 +80,19 @@ class ModularPenaltyFn:
                 total -= row[j]
         return total
 
+    def prefix_values(self, items) -> list[float]:
+        """[f(items[:1]), ..., f(items[:m])] for a sequence of distinct ids,
+        each equal to ``self(items[:j])`` bit for bit: the ascending id list
+        grows by one insertion per prefix, and each prefix is summed in
+        ``__call__``'s order.  (A running total would be cheaper but rounds
+        differently.)"""
+        ids: list[int] = []
+        values = []
+        for item in items:
+            insort(ids, int(item))
+            values.append(self._sorted_value(ids))
+        return values
+
     def marginal(self, item: int, items) -> float:
         """f(item | S) for item not in S; O(|S|)."""
         row = self.penalties[item]
@@ -79,6 +100,52 @@ class ModularPenaltyFn:
         for s in items:
             total -= row[s]
         return total
+
+    def running_gains(self) -> "RunningGains":
+        """Fresh state whose ``gains[i]`` is f(i | S) = r_i - sum_{s in S} p_is
+        for a growing set S, starting from S empty."""
+        return RunningGains(self.rewards, self.penalties)
+
+    def complement_gains(self, ground) -> "RunningGains":
+        """Fresh state whose ``gains[i]`` is g(i | S) for the complement
+        g(S) = f(V minus S) over V = ``ground``, for i in V minus S.
+
+        g(i | S) = -f(i | V minus S minus {i}) = sum_{j in V, j != i} p_ij
+        - r_i - sum_{s in S} p_is, and the zero diagonal lets the first sum
+        run over all of V.  So the state starts from the row sums over V minus
+        the rewards, computed once per ground set, and an accept of x
+        subtracts p_ix like ``running_gains`` does.
+        """
+        ground = tuple(ground)
+        cached = self._complement_start
+        if cached is None or cached[0] != ground:
+            start = []
+            for reward, row in zip(self.rewards, self.penalties):
+                total = 0.0
+                for j in ground:
+                    total += row[j]
+                start.append(total - reward)
+            self._complement_start = cached = (ground, start)
+        return RunningGains(cached[1], self.penalties)
+
+
+class RunningGains:
+    """Per-item gains of one growing set in a plain list indexed by item id.
+
+    ``add(x)`` subtracts penalty row x from every entry, O(n) per accept, so
+    a greedy reads each candidate's gain in O(1).  Entries of items already
+    in the set are meaningless; callers track membership.  The running sums
+    equal the closed-form marginals up to summation order.
+    """
+
+    __slots__ = ("gains", "_rows")
+
+    def __init__(self, start, rows):
+        self.gains = list(start)
+        self._rows = rows
+
+    def add(self, item: int) -> None:
+        self.gains = [g - p for g, p in zip(self.gains, self._rows[item])]
 
 
 def tiny_instance() -> ModularPenaltyFn:

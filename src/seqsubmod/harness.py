@@ -18,6 +18,7 @@ from .algorithms import (
     FLEXIBLE,
     P_STAR,
     SamplerConfig,
+    _homogeneous_scored,
     _pad_to_k,
     baseline_covdiv,
     baseline_quality,
@@ -333,12 +334,12 @@ def bound_check(bundle, k, mode: str, cfg: SamplerConfig, rounds: int,
     for r in range(rounds):
         run_cfg = SamplerConfig(cfg.p, round_seed(cfg.seed, r))
         if mode == FLEXIBLE:
-            seq = sampling_greedy(bundle, k, run_cfg)[0]
+            value = evaluate_F(bundle, sampling_greedy(bundle, k, run_cfg)[0])
         elif mode == FIXED:
-            seq = fixed_length_solve(bundle, k, run_cfg)
+            value = evaluate_F(bundle, fixed_length_solve(bundle, k, run_cfg))
         else:
-            seq = homogeneous_solve(bundle, k, run_cfg)
-        values.append(evaluate_F(bundle, seq))
+            value = _homogeneous_scored(bundle, k, run_cfg)[1]
+        values.append(value)
     stats = CellStats(mode, "", mode, tuple(values), (), ())
     mean, stderr = stats.mean, stats.stderr
     fac = factor if factor is not None else bound_factor(cfg.p, mode, k, bundle.n, monotone)

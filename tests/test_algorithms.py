@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -274,6 +275,99 @@ class TestLazyRanking:
         assert longest > picks
 
 
+class _MarginalOnly:
+    """A modular oracle seen through ``__call__`` and ``marginal`` alone, so
+    the solvers take their marginal paths instead of the running gains."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, items):
+        return self.fn(items)
+
+    def marginal(self, item, items):
+        return self.fn.marginal(item, items)
+
+
+class TestRunningGainRanking:
+    """Modular-penalty greedies read running gains; they must walk the order
+    the marginal paths walk, with gains equal up to summation order."""
+
+    @pytest.mark.parametrize("n, k", ((6, 3), (40, 10), (160, 24)))
+    def test_forward_greedy(self, n, k):
+        fn = synthetic_modular_instance(n, seed=60 + n).oracle()
+        lams = tuple(np.random.default_rng(n).uniform(0.1, 1.0, k).tolist())
+        fast = homogeneous_bundle(fn, lams, n=n)
+        slow = homogeneous_bundle(_MarginalOnly(fn), lams, n=n)
+        for seed in range(12 if n < 100 else 3):
+            cfg = SamplerConfig(P_STAR, seed)
+            seq, trace = sampling_greedy(fast, k, cfg)
+            want_seq, want = sampling_greedy(slow, k, cfg)
+            assert seq == want_seq
+            assert [(i, c) for i, _, c in trace.considered] == \
+                   [(i, c) for i, _, c in want.considered]
+            for (_, gain, _), (_, want_gain, _) in zip(trace.considered, want.considered):
+                assert gain == pytest.approx(want_gain, rel=1e-12, abs=1e-12)
+            assert presampled_greedy(fast, k, cfg) == presampled_greedy(slow, k, cfg)
+            assert fast.counter.calls == slow.counter.calls
+            verify_trace(homogeneous_bundle(fn, lams, n=n), trace)
+
+    @pytest.mark.parametrize("n", (6, 40, 160))
+    def test_complement_greedy(self, n):
+        fn = synthetic_modular_instance(n, seed=70 + n).oracle()
+        k = (n + 1) // 2 + 1
+        fast = homogeneous_bundle(fn, (1.0,) * k, n=n)
+        slow = homogeneous_bundle(_MarginalOnly(fn), (1.0,) * k, n=n)
+        for seed in range(12 if n < 100 else 3):
+            cfg = SamplerConfig(P_STAR, seed)
+            assert alg2_second_half(fast, k, cfg) == alg2_second_half(slow, k, cfg)
+            for j in (1, n // 2, n - 1):
+                assert sampling_greedy_j(fn, n, j, cfg) == \
+                       sampling_greedy_j(_MarginalOnly(fn), n, j, cfg)
+        assert fast.counter.calls == slow.counter.calls
+
+    def test_complement_greedy_on_a_sparse_ground(self):
+        fn = synthetic_modular_instance(30, seed=81).oracle()
+        ground = tuple(range(1, 30, 2))
+        for seed in range(10):
+            cfg = SamplerConfig(P_STAR, seed)
+            assert sampling_greedy_j(fn, 15, 4, cfg, ground=ground) == \
+                   sampling_greedy_j(_MarginalOnly(fn), 15, 4, cfg, ground=ground)
+
+
+def _two_block_digest(n, inst_seed):
+    """Seeded homogeneous_solve, alg2_second_half and sampling_greedy_j
+    outputs on one modular instance, with F and oracle calls, as a digest."""
+    fn = synthetic_modular_instance(n, seed=inst_seed).oracle()
+    rng = np.random.default_rng([n, inst_seed])
+    rows = []
+    for k in ((n + 1) // 2, (n + 1) // 2 + 1, n):
+        lams = tuple(rng.uniform(0.1, 1.0, k).tolist())
+        for seed in range(3):
+            cfg = SamplerConfig(P_STAR, 1000 * n + seed)
+            bundle = homogeneous_bundle(fn, lams, n=n)
+            seq = homogeneous_solve(bundle, k, cfg)
+            second = alg2_second_half(bundle, k, cfg)
+            rows.append((k, seed, seq.items, repr(evaluate_F(bundle, seq)), second.items,
+                         bundle.counter.calls))
+            for j in (1, n // 2, k, n - 1):
+                rows.append((j, tuple(sorted(sampling_greedy_j(fn, n, j, cfg)))))
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+class TestTwoBlockGolden:
+    """Digests taken with the marginal-based solvers, before running gains:
+    the running sums must leave every output, F and oracle count in place."""
+
+    @pytest.mark.parametrize("n, inst_seed, digest", (
+        (6, 51, "7b84d8eb83ba365e21aa1303032288abc00a457872d7454f5da6d0945eaa4eab"),
+        (40, 52, "07ca2483150d9d38f6fa6f988a5b8c429000bf809e2d2b01e75295699f720b0b"),
+        (160, 53, "ce0a3ad504d982161f1066b22998dd193e863f33c4734588ae206cf6ea232239"),
+    ))
+    def test_outputs_unchanged(self, n, inst_seed, digest):
+        assert _two_block_digest(n, inst_seed) == digest
+
+
 class _ValueDifferenceEngine:
     """The heterogeneous engine as it was before it used ``marginal``: one base
     value per active position and epoch, then one grown-set value per
@@ -458,6 +552,21 @@ class TestNonFiniteGains:
             alg2_second_half(bundle, 4, SamplerConfig(0.5, 1))
         with pytest.raises(OracleEvaluationError, match="item 2"):
             sampling_greedy_j(_PoisonedMarginal(bad), 6, 2, SamplerConfig(0.5, 1))
+
+
+    def test_overflowing_running_gains(self):
+        # Finite inputs whose sums overflow: item 2's penalties against items
+        # 0 and 1 take its forward gain to -inf once both are placed, and its
+        # complement start (a row sum) to +inf.
+        big = 1.7e308
+        pens = [[0.0, 0.0, big], [0.0, 0.0, big], [big, big, 0.0]]
+        bundle = homogeneous_bundle(ModularPenaltyFn((1e308,) * 3, pens), (1.0,) * 3, n=3)
+        with pytest.raises(OracleEvaluationError, match="marginal inf for item 2") as err:
+            alg2_second_half(bundle, 3, SamplerConfig(0.5, 1))
+        assert err.value.position == 1
+        with pytest.raises(OracleEvaluationError, match="marginal -inf for item 2") as err:
+            sampling_greedy(bundle, 3, coins=[1, 1])
+        assert err.value.position == 3
 
 
 class TestVerifyTrace:
@@ -655,6 +764,25 @@ class TestHomogeneousSolve:
         bundle = heterogeneous_bundle((fn, lambda s: 0.0), (1.0, 1.0), n=2)
         with pytest.raises(ValueError):
             homogeneous_solve(bundle, 2, SamplerConfig(0.5, 0))
+        with pytest.raises(ValueError, match="homogeneous"):
+            algorithms._homogeneous_scored(bundle, 2, SamplerConfig(0.5, 0))
+
+    @pytest.mark.parametrize("k", (2, 4, 6))
+    def test_scored_variant_scores_its_winner_once(self, k):
+        # k=2 is below ceil(n/2) and scores its sequence; k>=3 hands on the
+        # F that picked the winner, so it costs no more calls than the solve.
+        fn = synthetic_modular_instance(6, seed=41).oracle()
+        lams = tuple(np.random.default_rng(k).uniform(0.1, 1.0, k).tolist())
+        for seed in range(10):
+            cfg = SamplerConfig(P_STAR, seed)
+            plain = homogeneous_bundle(fn, lams, n=6)
+            scored = homogeneous_bundle(fn, lams, n=6)
+            want = homogeneous_solve(plain, k, cfg)
+            calls = plain.counter.calls
+            want_value = evaluate_F(plain, want)
+            seq, value = algorithms._homogeneous_scored(scored, k, cfg)
+            assert seq == want and value == want_value
+            assert scored.counter.calls == (calls if k >= 3 else plain.counter.calls)
 
 
 class TestBruteForce:

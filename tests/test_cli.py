@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from seqsubmod import read_instance, read_results, write_instance
+from seqsubmod import evaluate_F, read_instance, read_results, write_instance
 from seqsubmod.cli import main
+from seqsubmod.harness import UserTypeDistribution, make_weights
 from seqsubmod.files import synthetic_modular_instance
 from seqsubmod.functions import tiny_instance
 
@@ -35,6 +36,24 @@ class TestGen:
         assert inst.family == "covdiv" and inst.n == 8
         assert inst.eta == 3.0
         assert inst.similarity.shape == (8, 8)
+
+
+    @pytest.mark.parametrize("flags", (
+        ("--family", "covdiv", "--eta", "nan"),
+        ("--family", "covdiv", "--eta", "0.5"),
+        ("--family", "covdiv", "--density", "nan"),
+        ("--family", "covdiv", "--density", "inf"),
+        ("--family", "modular-penalty", "--n", "0"),
+        ("--family", "modular-penalty", "--n", "1_0"),
+        ("--family", "modular-penalty", "--seed", "\u0661"),
+    ), ids=("eta-nan", "eta-below-one", "density-nan", "density-inf", "n-zero",
+            "n-underscore", "seed-arabic-digit"))
+    def test_bad_instance_is_never_written(self, tmp_path, capsys, flags):
+        out = tmp_path / "inst.txt"
+        argv = ["gen", "--n", "6", *flags, "--out", str(out)]
+        code, _ = run_cli(*argv, capsys=capsys)
+        assert code == 2
+        assert not out.exists()
 
 
 @pytest.fixture
@@ -137,6 +156,40 @@ class TestSolve:
                               "--weights", spec, capsys=capsys)
             assert code == 2, spec
 
+    @pytest.mark.parametrize("flag, value", (
+        ("--k", "0_2"), ("--k", "\u0662"), ("--k", "2.0"), ("--k", "1e0"),
+        ("--seed", "\u0661"), ("--seed", "1_0"),
+        ("--p", "nan"), ("--p", "inf"), ("--p", "0_5"),
+    ))
+    def test_numeric_flags_take_the_key_line_grammar(self, tiny_path, capsys, flag, value):
+        args = {"--k": "2", "--seed": "1", "--p": "0.5", flag: value}
+        argv = ["solve", "--instance", tiny_path, "--algorithm", "brute"]
+        for key, text in args.items():
+            argv += [key, text]
+        code, _ = run_cli(*argv)
+        assert code == 2
+        assert f"argument {flag}: expected" in capsys.readouterr().err
+
+    def test_signed_integer_flags_still_parse(self, tiny_path, capsys):
+        code, _ = run_cli("solve", "--instance", tiny_path, "--k", "+2", "--seed", "-7",
+                          capsys=capsys)
+        assert code == 0
+
+    @pytest.mark.parametrize("k", (8, 12, 20))
+    def test_homog_prints_the_F_of_its_sequence(self, tmp_path, capsys, k):
+        path = str(tmp_path / "mod.txt")
+        write_instance(path, synthetic_modular_instance(20, seed=5))
+        for seed in range(4):
+            code, out = run_cli("solve", "--instance", path, "--k", str(k),
+                                "--algorithm", "homog", "--seed", str(seed), capsys=capsys)
+            assert code == 0
+            items, value, calls = out.strip().splitlines()
+            inst = read_instance(path)
+            bundle = inst.bundle(make_weights(UserTypeDistribution.uniform(k)))
+            seq = tuple(int(i) for i in items.split())
+            assert value == f"F {evaluate_F(bundle, seq)!r}"
+            assert len(seq) == k and calls.startswith("oracle_calls ")
+
     def test_unknown_algorithm_is_usage_error(self, tiny_path, capsys):
         code, _ = run_cli("solve", "--instance", tiny_path, "--k", "2",
                           "--algorithm", "magic", capsys=capsys)
@@ -153,6 +206,19 @@ class TestCheck:
         assert lines[-1] == "PASS"
         assert any(l.startswith("opt 8.0") for l in lines)
         assert any(l.startswith("factor ") for l in lines)
+
+    @pytest.mark.parametrize("flag, value", (
+        ("--factor", "nan"), ("--factor", "inf"), ("--p", "nan"),
+        ("--rounds", "1_0"), ("--rounds", "10.0"), ("--k", "\u0662"), ("--seed", "0x1"),
+    ))
+    def test_bad_numeric_flags_are_bad_input(self, tiny_path, capsys, flag, value):
+        args = {"--k": "2", "--rounds": "10", flag: value}
+        argv = ["check", "--instance", tiny_path]
+        for key, text in args.items():
+            argv += [key, text]
+        code, out = run_cli(*argv, capsys=capsys)
+        assert code == 2
+        assert "FAIL" not in out
 
     def test_absurd_factor_fails(self, tiny_path, capsys):
         code, out = run_cli("check", "--instance", tiny_path, "--k", "2",
@@ -214,6 +280,16 @@ class TestExperiment:
         code, _ = run_cli("experiment", "--spec", spec, "--out", str(tmp_path / "r.csv"))
         assert code == 2
         assert f"{key}: expected one" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", (("--rounds", "1_0"), ("--seed", "\u0665"),
+                                             ("--rounds", "2.5")))
+    def test_bad_override_is_bad_input(self, tmp_path, capsys, flag, value):
+        spec = self._setup(tmp_path)
+        out = tmp_path / "r.csv"
+        code, _ = run_cli("experiment", "--spec", spec, "--out", str(out), flag, value)
+        assert code == 2
+        assert not out.exists()
+        assert f"argument {flag}: expected an integer" in capsys.readouterr().err
 
     def test_covdiv_on_wrong_family(self, tmp_path, capsys):
         spec = self._setup(tmp_path, algorithms="sg covdiv")

@@ -253,7 +253,8 @@ class TestPrefixEvaluator:
         covdiv = homogeneous_bundle(fn, (1.0, 1.0), n=10)
         assert covdiv.prefix_evaluator == fn.prefix_values
         assert "prefix_evaluator" not in repr(covdiv)
-        assert homogeneous_bundle(tiny_fn, (1.0, 1.0), n=3).prefix_evaluator is None
+        assert homogeneous_bundle(tiny_fn, (1.0, 1.0), n=3).prefix_evaluator == tiny_fn.prefix_values
+        assert homogeneous_bundle(lambda s: tiny_fn(s), (1.0, 1.0), n=3).prefix_evaluator is None
         assert heterogeneous_bundle((fn, fn), (1.0, 1.0), n=10).prefix_evaluator is None
         assert covdiv == homogeneous_bundle(fn, (1.0, 1.0), ground=range(10))
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from seqsubmod import (
     similarity_from_tags,
     submodularity_probe,
     synthetic_covdiv_instance,
+    synthetic_modular_instance,
     tiny_instance,
 )
 
@@ -56,6 +58,115 @@ class TestModularPenalty:
             ModularPenaltyFn((bad, 1.0), ((0.0, 1.0), (1.0, 0.0)))
         with pytest.raises(ValueError, match="finite"):
             ModularPenaltyFn((1.0, 1.0), ((0.0, bad), (bad, 0.0)))
+
+
+@st.composite
+def modular_accepts(draw):
+    """A modular-penalty oracle, a ground set V (a subset of its ids when
+    ``sparse``) and an accept order drawn from V."""
+    n = draw(st.integers(2, 12))
+    rewards = draw(st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n))
+    pens = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            pens[i][j] = pens[j][i] = draw(st.floats(0.0, 3.0))
+    ground = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    order = draw(st.permutations(ground))
+    return ModularPenaltyFn(rewards, pens), ground, order[:draw(st.integers(0, len(ground)))]
+
+
+def _running_states(fn, ground, order):
+    """(S, forward state, complement state) after each accept of ``order``,
+    starting from the empty set."""
+    forward, complement = fn.running_gains(), fn.complement_gains(ground)
+    members = set()
+    yield members, forward, complement
+    for item in order:
+        forward.add(item)
+        complement.add(item)
+        members.add(item)
+        yield members, forward, complement
+
+
+class TestModularRunningGains:
+    """The running-gain states agree with ``marginal`` and
+    ``ComplementFn.marginal`` up to summation order."""
+
+    @given(modular_accepts())
+    @settings(max_examples=150, deadline=None)
+    def test_states_match_marginals(self, case):
+        fn, ground, order = case
+        comp = ComplementFn(fn, ground)
+        for members, forward, complement in _running_states(fn, ground, order):
+            for i in ground:
+                if i in members:
+                    continue
+                # Both sides sum the same terms in another order; 1e-12 of
+                # the terms' magnitude is far above that rounding.
+                row = fn.penalties[i]
+                scale = fn.rewards[i] + sum(row[s] for s in members)
+                assert forward.gains[i] == pytest.approx(fn.marginal(i, members),
+                                                         rel=0.0, abs=1e-12 * (1.0 + scale))
+                scale += sum(row[j] for j in ground)
+                assert complement.gains[i] == pytest.approx(comp.marginal(i, members),
+                                                            rel=0.0, abs=1e-12 * (1.0 + scale))
+
+    def test_exact_on_the_demo_instance(self, tiny_fn):
+        for ground in ((0, 1, 2), (0, 2), (1,)):
+            comp = ComplementFn(tiny_fn, ground)
+            for size in range(len(ground) + 1):
+                for order in itertools.permutations(ground, size):
+                    states = list(_running_states(tiny_fn, ground, order))
+                    members, forward, complement = states[-1]
+                    for i in set(ground) - members:
+                        assert forward.gains[i] == tiny_fn.marginal(i, members)
+                        assert complement.gains[i] == comp.marginal(i, members)
+
+    def test_complement_start_follows_the_ground_set(self, tiny_fn):
+        # The start vector is cached per oracle; another ground set rebuilds it.
+        assert tiny_fn.complement_gains((0, 1, 2)).gains == [-1.0, 3.0, 1.0]
+        assert tiny_fn.complement_gains((0, 2)).gains == [-3.0, 3.0, -2.0]
+        assert tiny_fn.complement_gains((0, 1, 2)).gains == [-1.0, 3.0, 1.0]
+
+    def test_states_are_independent(self, tiny_fn):
+        first, second = tiny_fn.complement_gains(range(3)), tiny_fn.complement_gains(range(3))
+        first.add(1)
+        assert second.gains == [-1.0, 3.0, 1.0]
+        assert tiny_fn.complement_gains(range(3)).gains == [-1.0, 3.0, 1.0]
+
+
+class TestModularPrefixValues:
+    """prefix_values must reproduce the value of every prefix to the last bit."""
+
+    @staticmethod
+    def _check(fn, seq):
+        got = fn.prefix_values(seq)
+        assert got == [fn(frozenset(seq[:j])) for j in range(1, len(seq) + 1)]
+
+    def test_random_sequences(self):
+        fn = synthetic_modular_instance(120, seed=8).oracle()
+        rng = np.random.default_rng(77)
+        for _ in range(40):
+            m = int(rng.integers(1, 60))
+            self._check(fn, tuple(rng.choice(fn.n, m, replace=False).tolist()))
+
+    def test_length_one_and_full_ground(self):
+        fn = synthetic_modular_instance(40, seed=9).oracle()
+        for i in (0, 17, 39):
+            self._check(fn, (i,))
+        self._check(fn, tuple(np.random.default_rng(1).permutation(fn.n).tolist()))
+        self._check(fn, tuple(range(fn.n)))
+        self._check(fn, tuple(reversed(range(fn.n))))
+
+    def test_sparse_ids(self):
+        fn = synthetic_modular_instance(150, seed=10).oracle()
+        ids = np.arange(2, 150, 3)
+        self._check(fn, tuple(np.random.default_rng(2).permutation(ids).tolist()))
+
+    def test_demo_instance(self, tiny_fn):
+        for seq in itertools.permutations(range(3)):
+            self._check(tiny_fn, seq)
+        assert tiny_fn.prefix_values((2, 1, 0)) == [2.0, 1.0, 2.0]
 
 
 class TestCoverageDiversity:
