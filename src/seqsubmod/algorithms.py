@@ -6,7 +6,9 @@ probability p, and never reconsider a rejected item.  On top of that sit the
 fixed-length variant (random backup fill), the two-block strategy for
 homogeneous objectives on large k (forward greedy on the first half versus a
 complement greedy assembled back-to-front), exhaustive search for small
-instances, and the two comparison baselines.
+instances, and the two comparison baselines.  Every greedy runs one loop,
+``_greedy``; the complement greedy is that loop on g(S) = f(V minus S).
+``ALGORITHMS`` names the solvers for the CLI, experiments and bound checks.
 
 Randomness policy: every solver derives its coin stream from
 ``Random(f"{seed}:coins")`` and its backup stream from
@@ -19,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -208,27 +210,29 @@ def _running_pairs(gains: list, alive, w: float, position: int) -> list[tuple[in
 
 
 class _HomogeneousEngine:
-    """Candidate gains for a single shared oracle without a batched state.
+    """Candidate gains for a single shared oracle without a batched state,
+    weighted by ``suffix_weight(t)`` and counted on ``counter``.
 
-    Reads the oracle's running gains when it offers ``running_gains()``, else
-    calls its marginal method, else falls back to paired value calls.
+    Reads the oracle's running gains when its ``running_gains()`` gives a
+    state, else calls its marginal method, else falls back to paired value
+    calls.
     """
 
-    def __init__(self, bundle: ObjectiveBundle, candidates):
-        self.bundle = bundle
+    def __init__(self, oracle, counter: EvalCounter, suffix_weight, candidates):
         self.members: set = set()
-        self.alive = set(int(i) for i in candidates)
-        oracle = bundle.base_oracle
+        self.alive = set(map(int, candidates))
         self._oracle = oracle
+        self._counter = counter
+        self._suffix_weight = suffix_weight
         self._state = oracle.running_gains() if hasattr(oracle, "running_gains") else None
         self._marginal = oracle.marginal if hasattr(oracle, "marginal") else None
 
     def positive_candidates(self, t: int) -> Iterable[tuple[int, float]]:
         """(item, weighted gain) for gains > 0, ordered by gain desc, id asc."""
-        w = self.bundle.suffix_weight(t)
+        w = self._suffix_weight(t)
         if w == 0.0 or not self.alive:
             return []
-        counter = self.bundle.counter
+        counter = self._counter
         if self._state is not None:
             counter.add(len(self.alive))
             return _running_pairs(self._state.gains, self.alive, w, t)
@@ -319,7 +323,15 @@ def _make_engine(bundle: ObjectiveBundle, candidates):
         return _HeterogeneousEngine(bundle, candidates)
     if hasattr(bundle.base_oracle, "incremental"):
         return _BatchedEngine(bundle, candidates)
-    return _HomogeneousEngine(bundle, candidates)
+    return _HomogeneousEngine(bundle.base_oracle, bundle.counter, bundle.suffix_weight, candidates)
+
+
+def _complement_engine(base, ground, counter: EvalCounter):
+    """The forward engine on g(S) = f(V minus S) over V = ``ground``, every
+    position weighted 1: a modular base's ``complement_gains`` or
+    ``ComplementFn.marginal`` give the gains, one counted call per candidate."""
+    fn = ComplementFn(base, ground)
+    return _HomogeneousEngine(fn, counter, lambda t: 1.0, fn.ground)
 
 
 def _check_k(bundle: ObjectiveBundle, k) -> int:
@@ -330,6 +342,31 @@ def _check_k(bundle: ObjectiveBundle, k) -> int:
     if k > bundle.n:
         raise InfeasibleError(f"k={k} exceeds the ground set size {bundle.n}")
     return k
+
+
+def _greedy(engine, k: int, stream: CoinStream, considered: list | None = None) -> list[int]:
+    """The loop every greedy here runs: at each position t <= k take the
+    engine's positive candidates best first, drop each from the pool
+    and keep the first whose coin lands 1.  Stops at k accepts, or when a
+    position has no positive candidate or rejects them all.  Returns the
+    accepts in order; ``considered`` collects (item, gain, coin) when given.
+    """
+    out: list[int] = []
+    t = 1
+    while t <= k:
+        for item, gain in engine.positive_candidates(t):
+            engine.remove(item)
+            bit = stream.draw()
+            if considered is not None:
+                considered.append((item, gain, bit))
+            if bit:
+                out.append(item)
+                engine.accept(item)
+                t += 1
+                break
+        else:
+            break
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -356,25 +393,8 @@ def sampling_greedy(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None =
     """
     cfg = cfg if cfg is not None else SamplerConfig()
     k = _check_k(bundle, k)
-    stream = _coin_stream(cfg, coins)
-    engine = _make_engine(bundle, bundle.ground)
-    out: list[int] = []
     considered: list[tuple[int, float, int]] = []
-    t = 1
-    while t <= k:
-        advanced = False
-        for item, gain in engine.positive_candidates(t):
-            engine.remove(item)
-            bit = stream.draw()
-            considered.append((item, gain, bit))
-            if bit:
-                out.append(item)
-                engine.accept(item)
-                t += 1
-                advanced = True
-                break
-        if not advanced:
-            break
+    out = _greedy(_make_engine(bundle, bundle.ground), k, _coin_stream(cfg, coins), considered)
     seq = Sequence(tuple(out))
     return seq, GreedyTrace(tuple(considered), seq)
 
@@ -400,19 +420,9 @@ def presampled_greedy(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None
         pool = sorted(set(int(i) for i in subset))
         if not set(pool) <= set(bundle.ground):
             raise ValueError("forced subset contains items outside the ground set")
-    engine = _make_engine(bundle, pool)
-    out: list[int] = []
     cap = min(k, len(pool))
-    t = 1
-    while len(out) < cap:
-        best = next(iter(engine.positive_candidates(t)), None)
-        if best is None:
-            break
-        item, _ = best
-        engine.accept(item)
-        out.append(item)
-        t += 1
-    return Sequence(tuple(out))
+    ones = CoinStream(1.0, forced=[1] * cap)
+    return Sequence(tuple(_greedy(_make_engine(bundle, pool), cap, ones)))
 
 
 def _draw_backup(cfg: SamplerConfig, pool: list[int], m: int, forced) -> list[int]:
@@ -492,53 +502,6 @@ def homogeneous_first_half(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig |
     return Sequence(core.items + tuple(pad))
 
 
-def _complement_greedy(base, ground, cap: int, stream: CoinStream,
-                       counter: EvalCounter | None = None) -> list[int]:
-    """Deferred-coin positive-marginal greedy on g(S) = f(V minus S) over
-    V = ``ground``.
-
-    Returns accepted items in acceptance order; stops at ``cap`` accepts or
-    when no surviving candidate has a strictly positive marginal.  Gains come
-    from the base's ``complement_gains`` state when it has one, else from
-    ``ComplementFn.marginal``; either way each candidate counts one oracle
-    call.  A non-finite marginal raises OracleEvaluationError at the greedy
-    step.
-    """
-    fn = ComplementFn(base, ground)
-    state = base.complement_gains(fn.ground) if hasattr(base, "complement_gains") else None
-    members: set = set()
-    added: list[int] = []
-    alive = set(fn.ground)
-    while len(added) < cap:
-        position = len(added) + 1
-        if counter is not None:
-            counter.add(len(alive))
-        if state is not None:
-            pairs = _running_pairs(state.gains, alive, 1.0, position)
-        else:
-            pairs = []
-            for i in sorted(alive):
-                m = _finite(position, i, fn.marginal(i, members))
-                if m > 0.0:
-                    pairs.append((i, m))
-            _rank(pairs)
-        if not pairs:
-            break
-        advanced = False
-        for item, _ in pairs:
-            alive.discard(item)
-            if stream.draw():
-                members.add(item)
-                added.append(item)
-                if state is not None:
-                    state.add(item)
-                advanced = True
-                break
-        if not advanced:
-            break
-    return added
-
-
 def alg2_second_half(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None = None,
                      *, coins=None, forced_accepted=None, forced_backup=None) -> Sequence:
     """Back-to-front assembly via the complement function.
@@ -568,8 +531,8 @@ def alg2_second_half(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None 
         if len(added) > h:
             raise ValueError(f"at most ceil(n/2)={h} accepted items")
     else:
-        stream = _coin_stream(cfg, coins)
-        added = _complement_greedy(bundle.base_oracle, bundle.ground, h, stream, bundle.counter)
+        engine = _complement_engine(bundle.base_oracle, bundle.ground, bundle.counter)
+        added = _greedy(engine, h, _coin_stream(cfg, coins))
     tail = list(reversed(added[n - k:]))
     pool = sorted(set(bundle.ground) - set(added))
     fill = _draw_backup(cfg, pool, h - len(added), forced_backup)
@@ -594,8 +557,7 @@ def sampling_greedy_j(oracle, n: int, j: int, cfg: SamplerConfig | None = None,
     if not 1 <= j <= n:
         raise ValueError(f"j={j} outside 1..{n}")
     cap = n - j
-    stream = _coin_stream(cfg, coins)
-    added = _complement_greedy(oracle, ids, cap, stream)
+    added = _greedy(_complement_engine(oracle, ids, EvalCounter()), cap, _coin_stream(cfg, coins))
     pool = sorted(set(ids) - set(added))
     fill = _draw_backup(cfg, pool, cap - len(added), forced_backup)
     return frozenset(added) | frozenset(fill)
@@ -618,13 +580,13 @@ def homogeneous_solve(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None
     return _two_block(bundle, k, cfg)[0]
 
 
-def _homogeneous_scored(bundle: ObjectiveBundle, k, cfg: SamplerConfig) -> tuple[Sequence, float]:
-    """homogeneous_solve(bundle, k, cfg) and its F, with each sequence scored
-    once: the two-block branch hands on the F it picked its winner by."""
+def _homogeneous_run(bundle: ObjectiveBundle, k,
+                     cfg: SamplerConfig) -> tuple[Sequence, float | None]:
+    """homogeneous_solve(bundle, k, cfg) and the F its two-block branch picked
+    the winner by; None below ceil(n/2), where nothing scored the sequence."""
     if bundle.homogeneous and _check_k(bundle, k) >= _half(bundle.n):
         return _two_block(bundle, k, cfg)
-    seq = homogeneous_solve(bundle, k, cfg)
-    return seq, evaluate_F(bundle, seq)
+    return homogeneous_solve(bundle, k, cfg), None
 
 
 def _two_block(bundle: ObjectiveBundle, k: int, cfg: SamplerConfig) -> tuple[Sequence, float]:
@@ -717,6 +679,65 @@ def baseline_quality(ratings, k: int) -> Sequence:
         raise ValueError("k must be nonnegative")
     order = np.argsort(-scores, kind="stable")  # stable: equal ratings keep id order
     return Sequence(tuple(order[:k].tolist()))
+
+
+# ---------------------------------------------------------------------------
+# The algorithm table: every solver name a command accepts.
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """How the commands run one named solver.
+
+    ``run(bundle, k, cfg, constraint, oracle, ratings)`` returns the sequence
+    and the F it already computed for it, else None; the baselines read
+    ``oracle`` and ``ratings``.  A command that asks for a constraint in
+    ``pads`` calls ``run`` with FIXED, otherwise with FLEXIBLE.  For the
+    greedies a FIXED run is their FLEXIBLE run padded by ``_pad_to_k``, so an
+    experiment pads one shared run per cell.  ``per_seed`` says whether the
+    run changes with the seed; ``commands`` names the subcommands that take
+    the name.  Runs call the solvers by their module-level names, so a
+    wrapper installed on the module sees every call.
+    """
+
+    run: Callable
+    per_seed: bool
+    pads: tuple[str, ...]
+    commands: tuple[str, ...]
+
+
+def _greedy_run(bundle, k, cfg, constraint, oracle, ratings):
+    if constraint == FIXED:
+        return fixed_length_solve(bundle, k, cfg), None
+    return sampling_greedy(bundle, k, cfg)[0], None
+
+
+_EVERYWHERE = ("solve", "experiment")
+
+ALGORITHMS = {
+    "sg": Algorithm(_greedy_run, True, (FIXED,), _EVERYWHERE),
+    "presampled": Algorithm(lambda bundle, k, cfg, constraint, oracle, ratings: (
+        presampled_greedy(bundle, k, cfg), None), True, (), ("solve",)),
+    "fixed": Algorithm(_greedy_run, True, (FLEXIBLE, FIXED), _EVERYWHERE),
+    "homog": Algorithm(lambda bundle, k, cfg, constraint, oracle, ratings:
+                       _homogeneous_run(bundle, k, cfg), True, (), _EVERYWHERE),
+    "covdiv": Algorithm(lambda bundle, k, cfg, constraint, oracle, ratings: (
+        baseline_covdiv(oracle, bundle, k, constraint, cfg), None), False, (FIXED,), _EVERYWHERE),
+    "quality": Algorithm(lambda bundle, k, cfg, constraint, oracle, ratings: (
+        baseline_quality(ratings, k), None), False, (), _EVERYWHERE),
+    "brute": Algorithm(lambda bundle, k, cfg, constraint, oracle, ratings: (
+        brute_force(bundle, k, constraint)[0], None), False, (FIXED,), ("solve",)),
+}
+
+
+def run_algorithm(name: str, bundle: ObjectiveBundle, k, cfg: SamplerConfig,
+                  constraint: str = FLEXIBLE, oracle=None, ratings=None) -> tuple[Sequence, float]:
+    """One standalone run of ``name`` under the constraint a command asked
+    for, and the F of its sequence; F a run hands back is not recomputed."""
+    algo = ALGORITHMS[name]
+    seq, value = algo.run(bundle, k, cfg, FIXED if constraint in algo.pads else FLEXIBLE,
+                          oracle, ratings)
+    return seq, value if value is not None else evaluate_F(bundle, seq)
 
 
 def verify_trace(bundle: ObjectiveBundle, trace: GreedyTrace, tol: float = 1e-9) -> None:

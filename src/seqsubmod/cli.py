@@ -12,24 +12,19 @@ import math
 import sys
 
 from .algorithms import (
+    ALGORITHMS,
     EnumerationTooLargeError,
     FIXED,
     FLEXIBLE,
     InfeasibleError,
     P_STAR,
     SamplerConfig,
-    _homogeneous_scored,
-    baseline_covdiv,
-    baseline_quality,
-    brute_force,
-    fixed_length_solve,
-    presampled_greedy,
-    sampling_greedy,
+    run_algorithm,
 )
-from .core import evaluate_F
 from .files import (
     ExperimentFile,
     InstanceFormatError,
+    _distribution,
     _one_float,
     _one_int,
     _read_instance,
@@ -41,9 +36,8 @@ from .files import (
     write_results,
 )
 from .harness import (
-    HOMOGENEOUS,
+    CHECK_ALGORITHMS,
     ExperimentSpec,
-    UserTypeDistribution,
     bound_check,
     comparative_experiment,
     make_weights,
@@ -53,8 +47,6 @@ EXIT_OK = 0
 EXIT_BOUND_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_INFEASIBLE = 3
-
-SOLVE_ALGORITHMS = ("sg", "presampled", "fixed", "homog", "covdiv", "quality", "brute")
 
 
 def _int_arg(text: str) -> int:
@@ -76,27 +68,17 @@ def _float_arg(text: str) -> float:
     return value
 
 
-def _parse_weight_spec(spec: str, k: int) -> UserTypeDistribution:
-    """uniform | normal:MU,SIGMA | explicit:V1,V2,..."""
-    if spec == "uniform":
-        return UserTypeDistribution.uniform(k)
-    kind, _, rest = spec.partition(":")
-    if kind == "normal":
-        parts = rest.split(",")
-        if len(parts) != 2:
-            raise InstanceFormatError("normal weights need MU,SIGMA")
-        return UserTypeDistribution.normal(k, float(parts[0]), float(parts[1]))
-    if kind == "explicit":
-        values = [float(v) for v in rest.split(",") if v != ""]
-        if len(values) != k:
-            raise InstanceFormatError(f"explicit weights need exactly {k} values")
-        return UserTypeDistribution.explicit(values)
-    raise InstanceFormatError(f"unknown weight spec {spec!r}")
+def _weights(spec: str, k: int):
+    """The profile of ``--weights KIND[:V1,V2,...]``: the spec-file grammar,
+    with a colon before the numbers and commas between them."""
+    kind, colon, values = spec.partition(":")
+    return make_weights(_distribution([kind, *values.split(",")] if colon else [kind], k))
 
 
-def _require_covdiv(instance, why: str):
-    if instance.family != "covdiv":
-        raise InstanceFormatError(f"{why} needs a covdiv instance, got {instance.family}")
+def _require_covdiv(instance, names):
+    if "covdiv" in names and instance.family != "covdiv":
+        raise InstanceFormatError(
+            f"the covdiv baseline needs a covdiv instance, got {instance.family}")
 
 
 def cmd_gen(args) -> int:
@@ -115,29 +97,11 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     instance, oracle = _read_instance(args.instance)
-    weights = make_weights(_parse_weight_spec(args.weights, args.k))
-    bundle = instance.bundle(weights, oracle=oracle)
+    _require_covdiv(instance, (args.algorithm,))
+    bundle = instance.bundle(_weights(args.weights, args.k), oracle=oracle)
     cfg = SamplerConfig(p=args.p, seed=args.seed)
-    name = args.algorithm
-    value = None
-    if name == "sg":
-        seq = (fixed_length_solve(bundle, args.k, cfg) if args.constraint == FIXED
-               else sampling_greedy(bundle, args.k, cfg)[0])
-    elif name == "presampled":
-        seq = presampled_greedy(bundle, args.k, cfg)
-    elif name == "fixed":
-        seq = fixed_length_solve(bundle, args.k, cfg)
-    elif name == "homog":
-        seq, value = _homogeneous_scored(bundle, args.k, cfg)
-    elif name == "covdiv":
-        _require_covdiv(instance, "the covdiv baseline")
-        seq = baseline_covdiv(oracle, bundle, args.k, args.constraint, cfg)
-    elif name == "quality":
-        seq = baseline_quality(instance.ratings, args.k)
-    else:
-        seq, _ = brute_force(bundle, args.k, args.constraint)
-    if value is None:
-        value = evaluate_F(bundle, seq)
+    seq, value = run_algorithm(args.algorithm, bundle, args.k, cfg, args.constraint,
+                               oracle, instance.ratings)
     print(" ".join(str(i) for i in seq))
     print(f"F {value!r}")
     print(f"oracle_calls {bundle.counter.calls}")
@@ -146,8 +110,7 @@ def cmd_solve(args) -> int:
 
 def cmd_check(args) -> int:
     instance, oracle = _read_instance(args.instance)
-    weights = make_weights(_parse_weight_spec(args.weights, args.k))
-    bundle = instance.bundle(weights, oracle=oracle)
+    bundle = instance.bundle(_weights(args.weights, args.k), oracle=oracle)
     cfg = SamplerConfig(p=args.p, seed=args.seed)
     verdict = bound_check(bundle, args.k, args.mode, cfg, args.rounds,
                           factor=args.factor, monotone=args.monotone)
@@ -167,8 +130,7 @@ def cmd_experiment(args) -> int:
     if args.seed is not None:
         exp.seed = args.seed
     instance, oracle = _read_instance(exp.instance_path)
-    if "covdiv" in exp.algorithms:
-        _require_covdiv(instance, "the covdiv baseline")
+    _require_covdiv(instance, exp.algorithms)
     if instance.scales is not None:
         raise InstanceFormatError("experiments run on homogeneous instances only")
     spec = ExperimentSpec(
@@ -219,7 +181,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve one instance")
     solve.add_argument("--instance", required=True)
     solve.add_argument("--k", type=_int_arg, required=True)
-    solve.add_argument("--algorithm", choices=SOLVE_ALGORITHMS, default="sg")
+    solve.add_argument("--algorithm", default="sg", choices=[
+        name for name, algo in ALGORITHMS.items() if "solve" in algo.commands])
     solve.add_argument("--constraint", choices=(FLEXIBLE, FIXED), default=FLEXIBLE)
     solve.add_argument("--weights", default="uniform",
                        help="uniform | normal:MU,SIGMA | explicit:V1,V2,...")
@@ -230,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="verify an approximation bound empirically")
     check.add_argument("--instance", required=True)
     check.add_argument("--k", type=_int_arg, required=True)
-    check.add_argument("--mode", choices=(FLEXIBLE, FIXED, HOMOGENEOUS), default=FLEXIBLE)
+    check.add_argument("--mode", choices=tuple(CHECK_ALGORITHMS), default=FLEXIBLE)
     check.add_argument("--weights", default="uniform")
     check.add_argument("--p", type=_float_arg, default=P_STAR)
     check.add_argument("--seed", type=_int_arg, default=0)

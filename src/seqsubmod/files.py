@@ -393,6 +393,26 @@ class ExperimentFile:
     distributions: tuple[UserTypeDistribution, ...] = field(default_factory=tuple)
 
 
+def _distribution(tokens, k: int) -> UserTypeDistribution:
+    """A k-position weight profile from its kind and number tokens, the one
+    grammar of ``--weights`` and of spec ``distribution`` lines: ``uniform``,
+    ``normal MU SIGMA`` (both finite) or ``explicit V1 .. Vk``."""
+    kind, *tokens = tokens or [""]
+    if kind == "uniform" and not tokens:
+        return UserTypeDistribution.uniform(k)
+    if kind == "normal":
+        vals = _floats(tokens, "normal weights")
+        if len(vals) != 2 or not all(math.isfinite(v) for v in vals):
+            raise InstanceFormatError("normal weights need a finite MU and SIGMA")
+        return UserTypeDistribution.normal(k, *vals)
+    if kind == "explicit":
+        vals = _floats(tokens, "explicit weights")
+        if len(vals) != k:
+            raise InstanceFormatError(f"explicit weights need exactly {k} values")
+        return UserTypeDistribution.explicit(vals)
+    raise InstanceFormatError(f"unknown weight profile {' '.join([kind, *tokens])!r}")
+
+
 def read_experiment(path: str) -> ExperimentFile:
     base_dir = os.path.dirname(os.path.abspath(path))
     fields: dict = {"distributions": []}
@@ -414,6 +434,8 @@ def read_experiment(path: str) -> ExperimentFile:
             else:
                 raise InstanceFormatError("constraint: expected flexible, fixed, or both")
         elif key == "algorithms":
+            if not rest:
+                raise InstanceFormatError("algorithms: expected at least one name")
             fields["algorithms"] = tuple(rest)
         elif key == "distribution":
             fields["distributions"].append(rest)
@@ -422,22 +444,7 @@ def read_experiment(path: str) -> ExperimentFile:
     if "instance_path" not in fields or "k" not in fields:
         raise InstanceFormatError("experiment spec needs instance and k")
     k = fields["k"]
-    dists = []
-    for row in fields["distributions"]:
-        if row == ["uniform"]:
-            dists.append(UserTypeDistribution.uniform(k))
-        elif row and row[0] == "normal":
-            vals = _floats(row[1:], "distribution normal")
-            if len(vals) != 2:
-                raise InstanceFormatError("distribution normal MU SIGMA")
-            dists.append(UserTypeDistribution.normal(k, vals[0], vals[1]))
-        elif row and row[0] == "explicit":
-            vals = _floats(row[1:], "distribution explicit")
-            if len(vals) != k:
-                raise InstanceFormatError(f"explicit distribution needs {k} values")
-            dists.append(UserTypeDistribution.explicit(vals))
-        else:
-            raise InstanceFormatError(f"unknown distribution {row}")
+    dists = [_distribution(row, k) for row in fields["distributions"]]
     if not dists:
         dists = [UserTypeDistribution.uniform(k)]
     return ExperimentFile(

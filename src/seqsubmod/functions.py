@@ -230,6 +230,12 @@ class ComplementFn:
             return -float(self.base.marginal(item, shrunk))
         return float(self.base(shrunk)) - float(self.base(rest))
 
+    def running_gains(self):
+        """The base's ``complement_gains`` state over this ground set, or None
+        when the base has none."""
+        gains = getattr(self.base, "complement_gains", None)
+        return gains(self.ground) if gains is not None else None
+
 
 class CoverageDiversityFn:
     """Rating-plus-diversity objective over items with a similarity matrix W.

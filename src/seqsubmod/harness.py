@@ -14,25 +14,25 @@ import math
 from dataclasses import dataclass
 
 from .algorithms import (
+    ALGORITHMS,
     FIXED,
     FLEXIBLE,
     P_STAR,
     SamplerConfig,
-    _homogeneous_scored,
     _pad_to_k,
-    baseline_covdiv,
-    baseline_quality,
     brute_force,
     derive_seed,
-    fixed_length_solve,
-    homogeneous_solve,
-    sampling_greedy,
+    run_algorithm,
 )
 from .core import Sequence, WeightProfile, evaluate_F, homogeneous_bundle
 
 HOMOGENEOUS = "homogeneous"
 
-EXPERIMENT_ALGORITHMS = ("sg", "fixed", "homog", "covdiv", "quality")
+EXPERIMENT_ALGORITHMS = tuple(name for name, algo in ALGORITHMS.items()
+                              if "experiment" in algo.commands)
+
+# The algorithm each bound_check mode samples.
+CHECK_ALGORITHMS = {FLEXIBLE: "sg", FIXED: "fixed", HOMOGENEOUS: "homog"}
 
 
 @dataclass(frozen=True)
@@ -203,11 +203,12 @@ class RunStats:
 
 class _ProfileRuns:
     """The distinct solver runs of one weight profile, each executed on its
-    first request and shared by every cell that asks for it: per round one
-    sampling_greedy, one backup pad of it and one homogeneous_solve; per
-    profile one covdiv greedy (padded again each round under FIXED) and one
-    quality sequence.  A run keeps the oracle calls of its one execution.
-    evaluate_F is a pure function of the items, so values are cached by them.
+    first request and shared by every cell that asks for it.  A run is keyed
+    by its ``ALGORITHMS`` run function and, when it changes with the seed, by
+    the round: ``sg`` and ``fixed`` share one sampling_greedy per round, and
+    a padded cell adds one backup pad of it.  A run keeps the oracle calls of
+    its one execution.  evaluate_F is a pure function of the items, so values
+    are cached by them.
     """
 
     def __init__(self, spec: ExperimentSpec, dist: UserTypeDistribution):
@@ -229,16 +230,11 @@ class _ProfileRuns:
     def row(self, name: str, constraint: str, r: int, cfg: SamplerConfig) -> tuple[float, int, int]:
         """(F, length, oracle calls) of a standalone run of ``name`` in round r."""
         spec, bundle, k = self.spec, self.bundle, self.spec.k
-        if name == "quality":
-            seq, calls = self._once(name, lambda: baseline_quality(spec.ratings, k))
-        elif name == "homog":
-            seq, calls = self._once((name, r), lambda: homogeneous_solve(bundle, k, cfg))
-        elif name == "covdiv":
-            seq, calls = self._once(name, lambda: baseline_covdiv(spec.oracle, bundle, k, FLEXIBLE))
-        else:
-            seq, calls = self._once(("sg", r), lambda: sampling_greedy(bundle, k, cfg)[0])
-        if name in ("sg", "fixed", "covdiv") and (constraint == FIXED or name == "fixed"):
-            seq = self._once(("pad", name == "covdiv", r), lambda: _pad_to_k(bundle, seq, k, cfg))[0]
+        algo = ALGORITHMS[name]
+        seq, calls = self._once((algo.run, r if algo.per_seed else None), lambda: algo.run(
+            bundle, k, cfg, FLEXIBLE, spec.oracle, spec.ratings)[0])
+        if constraint in algo.pads:
+            seq = self._once(("pad", algo.run, r), lambda: _pad_to_k(bundle, seq, k, cfg))[0]
         if seq.items not in self._values:
             self._values[seq.items] = evaluate_F(bundle, seq)
         return self._values[seq.items], len(seq), calls
@@ -322,24 +318,17 @@ def bound_check(bundle, k, mode: str, cfg: SamplerConfig, rounds: int,
     """Empirically test a guarantee: Monte Carlo mean >= factor * OPT - 3 stderr.
 
     OPT comes from brute_force (flexible mode enumerates all lengths up to k,
-    the other modes exactly k), the mean from ``rounds`` runs of the solver
-    the mode names, on seeds derived from cfg.seed.  ``factor`` overrides the
-    formula value of bound_factor.
+    the other modes exactly k), the mean from ``rounds`` runs of the
+    algorithm CHECK_ALGORITHMS gives the mode, on seeds derived from
+    cfg.seed.  ``factor`` overrides the formula value of bound_factor.
     """
-    if mode not in (FLEXIBLE, FIXED, HOMOGENEOUS):
+    if mode not in CHECK_ALGORITHMS:
         raise ValueError(f"unknown mode {mode!r}")
     opt_constraint = FLEXIBLE if mode == FLEXIBLE else FIXED
     opt_seq, opt_value = brute_force(bundle, k, opt_constraint)
-    values = []
-    for r in range(rounds):
-        run_cfg = SamplerConfig(cfg.p, round_seed(cfg.seed, r))
-        if mode == FLEXIBLE:
-            value = evaluate_F(bundle, sampling_greedy(bundle, k, run_cfg)[0])
-        elif mode == FIXED:
-            value = evaluate_F(bundle, fixed_length_solve(bundle, k, run_cfg))
-        else:
-            value = _homogeneous_scored(bundle, k, run_cfg)[1]
-        values.append(value)
+    values = [run_algorithm(CHECK_ALGORITHMS[mode], bundle, k,
+                            SamplerConfig(cfg.p, round_seed(cfg.seed, r)))[1]
+              for r in range(rounds)]
     stats = CellStats(mode, "", mode, tuple(values), (), ())
     mean, stderr = stats.mean, stats.stderr
     fac = factor if factor is not None else bound_factor(cfg.p, mode, k, bundle.n, monotone)

@@ -368,6 +368,49 @@ class TestTwoBlockGolden:
         assert _two_block_digest(n, inst_seed) == digest
 
 
+class _ValueOnly:
+    """A set function with no ``marginal``: the complement greedy scores it
+    by value differences."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, items):
+        return self.fn(items)
+
+
+def _complement_digest(fn, n):
+    """Seeded alg2_second_half outputs with oracle calls, and
+    sampling_greedy_j sets on the full and on a sparse ground, as a digest."""
+    rows = []
+    for k in ((n + 1) // 2, (n + 1) // 2 + 1, n):
+        for seed in range(4):
+            cfg = SamplerConfig(P_STAR, 100 * n + seed)
+            bundle = homogeneous_bundle(fn, (1.0,) * k, n=n)
+            rows.append((k, seed, alg2_second_half(bundle, k, cfg).items, bundle.counter.calls))
+            for j in (1, n // 2, k, n - 1):
+                rows.append((j, tuple(sorted(sampling_greedy_j(fn, n, j, cfg)))))
+            ground = tuple(range(0, n, 2))
+            rows.append(tuple(sorted(sampling_greedy_j(fn, len(ground), 2, cfg, ground=ground))))
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+class TestComplementGolden:
+    """Digests of the complement greedy on covdiv (``marginal``) and on a
+    value-only oracle, taken before it ran through the forward engine."""
+
+    @pytest.mark.parametrize("case, digest", (
+        ("covdiv", "94cf19b0d2145cdb5634f95dc7065f0e47ba292d0e8e83deee3f0387293db47a"),
+        ("value-only", "3dea2ff1cb5d6783d568331a8c90a156c504336d06c5a47fc39a32c270989c53"),
+    ))
+    def test_outputs_unchanged(self, case, digest):
+        if case == "covdiv":
+            fn, n = synthetic_covdiv_instance(12, d=5, seed=91, density=0.4, eta=3.0).oracle(), 12
+        else:
+            fn, n = _ValueOnly(synthetic_modular_instance(9, seed=92).oracle()), 9
+        assert _complement_digest(fn, n) == digest
+
+
 class _ValueDifferenceEngine:
     """The heterogeneous engine as it was before it used ``marginal``: one base
     value per active position and epoch, then one grown-set value per
@@ -765,7 +808,7 @@ class TestHomogeneousSolve:
         with pytest.raises(ValueError):
             homogeneous_solve(bundle, 2, SamplerConfig(0.5, 0))
         with pytest.raises(ValueError, match="homogeneous"):
-            algorithms._homogeneous_scored(bundle, 2, SamplerConfig(0.5, 0))
+            algorithms.run_algorithm("homog", bundle, 2, SamplerConfig(0.5, 0))
 
     @pytest.mark.parametrize("k", (2, 4, 6))
     def test_scored_variant_scores_its_winner_once(self, k):
@@ -780,7 +823,7 @@ class TestHomogeneousSolve:
             want = homogeneous_solve(plain, k, cfg)
             calls = plain.counter.calls
             want_value = evaluate_F(plain, want)
-            seq, value = algorithms._homogeneous_scored(scored, k, cfg)
+            seq, value = algorithms.run_algorithm("homog", scored, k, cfg)
             assert seq == want and value == want_value
             assert scored.counter.calls == (calls if k >= 3 else plain.counter.calls)
 

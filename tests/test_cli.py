@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from seqsubmod import evaluate_F, read_instance, read_results, write_instance
 from seqsubmod.cli import main
 from seqsubmod.harness import UserTypeDistribution, make_weights
-from seqsubmod.files import synthetic_modular_instance
+from seqsubmod.files import synthetic_covdiv_instance, synthetic_modular_instance
 from seqsubmod.functions import tiny_instance
 
 
@@ -151,7 +153,8 @@ class TestSolve:
         assert capsys.readouterr().err.startswith(message)
 
     def test_bad_weight_specs(self, tiny_path, capsys):
-        for spec in ("normal:abc,1", "normal:2", "explicit:1", "pareto:1"):
+        for spec in ("normal:abc,1", "normal:2", "explicit:1", "pareto:1",
+                     "explicit:1_0,\u0662", "normal:1_5,1", "explicit:1,,2", "normal:2,inf"):
             code, _ = run_cli("solve", "--instance", tiny_path, "--k", "2",
                               "--weights", spec, capsys=capsys)
             assert code == 2, spec
@@ -194,6 +197,39 @@ class TestSolve:
         code, _ = run_cli("solve", "--instance", tiny_path, "--k", "2",
                           "--algorithm", "magic", capsys=capsys)
         assert code == 2
+
+
+SOLVE_NAMES = ("sg", "presampled", "fixed", "homog", "covdiv", "quality", "brute")
+
+
+class TestSolveGolden:
+    """Digests of ``solve``'s exit code and stdout (sequence, F and
+    oracle_calls) for every algorithm under both constraints, below and above
+    k = ceil(n/2), taken before the algorithm table replaced the if/elif
+    dispatch."""
+
+    @pytest.mark.parametrize("family, digest", (
+        ("modular-penalty", "d124bae392d45a85173c5e0580ef4260b6bcd9b7d78620c0eb1003b588b2debd"),
+        ("covdiv", "fd6ae97f6d0d3876df45d8448e78fdd97f74fc4a11bd5e90de2287d323a04ed9"),
+    ))
+    def test_stdout_unchanged(self, tmp_path, capsys, family, digest):
+        path = str(tmp_path / "inst.txt")
+        if family == "covdiv":
+            inst = synthetic_covdiv_instance(7, d=4, seed=12, density=0.4, eta=3.0)
+        else:
+            inst = synthetic_modular_instance(7, seed=11)
+        write_instance(path, inst)
+        rows = []
+        for name in SOLVE_NAMES:
+            for constraint in ("flexible", "fixed"):
+                for k, weights in ((3, "uniform"), (5, "normal:3,2")):
+                    for seed in (0, 1):
+                        code, out = run_cli("solve", "--instance", path, "--k", str(k),
+                                            "--algorithm", name, "--constraint", constraint,
+                                            "--weights", weights, "--seed", str(seed),
+                                            capsys=capsys)
+                        rows.append((name, constraint, k, seed, code, out))
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 class TestCheck:
@@ -290,6 +326,14 @@ class TestExperiment:
         assert code == 2
         assert not out.exists()
         assert f"argument {flag}: expected an integer" in capsys.readouterr().err
+
+    def test_empty_algorithms_line_writes_nothing(self, tmp_path, capsys):
+        spec = self._setup(tmp_path, algorithms="")
+        out = tmp_path / "r.csv"
+        code, _ = run_cli("experiment", "--spec", spec, "--out", str(out))
+        assert code == 2
+        assert not out.exists()
+        assert "algorithms: expected at least one name" in capsys.readouterr().err
 
     def test_covdiv_on_wrong_family(self, tmp_path, capsys):
         spec = self._setup(tmp_path, algorithms="sg covdiv")

@@ -446,6 +446,8 @@ class TestExperimentFiles:
                      "instance a.txt\nk 1e400\n",
                      "instance a.txt\nk 2\np 0_5\n",  # not a number in matrix rows either
                      "instance a.txt\nk 2\ndistribution normal 1_0 2\n",
+                     "instance a.txt\nk 2\ndistribution normal 2 inf\n",
+                     "instance a.txt\nk 2\nalgorithms\n",
                      "instance a.txt\nk 0_2\n",     # integers take the same grammar
                      "instance a.txt\nk 2\nseed 1_7\n",
                      "instance a.txt\nk 2\nrounds \u0665\n"):
