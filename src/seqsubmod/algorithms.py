@@ -6,8 +6,12 @@ probability p, and never reconsider a rejected item.  On top of that sit the
 fixed-length variant (random backup fill), the two-block strategy for
 homogeneous objectives on large k (forward greedy on the first half versus a
 complement greedy assembled back-to-front), exhaustive search for small
-instances, and the two comparison baselines.  Every greedy runs one loop,
-``_greedy``; the complement greedy is that loop on g(S) = f(V minus S).
+instances, and the two comparison baselines.  Every greedy, the covdiv
+baseline included, runs one loop, ``_greedy``, over one of two marginal
+engines: ``_BatchedEngine`` for an oracle with a numpy ``incremental()``
+state, and ``_ListEngine`` for the rest, which sums per-term gains read from
+a ``running_gains()`` list, else ``marginal`` calls, else value differences.
+The complement greedy is that loop on g(S) = f(V minus S).
 ``ALGORITHMS`` names the solvers for the CLI, experiments and bound checks.
 
 Randomness policy: every solver derives its coin stream from
@@ -123,23 +127,19 @@ def _finite(position: int, item: int, gain) -> float:
     return gain
 
 
-def _rank(pairs: list) -> list:
-    """Order (item, gain) pairs built in ascending id order by gain desc, id
-    asc: a reversed sort stays stable, so equal gains keep their id order."""
-    pairs.sort(key=itemgetter(1), reverse=True)
-    return pairs
-
-
 # ---------------------------------------------------------------------------
 # Marginal engines.  One greedy step needs the weighted marginal
 # sum_{j>=t} lambda_j * f_j(i | pi) of every surviving candidate; the engines
 # batch that per epoch (the stretch between two accepts, during which the
-# marginals of the surviving candidates do not change).
+# marginals of the surviving candidates do not change).  ``_greedy`` calls
+# ``remove`` on every candidate it considers and then ``accept`` on a kept one.
 
 
 class _BatchedEngine:
-    """Candidate gains for a homogeneous bundle whose oracle offers a batched
-    incremental state.
+    """Candidate gains from a batched incremental state: ``gains()`` returns
+    the id-indexed vector of f(i | S) (at least ``size`` long) and ``add(i)``
+    grows S.  Position t weighs the gains by ``suffix_weight(t)``, and each
+    epoch counts one oracle call per survivor on ``counter``.
 
     Survivors live in a boolean mask indexed by item id.  Every epoch scores
     them in one numpy pass into an id-indexed vector of weighted gains (-inf
@@ -148,24 +148,27 @@ class _BatchedEngine:
     order is "weighted gain desc, id asc", and a coin stream that accepts
     after a few candidates pays for those few, not for a full sort.  An epoch
     that outlasts ARGMAX_PICKS candidates ranks the rest with one ``lexsort``.
+    A kept candidate was removed first, so accepting it only grows the state.
     """
 
     ARGMAX_PICKS = 8
 
-    def __init__(self, bundle: ObjectiveBundle, candidates):
-        self.bundle = bundle
-        self._state = bundle.base_oracle.incremental()
-        self._alive = np.zeros(bundle.ground[-1] + 1, dtype=bool)
+    def __init__(self, gains, add, suffix_weight, counter: EvalCounter, candidates, size: int):
+        self._gains = gains
+        self.accept = add
+        self._suffix_weight = suffix_weight
+        self._counter = counter
+        self._alive = np.zeros(size, dtype=bool)
         self._alive[np.fromiter(candidates, np.intp)] = True
         self._count = int(self._alive.sum())
 
     def positive_candidates(self, t: int) -> Iterable[tuple[int, float]]:
         """(item, weighted gain) for gains > 0, ordered by gain desc, id asc."""
-        w = self.bundle.suffix_weight(t)
+        w = self._suffix_weight(t)
         if w == 0.0 or not self._count:
             return ()
-        gains = self._state.gains()[:self._alive.size]
-        self.bundle.counter.add(self._count)
+        gains = self._gains()[:self._alive.size]
+        self._counter.add(self._count)
         if not np.isfinite(gains).all():
             for item in np.flatnonzero(self._alive & ~np.isfinite(gains)).tolist():
                 _finite(t, item, gains[item])
@@ -188,150 +191,132 @@ class _BatchedEngine:
         yield from zip(items[order].tolist(), rest[order].tolist())
 
     def remove(self, item: int) -> None:
-        # sampling_greedy removes an item and then accepts it: count it once.
-        if self._alive[item]:
-            self._alive[item] = False
-            self._count -= 1
-
-    def accept(self, item: int) -> None:
-        self.remove(item)
-        self._state.add(item)
+        self._alive[item] = False
+        self._count -= 1
 
 
-def _running_pairs(gains: list, alive, w: float, position: int) -> list[tuple[int, float]]:
-    """(item, w * gain) for the alive items whose running gain is positive,
-    ordered by weighted gain desc, id asc.  A non-finite gain of an alive item
-    raises at ``position``; one min/max pass per epoch keeps that check off
-    the per-candidate path."""
-    if not -math.inf < min(gains) <= max(gains) < math.inf:
-        for i in sorted(alive):
-            _finite(position, i, gains[i])
-    return _rank([(i, w * gains[i]) for i in sorted(alive) if gains[i] > 0.0])
+class _ListEngine:
+    """Candidate gains sum_j w_j * f_j(i | S) over a list of oracle terms,
+    summed in position order, for oracles without a batched state.
 
+    ``weights`` is either the profile lambda_1..lambda_k of ``oracles``, one
+    term per position j with lambda_j != 0 (a heterogeneous bundle), or a
+    function ``suffix_weight(t)`` for a single oracle, whose one term sits at
+    position t with that weight (a homogeneous bundle, or the complement
+    greedy at weight 1).  ``candidates`` are ascending item ids.
 
-class _HomogeneousEngine:
-    """Candidate gains for a single shared oracle without a batched state,
-    weighted by ``suffix_weight(t)`` and counted on ``counter``.
-
-    Reads the oracle's running gains when its ``running_gains()`` gives a
-    state, else calls its marginal method, else falls back to paired value
-    calls.
+    Each term reads its oracle's gains by one rule: the id-indexed list of
+    its ``running_gains()`` state, else one ``marginal`` call per candidate,
+    else f(S + i) - f(S) from one base value per epoch and one grown-set
+    value per candidate; every read is counted on ``counter``.  A non-finite
+    gain, or any exception raised while scoring, is an OracleEvaluationError
+    at the term's position.
     """
 
-    def __init__(self, oracle, counter: EvalCounter, suffix_weight, candidates):
+    def __init__(self, oracles, weights, counter: EvalCounter, candidates):
         self.members: set = set()
-        self.alive = set(map(int, candidates))
-        self._oracle = oracle
+        self.alive = list(candidates)
         self._counter = counter
-        self._suffix_weight = suffix_weight
-        self._state = oracle.running_gains() if hasattr(oracle, "running_gains") else None
-        self._marginal = oracle.marginal if hasattr(oracle, "marginal") else None
-
-    def positive_candidates(self, t: int) -> Iterable[tuple[int, float]]:
-        """(item, weighted gain) for gains > 0, ordered by gain desc, id asc."""
-        w = self._suffix_weight(t)
-        if w == 0.0 or not self.alive:
-            return []
-        counter = self._counter
-        if self._state is not None:
-            counter.add(len(self.alive))
-            return _running_pairs(self._state.gains, self.alive, w, t)
-        pairs = []
-        if self._marginal is not None:
-            counter.add(len(self.alive))
-            for i in sorted(self.alive):
-                m = _finite(t, i, self._marginal(i, self.members))
-                if m > 0.0:
-                    pairs.append((i, w * m))
+        self._suffix_weight = weights if callable(weights) else None
+        self._states: list = []
+        # The last term has the largest position: it is read whenever any is.
+        if self._suffix_weight is not None:
+            self._head, self._last = (), self._term(1, 1.0, oracles[0])
         else:
-            base = float(self._oracle(frozenset(self.members)))
-            counter.add(len(self.alive) + 1)
-            for i in sorted(self.alive):
-                m = _finite(t, i, float(self._oracle(frozenset(self.members | {i}))) - base)
-                if m > 0.0:
-                    pairs.append((i, w * m))
-        return _rank(pairs)
+            terms = [self._term(j, w, oracle) for j, (w, oracle)
+                     in enumerate(zip(weights, oracles), start=1) if w != 0.0]
+            self._head, self._last = terms[:-1], terms[-1] if terms else (0, 0.0, None, None, None)
 
-    def remove(self, item: int) -> None:
-        self.alive.discard(item)
-
-    def accept(self, item: int) -> None:
-        self.alive.discard(item)
-        self.members.add(item)
-        if self._state is not None:
-            self._state.add(item)
-
-
-class _HeterogeneousEngine:
-    """Candidate gains for per-position oracles:
-    sum_{j>=t, lambda_j != 0} lambda_j * f_j(i | S) for every survivor i.
-
-    A position whose oracle has ``marginal`` answers f_j(i | S) directly, one
-    counted call per candidate.  A position without one falls back to
-    f_j(S + i) - f_j(S): one base value per epoch, then one grown-set value
-    per candidate.  Terms are summed in position order either way.
-    """
-
-    def __init__(self, bundle: ObjectiveBundle, candidates):
-        self.bundle = bundle
-        self.members: set = set()
-        self.alive = set(int(i) for i in candidates)
-        self._marginals = tuple(getattr(oracle, "marginal", None) for oracle in bundle.oracles)
+    def _term(self, j: int, w: float, oracle) -> tuple:
+        state = oracle.running_gains() if hasattr(oracle, "running_gains") else None
+        if state is not None:
+            self._states.append(state)
+        return j, w, oracle, state, getattr(oracle, "marginal", None)
 
     def positive_candidates(self, t: int) -> Iterable[tuple[int, float]]:
         """(item, weighted gain) for gains > 0, ordered by gain desc, id asc."""
-        bundle = self.bundle
-        lams = bundle.weights.lambdas
-        terms = [(j, lams[j - 1], self._marginals[j - 1])
-                 for j in range(t, bundle.k + 1) if lams[j - 1] != 0.0]
-        if not terms or not self.alive:
-            return []
-        members = self.members
-        base_set = frozenset(members)
-        bases = {j: bundle.oracle_value(j, base_set) for j, _, marginal in terms
-                 if marginal is None}
-        bundle.counter.add(len(self.alive) * (len(terms) - len(bases)))
-        pairs = []
-        j = t
+        alive = self.alive
+        j, w, oracle, state, marginal = self._last
+        if self._suffix_weight is not None:
+            j, w = t, self._suffix_weight(t)
+        if j < t or w == 0.0 or not alive:
+            return ()
+        sums = None
+        for h, v, *read in self._head:
+            if h >= t:
+                gains = self._gains(h, *read, alive)
+                sums = ([v * gains[i] for i in alive] if sums is None else
+                        [s + v * gains[i] for s, i in zip(sums, alive)])
+        # The last term's pass also adds it in and keeps the positive sums,
+        # so a single term costs one pass over the candidates.
+        gains = self._gains(j, oracle, state, marginal, alive)
+        if sums is None:
+            pairs = [(i, s) for i in alive if (s := w * gains[i]) > 0.0]
+        else:
+            pairs = [(i, s) for i, p in zip(alive, sums) if (s := p + w * gains[i]) > 0.0]
+        # A reversed sort stays stable, so equal gains keep their id order.
+        pairs.sort(key=itemgetter(1), reverse=True)
+        return pairs
+
+    def _gains(self, j: int, oracle, state, marginal, alive: list):
+        """f(i | S) indexed by item id for every alive i, read by the term's
+        rule at position j: the running list itself, else a dict."""
         try:
-            for i in sorted(self.alive):
-                grown = frozenset(members | {i}) if bases else None
-                gain = 0.0
-                for j, lam, marginal in terms:
-                    if marginal is None:
-                        gain += lam * (bundle.oracle_value(j, grown) - bases[j])
-                    else:
-                        gain += lam * _finite(j, i, marginal(i, members))
-                if gain > 0.0:
-                    pairs.append((i, gain))
+            if state is not None:
+                self._counter.add(len(alive))
+                gains = state.gains
+            elif marginal is not None:
+                self._counter.add(len(alive))
+                members = self.members
+                gains = {i: float(marginal(i, members)) for i in alive}
+            else:
+                self._counter.add(len(alive) + 1)
+                members = self.members
+                base = float(oracle(frozenset(members)))
+                gains = {i: float(oracle(frozenset(members | {i}))) - base for i in alive}
         except OracleEvaluationError:
             raise
         except Exception as exc:
             raise OracleEvaluationError(j, str(exc)) from exc
-        return _rank(pairs)
+        # A sum is finite only if every summand is, so one sum per read keeps
+        # the per-candidate check off the common path.
+        if not math.isfinite(sum(gains if state is not None else gains.values())):
+            for i in alive:
+                _finite(j, i, gains[i])
+        return gains
 
     def remove(self, item: int) -> None:
-        self.alive.discard(item)
+        self.alive.remove(item)
 
     def accept(self, item: int) -> None:
-        self.alive.discard(item)
         self.members.add(item)
+        for state in self._states:
+            state.add(item)
 
 
 def _make_engine(bundle: ObjectiveBundle, candidates):
+    """The batched engine for a homogeneous oracle with ``incremental()``,
+    else the list engine."""
     if not bundle.homogeneous:
-        return _HeterogeneousEngine(bundle, candidates)
-    if hasattr(bundle.base_oracle, "incremental"):
-        return _BatchedEngine(bundle, candidates)
-    return _HomogeneousEngine(bundle.base_oracle, bundle.counter, bundle.suffix_weight, candidates)
+        return _ListEngine(bundle.oracles, bundle.weights.lambdas, bundle.counter, candidates)
+    oracle = bundle.base_oracle
+    if hasattr(oracle, "incremental"):
+        state = oracle.incremental()
+        return _BatchedEngine(state.gains, state.add, bundle.weights.suffix_sum, bundle.counter,
+                              candidates, bundle.ground[-1] + 1)
+    return _ListEngine((oracle,), bundle.weights.suffix_sum, bundle.counter, candidates)
 
 
 def _complement_engine(base, ground, counter: EvalCounter):
-    """The forward engine on g(S) = f(V minus S) over V = ``ground``, every
+    """The list engine on g(S) = f(V minus S) over V = ``ground``, every
     position weighted 1: a modular base's ``complement_gains`` or
     ``ComplementFn.marginal`` give the gains, one counted call per candidate."""
     fn = ComplementFn(base, ground)
-    return _HomogeneousEngine(fn, counter, lambda t: 1.0, fn.ground)
+    return _ListEngine((fn,), _unit_weight, counter, fn.ground)
+
+
+def _unit_weight(t: int) -> float:
+    return 1.0
 
 
 def _check_k(bundle: ObjectiveBundle, k) -> int:
@@ -572,21 +557,18 @@ def homogeneous_solve(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None
     keep whichever sequence scores higher (ties favor the first-half
     strategy), truncated to exactly k positions.
     """
-    cfg = cfg if cfg is not None else SamplerConfig()
-    _require_homogeneous(bundle, "homogeneous_solve")
-    k = _check_k(bundle, k)
-    if k < _half(bundle.n):
-        return fixed_length_solve(bundle, k, cfg)
-    return _two_block(bundle, k, cfg)[0]
+    return _homogeneous_run(bundle, k, cfg if cfg is not None else SamplerConfig())[0]
 
 
 def _homogeneous_run(bundle: ObjectiveBundle, k,
                      cfg: SamplerConfig) -> tuple[Sequence, float | None]:
     """homogeneous_solve(bundle, k, cfg) and the F its two-block branch picked
     the winner by; None below ceil(n/2), where nothing scored the sequence."""
-    if bundle.homogeneous and _check_k(bundle, k) >= _half(bundle.n):
-        return _two_block(bundle, k, cfg)
-    return homogeneous_solve(bundle, k, cfg), None
+    _require_homogeneous(bundle, "homogeneous_solve")
+    k = _check_k(bundle, k)
+    if k < _half(bundle.n):
+        return fixed_length_solve(bundle, k, cfg), None
+    return _two_block(bundle, k, cfg)
 
 
 def _two_block(bundle: ObjectiveBundle, k: int, cfg: SamplerConfig) -> tuple[Sequence, float]:
@@ -641,29 +623,18 @@ def baseline_covdiv(fn, bundle: ObjectiveBundle, k=None, constraint: str = FLEXI
     """Diversity-only greedy: ignores ratings and the position weights.
 
     Adds the item with the largest positive marginal of the coverage-minus-
-    similarity term until k items are placed or no positive marginal remains;
-    under the fixed constraint the shortfall is padded like fixed_length_solve.
+    similarity term until k items are placed or no positive marginal remains:
+    ``_greedy`` on the state's diversity gains at weight 1 with every coin 1.
+    Under the fixed constraint the shortfall is padded like fixed_length_solve.
     """
     cfg = cfg if cfg is not None else SamplerConfig()
     k = _check_k(bundle, k)
     if constraint not in (FLEXIBLE, FIXED):
         raise ValueError(f"unknown constraint {constraint!r}")
     state = fn.incremental()
-    alive = np.zeros(bundle.ground[-1] + 1, dtype=bool)
-    alive[list(bundle.ground)] = True
-    count = bundle.n
-    out: list[int] = []
-    while len(out) < k and count:
-        bundle.counter.add(count)
-        gains = np.where(alive, state.diversity_gains()[:alive.size], -np.inf)
-        item = int(gains.argmax())  # argmax takes the first, i.e. lowest id
-        if not gains[item] > 0.0:
-            break
-        out.append(item)
-        state.add(item)
-        alive[item] = False
-        count -= 1
-    seq = Sequence(tuple(out))
+    engine = _BatchedEngine(state.diversity_gains, state.add, _unit_weight, bundle.counter,
+                            bundle.ground, bundle.ground[-1] + 1)
+    seq = Sequence(tuple(_greedy(engine, k, CoinStream(1.0, forced=[1] * k))))
     return _pad_to_k(bundle, seq, k, cfg, backup) if constraint == FIXED else seq
 
 
@@ -712,12 +683,16 @@ def _greedy_run(bundle, k, cfg, constraint, oracle, ratings):
     return sampling_greedy(bundle, k, cfg)[0], None
 
 
+def _presampled_run(bundle, k, cfg, constraint, oracle, ratings):
+    seq = presampled_greedy(bundle, k, cfg)
+    return (_pad_to_k(bundle, seq, bundle.k, cfg) if constraint == FIXED else seq), None
+
+
 _EVERYWHERE = ("solve", "experiment")
 
 ALGORITHMS = {
     "sg": Algorithm(_greedy_run, True, (FIXED,), _EVERYWHERE),
-    "presampled": Algorithm(lambda bundle, k, cfg, constraint, oracle, ratings: (
-        presampled_greedy(bundle, k, cfg), None), True, (), ("solve",)),
+    "presampled": Algorithm(_presampled_run, True, (FIXED,), ("solve",)),
     "fixed": Algorithm(_greedy_run, True, (FLEXIBLE, FIXED), _EVERYWHERE),
     "homog": Algorithm(lambda bundle, k, cfg, constraint, oracle, ratings:
                        _homogeneous_run(bundle, k, cfg), True, (), _EVERYWHERE),
@@ -725,8 +700,8 @@ ALGORITHMS = {
         baseline_covdiv(oracle, bundle, k, constraint, cfg), None), False, (FIXED,), _EVERYWHERE),
     "quality": Algorithm(lambda bundle, k, cfg, constraint, oracle, ratings: (
         baseline_quality(ratings, k), None), False, (), _EVERYWHERE),
-    "brute": Algorithm(lambda bundle, k, cfg, constraint, oracle, ratings: (
-        brute_force(bundle, k, constraint)[0], None), False, (FIXED,), ("solve",)),
+    "brute": Algorithm(lambda bundle, k, cfg, constraint, oracle, ratings:
+                       brute_force(bundle, k, constraint), False, (FIXED,), ("solve",)),
 }
 
 

@@ -2,7 +2,8 @@
 and run comparative experiments.
 
 Exit codes: 0 success, 1 a bound check failed, 2 malformed input or file
-format, 3 infeasible request (k too large, enumeration guard tripped).
+format, or an oracle that fails or goes non-finite on the instance, 3
+infeasible request (k too large, enumeration guard tripped).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .algorithms import (
     SamplerConfig,
     run_algorithm,
 )
+from .core import OracleEvaluationError
 from .files import (
     ExperimentFile,
     InstanceFormatError,
@@ -224,7 +226,7 @@ def main(argv=None) -> int:
     except (InfeasibleError, EnumerationTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (InstanceFormatError, OSError, ValueError, KeyError) as exc:
+    except (InstanceFormatError, OSError, ValueError, KeyError, OracleEvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -208,7 +208,7 @@ class _ProfileRuns:
     the round: ``sg`` and ``fixed`` share one sampling_greedy per round, and
     a padded cell adds one backup pad of it.  A run keeps the oracle calls of
     its one execution.  evaluate_F is a pure function of the items, so values
-    are cached by them.
+    are cached by them, and the F a run hands back is cached, not recomputed.
     """
 
     def __init__(self, spec: ExperimentSpec, dist: UserTypeDistribution):
@@ -223,8 +223,10 @@ class _ProfileRuns:
     def _once(self, key, solve) -> tuple[Sequence, int]:
         if key not in self._runs:
             before = self.bundle.counter.calls
-            seq = solve()
+            seq, value = solve()
             self._runs[key] = (seq, self.bundle.counter.calls - before)
+            if value is not None:
+                self._values[seq.items] = value
         return self._runs[key]
 
     def row(self, name: str, constraint: str, r: int, cfg: SamplerConfig) -> tuple[float, int, int]:
@@ -232,9 +234,10 @@ class _ProfileRuns:
         spec, bundle, k = self.spec, self.bundle, self.spec.k
         algo = ALGORITHMS[name]
         seq, calls = self._once((algo.run, r if algo.per_seed else None), lambda: algo.run(
-            bundle, k, cfg, FLEXIBLE, spec.oracle, spec.ratings)[0])
+            bundle, k, cfg, FLEXIBLE, spec.oracle, spec.ratings))
         if constraint in algo.pads:
-            seq = self._once(("pad", algo.run, r), lambda: _pad_to_k(bundle, seq, k, cfg))[0]
+            seq = self._once(("pad", algo.run, r),
+                             lambda: (_pad_to_k(bundle, seq, k, cfg), None))[0]
         if seq.items not in self._values:
             self._values[seq.items] = evaluate_F(bundle, seq)
         return self._values[seq.items], len(seq), calls

@@ -515,7 +515,7 @@ class TestHeterogeneousMarginals:
         # one base value per epoch plus one grown value per candidate.
         counted = heterogeneous_bundle(oracles, (1.0, 0.6, 0.3, 0.2, 0.8), n=12)
         counted.counter.calls = 0
-        algorithms._HeterogeneousEngine(counted, range(12)).positive_candidates(2)
+        algorithms._make_engine(counted, range(12)).positive_candidates(2)
         assert counted.counter.calls == 12 * 2 + (1 + 12) * 2
 
     def test_failing_marginal_reports_position(self):
@@ -534,6 +534,50 @@ class TestHeterogeneousMarginals:
             sampling_greedy(bundle, 3, SamplerConfig(1.0, 0))
         assert err.value.position == 3
         assert "boom" in str(err.value)
+
+
+class _Failing:
+    """f(S) = |S|, raising on every read of a set of ``limit`` or more items."""
+
+    def __init__(self, limit):
+        self.limit = limit
+
+    def __call__(self, items):
+        if len(items) >= self.limit:
+            raise RuntimeError("boom")
+        return float(len(items))
+
+
+class _FailingMarginal(_Failing):
+    def marginal(self, item, items):
+        return self(set(items) | {item}) - self(items)
+
+
+class TestOracleFailures:
+    """An exception from a homogeneous oracle, read by its marginal or by its
+    values, becomes OracleEvaluationError at the position being scored, as
+    it does for a heterogeneous position."""
+
+    @pytest.mark.parametrize("oracle", (_Failing, _FailingMarginal),
+                             ids=("value-only", "marginal"))
+    def test_forward_greedy(self, oracle):
+        bundle = homogeneous_bundle(oracle(2), (0.5, 0.5, 0.5), n=6)
+        with pytest.raises(OracleEvaluationError, match="boom") as err:
+            sampling_greedy(bundle, 3, coins=[1, 1, 1])
+        assert err.value.position == 2
+        assert isinstance(err.value.__cause__, RuntimeError)
+
+    @pytest.mark.parametrize("oracle", (_Failing, _FailingMarginal),
+                             ids=("value-only", "marginal"))
+    def test_complement_greedy(self, oracle):
+        # The complement reads f on V minus S minus {i}, five items at once.
+        bundle = homogeneous_bundle(oracle(5), (0.25,) * 4, n=6)
+        with pytest.raises(OracleEvaluationError, match="boom") as err:
+            alg2_second_half(bundle, 4, SamplerConfig(0.5, 1))
+        assert err.value.position == 1
+        with pytest.raises(OracleEvaluationError, match="boom") as err:
+            sampling_greedy_j(oracle(5), 6, 2, SamplerConfig(0.5, 1))
+        assert err.value.position == 1
 
 
 class _Poisoned:

@@ -6,7 +6,7 @@ import pytest
 from seqsubmod import evaluate_F, read_instance, read_results, write_instance
 from seqsubmod.cli import main
 from seqsubmod.harness import UserTypeDistribution, make_weights
-from seqsubmod.files import synthetic_covdiv_instance, synthetic_modular_instance
+from seqsubmod.files import Instance, synthetic_covdiv_instance, synthetic_modular_instance
 from seqsubmod.functions import tiny_instance
 
 
@@ -206,12 +206,14 @@ class TestSolveGolden:
     """Digests of ``solve``'s exit code and stdout (sequence, F and
     oracle_calls) for every algorithm under both constraints, below and above
     k = ceil(n/2), taken before the algorithm table replaced the if/elif
-    dispatch."""
+    dispatch.  Retaken once when ``brute`` stopped rescoring its optimum and
+    ``presampled`` started padding under the fixed constraint: only the rows
+    of those runs changed."""
 
     @pytest.mark.parametrize("family, digest", (
-        ("modular-penalty", "d124bae392d45a85173c5e0580ef4260b6bcd9b7d78620c0eb1003b588b2debd"),
-        ("covdiv", "fd6ae97f6d0d3876df45d8448e78fdd97f74fc4a11bd5e90de2287d323a04ed9"),
-    ))
+        ("modular-penalty", "428d4f3fdfad421fff7bdd22b77ca22471b05e0229659fc99f9a6b1599ac5518"),
+        ("covdiv", "e4291cc2009db2e30db78f006cedde6a72511e4c381625e5a3fccc752e4f6181"),
+    ), ids=("modular-penalty", "covdiv"))
     def test_stdout_unchanged(self, tmp_path, capsys, family, digest):
         path = str(tmp_path / "inst.txt")
         if family == "covdiv":
@@ -261,6 +263,38 @@ class TestCheck:
                             "--rounds", "100", "--factor", "10.0", capsys=capsys)
         assert code == 1
         assert out.strip().splitlines()[-1] == "FAIL"
+
+
+@pytest.fixture
+def overflow_path(tmp_path):
+    """A finite instance whose sums overflow: item 2's penalties against items
+    0 and 1 take its running gains and the value of {0, 1} past the float range."""
+    big = 1.7e308
+    pens = np.array([[0.0, 0.0, big], [0.0, 0.0, big], [big, big, 0.0]])
+    path = str(tmp_path / "overflow.txt")
+    write_instance(path, Instance(family="modular-penalty", n=3, ratings=(1e308,) * 3,
+                                  penalties=pens))
+    return path
+
+
+class TestOracleOverflow:
+    """A non-finite oracle result is bad input: exit 2 with an ``error:``
+    line, never exit 1, which means a failed bound check."""
+
+    def test_solve(self, overflow_path, capsys):
+        code = main(["solve", "--instance", overflow_path, "--k", "3", "--algorithm", "homog"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: oracle at position 1: non-finite marginal inf")
+
+    def test_check(self, overflow_path, capsys):
+        code = main(["check", "--instance", overflow_path, "--k", "3",
+                     "--mode", "homogeneous", "--rounds", "10"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: oracle at position 2: non-finite value inf")
 
 
 class TestExperiment:
