@@ -206,7 +206,8 @@ class _ListEngine:
     greedy at weight 1).  ``candidates`` are ascending item ids.
 
     Each term reads its oracle's gains by one rule: the id-indexed list of
-    its ``running_gains()`` state, else one ``marginal`` call per candidate,
+    its ``running_gains()`` state (one per oracle object, shared by every
+    term of that oracle), else one ``marginal`` call per candidate,
     else f(S + i) - f(S) from one base value per epoch and one grown-set
     value per candidate; every read is counted on ``counter``.  A non-finite
     gain, or any exception raised while scoring, is an OracleEvaluationError
@@ -218,7 +219,7 @@ class _ListEngine:
         self.alive = list(candidates)
         self._counter = counter
         self._suffix_weight = weights if callable(weights) else None
-        self._states: list = []
+        self._states: dict = {}  # id(oracle) -> its running-gain state or None
         # The last term has the largest position: it is read whenever any is.
         if self._suffix_weight is not None:
             self._head, self._last = (), self._term(1, 1.0, oracles[0])
@@ -228,10 +229,11 @@ class _ListEngine:
             self._head, self._last = terms[:-1], terms[-1] if terms else (0, 0.0, None, None, None)
 
     def _term(self, j: int, w: float, oracle) -> tuple:
-        state = oracle.running_gains() if hasattr(oracle, "running_gains") else None
-        if state is not None:
-            self._states.append(state)
-        return j, w, oracle, state, getattr(oracle, "marginal", None)
+        key = id(oracle)  # the terms hold the oracle, so its id stays unique
+        if key not in self._states:
+            self._states[key] = (oracle.running_gains() if hasattr(oracle, "running_gains")
+                                 else None)
+        return j, w, oracle, self._states[key], getattr(oracle, "marginal", None)
 
     def positive_candidates(self, t: int) -> Iterable[tuple[int, float]]:
         """(item, weighted gain) for gains > 0, ordered by gain desc, id asc."""
@@ -290,8 +292,9 @@ class _ListEngine:
 
     def accept(self, item: int) -> None:
         self.members.add(item)
-        for state in self._states:
-            state.add(item)
+        for state in self._states.values():
+            if state is not None:
+                state.add(item)
 
 
 def _make_engine(bundle: ObjectiveBundle, candidates):

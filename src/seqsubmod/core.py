@@ -14,8 +14,18 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 SetOracle = Callable[[frozenset], float]
+
+
+def left_sum(values) -> float:
+    """Float sum from 0.0, added left to right.  Python 3.12's builtin
+    ``sum`` compensates float rounding, so it gives other bits than 3.10 and
+    3.11 (``[1e16, 1.0, -1e16]`` sums to 1.0, not 0.0); seeded results must
+    be byte-reproducible on every supported version."""
+    return reduce(add, values, 0.0)
 
 
 class OracleEvaluationError(RuntimeError):
@@ -104,6 +114,20 @@ class WeightProfile:
     def weight(self, j: int) -> float:
         """lambda_j for 1 <= j <= k."""
         return self.lambdas[j - 1]
+
+    def weigh(self, scores, limit: int) -> float:
+        """F of a homogeneous objective from its prefix scores: sum_j
+        lambda_j * scores[j-1] over j <= ``limit``, then the saturated value
+        scores[-1] times the suffix weight of the positions after ``limit``.
+        ``scores`` holds f of the prefixes 1..limit, or [f(empty)] when
+        ``limit`` is 0 (see ``prefix_scores``)."""
+        total = 0.0
+        if limit:
+            for lam, value in zip(self.lambdas, scores):
+                total += lam * value
+        if limit < len(self.lambdas):
+            total += self._suffix[limit] * scores[-1]
+        return total
 
     def suffix_sum(self, t: int) -> float:
         """Sum of lambda_j over j in {t..k}; zero once t > k."""
@@ -290,36 +314,49 @@ def _checked_items(bundle: ObjectiveBundle, seq: Sequence) -> tuple[int, ...]:
     return seq.items
 
 
+def prefix_scores(bundle: ObjectiveBundle, seq) -> list[float]:
+    """The values of the shared oracle that F of a homogeneous bundle reads:
+    f on the prefixes 1..min(len(seq), k), or [f(empty)] for an empty
+    sequence.  Scored in one ``prefix_evaluator`` call when the oracle has
+    one, else by one counted value call per prefix.  They do not depend on
+    the weights, so ``bundle.weights.weigh`` turns them into F under any
+    profile of the same k."""
+    if not bundle.homogeneous:
+        raise ValueError("bundle is not homogeneous")
+    items = _checked_items(bundle, as_sequence(seq))
+    return _prefix_scores(bundle, items, min(len(items), bundle.k))
+
+
+def _prefix_scores(bundle: ObjectiveBundle, items: tuple[int, ...], limit: int) -> list[float]:
+    if limit and bundle.prefix_evaluator is not None:
+        return bundle.oracle_prefix_values(items[:limit])
+    if not limit:
+        return [bundle.oracle_value(1, frozenset())]
+    running: set = set()
+    scores = []
+    for j in range(1, limit + 1):
+        running.add(items[j - 1])
+        scores.append(bundle.oracle_value(j, frozenset(running)))
+    return scores
+
+
 def evaluate_F(bundle: ObjectiveBundle, seq) -> float:
     """Total weighted value sum_j lambda_j * f_j(prefix_j).
 
     Positions beyond len(seq) see the full selection (prefix saturation);
-    positions beyond k never contribute.  Homogeneous bundles reuse the
-    saturated value instead of re-evaluating it per position, and score
-    their prefixes in one ``prefix_evaluator`` call when the oracle has one.
+    positions beyond k never contribute.  A homogeneous bundle's F is its
+    ``prefix_scores`` weighed by its profile: the saturated value is read
+    once, not once per position.
     """
     seq = as_sequence(seq)
     items = _checked_items(bundle, seq)
     k = bundle.k
-    lams = bundle.weights.lambdas
     limit = min(len(items), k)
+    if bundle.homogeneous:
+        return bundle.weights.weigh(_prefix_scores(bundle, items, limit), limit)
+    lams = bundle.weights.lambdas
     total = 0.0
     running: set = set()
-    if bundle.homogeneous:
-        value = None
-        if limit and bundle.prefix_evaluator is not None:
-            for lam, value in zip(lams, bundle.oracle_prefix_values(items[:limit])):
-                total += lam * value
-        else:
-            for j in range(1, limit + 1):
-                running.add(items[j - 1])
-                value = bundle.oracle_value(j, frozenset(running))
-                total += lams[j - 1] * value
-        if limit < k:
-            if value is None:
-                value = bundle.oracle_value(limit + 1, frozenset(running))
-            total += bundle.suffix_weight(limit + 1) * value
-        return total
     for j in range(1, k + 1):
         if j <= limit:
             running.add(items[j - 1])

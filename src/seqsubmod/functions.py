@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import left_sum
+
 
 def _ids(items) -> list[int]:
     return sorted(int(i) for i in items)
@@ -185,13 +187,13 @@ class CoverageFn:
         covered: set = set()
         for i in items:
             covered |= self.covers[i]
-        return sum(self.weights[e] for e in covered)
+        return left_sum(self.weights[e] for e in covered)
 
     def marginal(self, item: int, items) -> float:
         covered: set = set()
         for i in items:
             covered |= self.covers[i]
-        return sum(self.weights[e] for e in self.covers[item] - covered)
+        return left_sum(self.weights[e] for e in self.covers[item] - covered)
 
 
 class ComplementFn:

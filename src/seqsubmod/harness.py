@@ -24,7 +24,7 @@ from .algorithms import (
     derive_seed,
     run_algorithm,
 )
-from .core import Sequence, WeightProfile, evaluate_F, homogeneous_bundle
+from .core import Sequence, WeightProfile, homogeneous_bundle, left_sum, prefix_scores
 
 HOMOGENEOUS = "homogeneous"
 
@@ -89,9 +89,13 @@ def make_weights(dist: UserTypeDistribution) -> WeightProfile:
     if dist.kind == "normal":
         if dist.sigma is None or not dist.sigma > 0:
             raise ValueError("normal profiles need sigma > 0")
-        raw = [math.exp(-((j - dist.mu) ** 2) / (2.0 * dist.sigma ** 2))
-               for j in range(1, dist.k + 1)]
-        total = sum(raw)
+        try:
+            raw = [math.exp(-((j - dist.mu) ** 2) / (2.0 * dist.sigma ** 2))
+                   for j in range(1, dist.k + 1)]
+        except ArithmeticError as exc:  # a square overflows, or sigma^2 underflows to 0
+            raise ValueError(
+                f"normal(mu={dist.mu}, sigma={dist.sigma}) is outside the float range") from exc
+        total = left_sum(raw)
         if total == 0.0:
             raise ValueError(
                 f"normal(mu={dist.mu}, sigma={dist.sigma}) puts no mass on positions 1..{dist.k}")
@@ -159,7 +163,7 @@ class CellStats:
 
     @property
     def mean(self) -> float:
-        return sum(self.values) / len(self.values)
+        return left_sum(self.values) / len(self.values)
 
     @property
     def std(self) -> float:
@@ -167,7 +171,7 @@ class CellStats:
         if len(self.values) < 2:
             return 0.0
         m = self.mean
-        return math.sqrt(sum((v - m) ** 2 for v in self.values) / (len(self.values) - 1))
+        return math.sqrt(left_sum((v - m) ** 2 for v in self.values) / (len(self.values) - 1))
 
     @property
     def stderr(self) -> float:
@@ -207,11 +211,16 @@ class _ProfileRuns:
     by its ``ALGORITHMS`` run function and, when it changes with the seed, by
     the round: ``sg`` and ``fixed`` share one sampling_greedy per round, and
     a padded cell adds one backup pad of it.  A run keeps the oracle calls of
-    its one execution.  evaluate_F is a pure function of the items, so values
-    are cached by them, and the F a run hands back is cached, not recomputed.
+    its one execution.
+
+    F is a pure function of the items, so values are cached by them, and the
+    F a run hands back is cached, not recomputed.  Every profile of one
+    experiment shares ``spec.oracle`` and ``spec.k``, so the prefix scores F
+    reads are too: ``scores`` maps an item tuple, truncated to k, to its
+    ``prefix_scores`` for all profiles, and each profile weighs them itself.
     """
 
-    def __init__(self, spec: ExperimentSpec, dist: UserTypeDistribution):
+    def __init__(self, spec: ExperimentSpec, dist: UserTypeDistribution, scores: dict):
         weights = make_weights(dist)
         if weights.k != spec.k:
             raise ValueError(f"distribution {dist.label} has k={weights.k}, expected {spec.k}")
@@ -219,6 +228,7 @@ class _ProfileRuns:
         self.bundle = homogeneous_bundle(spec.oracle, weights, n=spec.n)
         self._runs: dict = {}
         self._values: dict = {}
+        self._scores = scores
 
     def _once(self, key, solve) -> tuple[Sequence, int]:
         if key not in self._runs:
@@ -238,9 +248,14 @@ class _ProfileRuns:
         if constraint in algo.pads:
             seq = self._once(("pad", algo.run, r),
                              lambda: (_pad_to_k(bundle, seq, k, cfg), None))[0]
-        if seq.items not in self._values:
-            self._values[seq.items] = evaluate_F(bundle, seq)
-        return self._values[seq.items], len(seq), calls
+        value = self._values.get(seq.items)
+        if value is None:
+            head = seq.items[:k]
+            scores = self._scores.get(head)
+            if scores is None:
+                scores = self._scores[head] = prefix_scores(bundle, head)
+            value = self._values[seq.items] = bundle.weights.weigh(scores, len(head))
+        return value, len(seq), calls
 
 
 def run_monte_carlo(spec: ExperimentSpec) -> RunStats:
@@ -256,15 +271,16 @@ def comparative_experiment(spec: ExperimentSpec,
     Round r of every cell uses SamplerConfig(spec.p, round_seed(base_seed, r)),
     so cells see matched randomness and the whole table is reproducible from
     (spec, base_seed) alone.  Each distinct computation runs once and every
-    cell reports what a standalone run of its algorithm gives.
+    cell reports what a standalone run of its algorithm gives: a solver run
+    once per profile, the prefix scores of a sequence once per experiment.
     """
-    cfgs, profiles, cells = None, [], []
+    cfgs, profiles, cells, scores = None, [], [], {}
     for constraint in constraints:
         if constraint not in (FLEXIBLE, FIXED):
             raise ValueError(f"unknown constraint {constraint!r}")
         for i, dist in enumerate(spec.distributions):
             if i == len(profiles):
-                profiles.append(_ProfileRuns(spec, dist))
+                profiles.append(_ProfileRuns(spec, dist, scores))
             for name in spec.algorithms:
                 cfgs = cfgs or [SamplerConfig(spec.p, round_seed(spec.base_seed, r))
                                 for r in range(spec.rounds)]

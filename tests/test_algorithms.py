@@ -37,6 +37,7 @@ from seqsubmod import (
 )
 from seqsubmod import OracleEvaluationError, algorithms
 from seqsubmod.files import Instance, synthetic_covdiv_instance, synthetic_modular_instance
+from seqsubmod.functions import RunningGains
 from seqsubmod.harness import UserTypeDistribution, make_weights
 
 from oracles import naive_best, naive_diversity_greedy
@@ -517,6 +518,28 @@ class TestHeterogeneousMarginals:
         counted.counter.calls = 0
         algorithms._make_engine(counted, range(12)).positive_candidates(2)
         assert counted.counter.calls == 12 * 2 + (1 + 12) * 2
+
+    def test_positions_sharing_an_oracle_share_its_running_gains(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        pen = np.triu(rng.uniform(0.0, 0.2, (40, 40)), 1)
+        rewards, penalties = rng.uniform(5.0, 10.0, 40), pen + pen.T
+        fn = ModularPenaltyFn(rewards, penalties)
+        adds = []
+        add = RunningGains.add
+        monkeypatch.setattr(RunningGains, "add",
+                            lambda state, item: (adds.append(item), add(state, item))[1])
+        seq, _ = sampling_greedy(heterogeneous_bundle((fn,) * 8, (0.5,) * 8, n=40), 8,
+                                 SamplerConfig(1.0, 0))
+        assert len(seq) == 8 and len(adds) == 8
+        # One state per oracle object: copies of fn get a state each and the
+        # same adds, so the traces agree bit for bit.
+        copies = tuple(ModularPenaltyFn(rewards, penalties) for _ in range(8))
+        weights = (0.5, 0.0, 1.0, 0.25, 0.5, 0.0, 0.75, 0.5)
+        for seed in range(5):
+            cfg = SamplerConfig(P_STAR, seed)
+            shared = sampling_greedy(heterogeneous_bundle((fn,) * 8, weights, n=40), 8, cfg)
+            apart = sampling_greedy(heterogeneous_bundle(copies, weights, n=40), 8, cfg)
+            assert shared == apart
 
     def test_failing_marginal_reports_position(self):
         class Exploding:

@@ -1,9 +1,22 @@
+import contextlib
 import hashlib
+import io
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqsubmod import evaluate_F, read_instance, read_results, write_instance
+from seqsubmod import (
+    InstanceFormatError,
+    evaluate_F,
+    read_experiment,
+    read_instance,
+    read_results,
+    write_instance,
+)
 from seqsubmod.cli import main
 from seqsubmod.harness import UserTypeDistribution, make_weights
 from seqsubmod.files import Instance, synthetic_covdiv_instance, synthetic_modular_instance
@@ -369,8 +382,135 @@ class TestExperiment:
         assert not out.exists()
         assert "algorithms: expected at least one name" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("profile", ("normal 1 5e-324", "normal 1 1e200", "normal 1e200 1"))
+    def test_out_of_range_normal_is_bad_input(self, tmp_path, capsys, profile):
+        spec = self._setup(tmp_path)
+        with open(spec, "a") as fh:
+            fh.write(f"distribution {profile}\n")
+        out = tmp_path / "r.csv"
+        code, _ = run_cli("experiment", "--spec", spec, "--out", str(out))
+        assert code == 2
+        assert not out.exists()
+        assert "outside the float range" in capsys.readouterr().err
+
     def test_covdiv_on_wrong_family(self, tmp_path, capsys):
         spec = self._setup(tmp_path, algorithms="sg covdiv")
         code, _ = run_cli("experiment", "--spec", spec,
                           "--out", str(tmp_path / "r.csv"), capsys=capsys)
         assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: small valid files, mutated a few lines at a time.
+
+_MODULAR = """family modular-penalty
+n 4
+rewards 1.03 2.68 2.58 2.48
+penalties inline
+0.0 0.0 0.0 1.89
+0.0 0.0 0.84 0.0
+0.0 0.84 0.0 1.09
+1.89 0.0 1.09 0.0
+"""
+
+_COVDIV = """family covdiv
+n 4
+alpha 1.0
+beta 0.5
+eta 2.0
+ratings 2.55 4.75 0.72 4.74
+tags inline
+0.0 0.5 1.0
+0.25 0.0 0.0
+1.0 1.0 0.0
+0.0 0.75 0.5
+"""
+
+_SPEC = """instance inst.txt
+k 2
+rounds 3
+seed 5
+p 0.5
+constraint both
+algorithms sg fixed homog covdiv quality
+distribution uniform
+distribution normal 1 1
+"""
+
+_WORDS = ("nan", "-inf", "1e309", "-1", "0", "0.5", "2", "4", "1_0", "\u0663", "x", "-0.0",
+          "5e-324", "1.7976931348623157e308", "inline", "file", "missing.txt", "#",
+          "family", "covdiv", "modular-penalty", "n", "rewards", "ratings", "penalties",
+          "similarity", "tags", "scales", "alpha", "beta", "eta", "instance", "k", "p",
+          "seed", "rounds", "constraint", "both", "algorithms", "sg", "homog",
+          "distribution", "uniform", "normal", "explicit")
+
+
+@st.composite
+def _mutated(draw, text):
+    """``text`` after one to three line edits: a word replaced, a line
+    dropped, duplicated or cut short, or a line of random words inserted."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(("replace", "drop", "duplicate", "cut", "insert")))
+        if op == "insert" or i == len(lines):
+            lines.insert(i, " ".join(draw(st.lists(st.sampled_from(_WORDS), max_size=4))))
+        elif op == "replace":
+            words = lines[i].split() or [""]
+            words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from(_WORDS))
+            lines[i] = " ".join(words)
+        elif op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))]
+    return "\n".join(lines) + "\n"
+
+
+def _quiet_main(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+class TestFuzz:
+    """A mutated instance or spec file either parses or raises
+    InstanceFormatError, and main() keeps its exit codes on it: 2 for bad
+    input, 3 for an infeasible request, 1 only for a check that failed."""
+
+    @given(st.sampled_from((_MODULAR, _COVDIV)).flatmap(_mutated),
+           st.sampled_from(("sg", "fixed", "homog", "brute", "covdiv", "quality")))
+    @settings(max_examples=200, deadline=None)
+    def test_instance_files(self, text, algorithm):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "inst.txt")
+            with open(path, "w") as fh:
+                fh.write(text)
+            try:
+                read_instance(path)
+            except InstanceFormatError:
+                pass
+            code, _ = _quiet_main(["solve", "--instance", path, "--k", "2",
+                                   "--algorithm", algorithm])
+            assert code in (0, 2, 3)
+            code, out = _quiet_main(["check", "--instance", path, "--k", "2", "--rounds", "3"])
+            assert code in (0, 2, 3) or (code == 1 and out.endswith("FAIL\n"))
+
+    @given(_mutated(_SPEC))
+    @settings(max_examples=100, deadline=None)
+    def test_spec_files(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            with open(os.path.join(tmp, "inst.txt"), "w") as fh:
+                fh.write(_COVDIV)
+            spec = os.path.join(tmp, "exp.txt")
+            with open(spec, "w") as fh:
+                fh.write(text)
+            try:
+                read_experiment(spec)
+            except InstanceFormatError:
+                pass
+            code, _ = _quiet_main(["experiment", "--spec", spec, "--rounds", "2",
+                                   "--out", os.path.join(tmp, "results.csv")])
+            assert code in (0, 2, 3)

@@ -20,6 +20,7 @@ from seqsubmod import (
     telescoping_value,
     tiny_instance,
 )
+from seqsubmod.core import left_sum, prefix_scores
 from seqsubmod.harness import UserTypeDistribution, make_weights
 
 from oracles import naive_F
@@ -257,6 +258,52 @@ class TestPrefixEvaluator:
         assert homogeneous_bundle(lambda s: tiny_fn(s), (1.0, 1.0), n=3).prefix_evaluator is None
         assert heterogeneous_bundle((fn, fn), (1.0, 1.0), n=10).prefix_evaluator is None
         assert covdiv == homogeneous_bundle(fn, (1.0, 1.0), ground=range(10))
+
+
+class TestPrefixScores:
+    """F of a homogeneous bundle is its prefix scores weighed by its profile,
+    and the scores serve every profile of the same k."""
+
+    @pytest.mark.parametrize("prefixed", (True, False), ids=("prefix-evaluator", "value-calls"))
+    def test_weighed_scores_are_F_under_every_profile(self, prefixed):
+        fn = synthetic_covdiv_instance(40, d=6, seed=12).oracle()
+        oracle = fn if prefixed else (lambda s: fn(s) + 0.25)  # f(empty) != 0
+        profiles = [make_weights(UserTypeDistribution.uniform(9)),
+                    make_weights(UserTypeDistribution.normal(9, 3.0, 2.0)),
+                    WeightProfile((0.0, 2.0, 0.0, 0.5, 0.0, 0.0, 1.0, 0.0, 0.0))]
+        bundles = [homogeneous_bundle(oracle, w, n=40) for w in profiles]
+        rng = np.random.default_rng(3)
+        for length in (0, 1, 5, 8, 9, 10, 17):
+            seq = tuple(rng.choice(40, length, replace=False).tolist())
+            before = bundles[0].counter.calls
+            scores = prefix_scores(bundles[0], seq)
+            assert bundles[0].counter.calls - before == max(min(length, 9), 1)
+            assert len(scores) == max(min(length, 9), 1)
+            for bundle in bundles:
+                want = _direct_F(bundle, seq)[0]
+                assert bundle.weights.weigh(scores, min(length, 9)) == want
+                assert evaluate_F(bundle, seq) == want
+
+    def test_heterogeneous_has_no_shared_scores(self, tiny_fn):
+        bundle = heterogeneous_bundle((tiny_fn, tiny_fn), (1.0, 1.0), n=3)
+        with pytest.raises(ValueError, match="not homogeneous"):
+            prefix_scores(bundle, [0])
+
+    def test_checks_the_ground_set(self, tiny_fn):
+        bundle = homogeneous_bundle(tiny_fn, (1.0, 1.0), ground=(0, 2))
+        with pytest.raises(ValueError, match=r"items \[1\] are outside"):
+            prefix_scores(bundle, [0, 1])
+
+
+class TestLeftSum:
+    def test_adds_left_to_right(self):
+        # Python 3.12's builtin sum compensates and gives 1.0 here.
+        assert left_sum([1e16, 1.0, -1e16]) == 0.0
+        assert left_sum(iter([1e16, 1.0, 1.0])) == 1e16
+
+    def test_empty_is_float_zero(self):
+        total = left_sum([])
+        assert total == 0.0 and isinstance(total, float)
 
 
 class _Prefixed:

@@ -379,6 +379,12 @@ class TestComplement:
 
 
 class TestCoverageFn:
+    def test_sums_left_to_right(self):
+        # 1e16 + 1.0 rounds back to 1e16; a compensated sum would give 1e16 + 2.
+        fn = CoverageFn([(0, 1, 2), (1, 2)], (1e16, 1.0, 1.0))
+        assert fn({0}) == 1e16
+        assert fn.marginal(0, ()) == 1e16
+
     def test_union_semantics(self):
         fn = CoverageFn([(0, 1), (1, 2), ()], (1.0, 2.0, 4.0))
         assert fn({0}) == pytest.approx(3.0)

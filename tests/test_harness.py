@@ -60,6 +60,14 @@ class TestDistributions:
         profile = make_weights(UserTypeDistribution.explicit((0.2, 0.0, 1.5)))
         assert profile.lambdas == (0.2, 0.0, 1.5)
 
+    def test_normal_total_adds_left_to_right(self):
+        raw = [math.exp(-((j - 10.0) ** 2) / (2.0 * 5.0 ** 2)) for j in range(1, 51)]
+        total = 0.0
+        for w in raw:
+            total += w
+        got = make_weights(UserTypeDistribution.normal(50, 10.0, 5.0)).lambdas
+        assert got == tuple(w / total for w in raw)
+
     def test_labels(self):
         assert UserTypeDistribution.uniform(3).label == "UNIFORM"
         assert UserTypeDistribution.normal(3, 2.0, 1.0).label == "M-2"
@@ -68,6 +76,13 @@ class TestDistributions:
     def test_bad_sigma(self):
         with pytest.raises(ValueError):
             make_weights(UserTypeDistribution.normal(3, mu=2.0, sigma=0.0))
+
+    @pytest.mark.parametrize("mu, sigma", ((1.0, 5e-324), (1.0, 1e200), (1e200, 1.0)),
+                             ids=("sigma-squared-underflows", "sigma-squared-overflows",
+                                  "distance-squared-overflows"))
+    def test_finite_but_out_of_range(self, mu, sigma):
+        with pytest.raises(ValueError, match="outside the float range"):
+            make_weights(UserTypeDistribution.normal(3, mu, sigma))
 
     def test_no_mass_anywhere(self):
         with pytest.raises(ValueError):
@@ -211,6 +226,11 @@ class TestCellStats:
         assert cell.mean_length == pytest.approx(2.0)
         assert cell.mean_oracle_calls == pytest.approx(7.0)
 
+    def test_sums_left_to_right(self):
+        # Python 3.12's builtin sum compensates and gives a mean of 1/3 here.
+        cell = CellStats("sg", "UNIFORM", FLEXIBLE, (1e16, 1.0, -1e16), (1, 1, 1), (0, 0, 0))
+        assert cell.mean == 0.0
+
     def test_single_round_spread(self):
         cell = CellStats(algorithm="sg", distribution="UNIFORM",
                          constraint=FLEXIBLE, values=(3.0,), lengths=(1,),
@@ -295,7 +315,9 @@ def _standalone(name, bundle, spec, constraint, cfg):
     return baseline_quality(spec.ratings, spec.k)
 
 
-def _reference_cells(spec, constraints):
+def _reference_cells(spec, constraints, sequences=None):
+    """The cells of a per-cell loop over standalone runs; ``sequences``
+    collects each round's item tuple when given."""
     cells = []
     for constraint in constraints:
         for dist in spec.distributions:
@@ -307,6 +329,8 @@ def _reference_cells(spec, constraints):
                     before = bundle.counter.calls
                     seq = _standalone(name, bundle, spec, constraint, cfg)
                     calls.append(bundle.counter.calls - before)
+                    if sequences is not None:
+                        sequences.append(tuple(seq))
                     values.append(evaluate_F(bundle, seq))
                     lengths.append(len(seq))
                 cells.append(CellStats(name, dist.label, constraint, tuple(values),
@@ -324,6 +348,12 @@ def _covdiv_spec(seed):
         rounds=7, base_seed=seed)
 
 
+def _value_only_spec(seed):
+    # An oracle with values alone: no marginal, running gains or prefix_values.
+    spec = _modular_spec(seed)
+    return replace(spec, oracle=lambda items: spec.oracle(items))
+
+
 def _modular_spec(seed):
     # k = ceil(n/2), so homog runs its two-block strategy
     inst = synthetic_modular_instance(7, seed=3)
@@ -336,8 +366,8 @@ def _modular_spec(seed):
 
 
 class TestPlanner:
-    @pytest.mark.parametrize("make_spec", (_covdiv_spec, _modular_spec),
-                             ids=("covdiv", "modular"))
+    @pytest.mark.parametrize("make_spec", (_covdiv_spec, _modular_spec, _value_only_spec),
+                             ids=("covdiv", "modular", "value-only"))
     @pytest.mark.parametrize("seed", (0, 29))
     @pytest.mark.parametrize("constraints", ((FLEXIBLE, FIXED), (FIXED,), (FLEXIBLE,)),
                              ids=("both", "fixed", "flexible"))
@@ -349,6 +379,21 @@ class TestPlanner:
         if len(constraints) == 1:
             single = run_monte_carlo(replace(spec, constraint=constraints[0])).cells
             assert single == tuple(want)
+
+    @pytest.mark.parametrize("seed", (0, 29))
+    def test_each_sequence_is_scored_once(self, seed):
+        # No homog: its runs score their two candidates themselves.
+        spec = replace(_covdiv_spec(seed), algorithms=("sg", "fixed", "covdiv", "quality"))
+        fn, scored = spec.oracle, []
+        real = fn.prefix_values
+        fn.prefix_values = lambda items: scored.append(tuple(items)) or real(items)
+        sequences = []
+        want = _reference_cells(replace(spec, oracle=_covdiv_spec(seed).oracle),
+                                (FLEXIBLE, FIXED), sequences)
+        assert comparative_experiment(spec).cells == tuple(want)
+        assert len(spec.distributions) == 2
+        assert len(scored) == len(set(scored))
+        assert set(scored) == {items[:spec.k] for items in sequences if items}
 
     def test_shared_runs_still_count_their_calls(self):
         stats = comparative_experiment(_covdiv_spec(0))
