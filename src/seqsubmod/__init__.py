@@ -17,6 +17,7 @@ from .algorithms import (
     GreedyTrace,
     InfeasibleError,
     SamplerConfig,
+    SplitMix64,
     alg2_second_half,
     baseline_covdiv,
     baseline_quality,
@@ -88,7 +89,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoinStream", "EnumerationTooLargeError", "FIXED", "FLEXIBLE", "GreedyTrace",
-    "InfeasibleError", "P_STAR", "SamplerConfig", "alg2_second_half",
+    "InfeasibleError", "P_STAR", "SamplerConfig", "SplitMix64", "alg2_second_half",
     "baseline_covdiv", "baseline_quality", "brute_force", "derive_seed",
     "fixed_length_solve", "homogeneous_first_half", "homogeneous_solve",
     "presampled_greedy", "sampling_greedy", "sampling_greedy_j", "verify_trace",

@@ -14,17 +14,22 @@ a ``running_gains()`` list, else ``marginal`` calls, else value differences.
 The complement greedy is that loop on g(S) = f(V minus S).
 ``ALGORITHMS`` names the solvers for the CLI, experiments and bound checks.
 
-Randomness policy: every solver derives its coin stream from
-``Random(f"{seed}:coins")`` and its backup stream from
-``Random(f"{seed}:backup")``, so runs are reproducible cross-platform and the
-coin sequences of different solvers can be matched seed-for-seed.
+Randomness policy: every random draw comes from a counter-based SplitMix64
+stream named by (seed, tag) (Steele, Lea & Flood, OOPSLA 2014).  A solver
+draws its coins from the stream (seed, "coins") and its backup fill from
+(seed, "backup"); child seeds, such as the two halves of the two-block
+solver and an experiment's rounds, are draws of the streams (seed, "half")
+and (seed, "round") at an integer index.  The arithmetic is 64-bit integer
+work (Python ints, and numpy uint64 blocks for long streams), so runs are
+reproducible across platforms, two solvers on one seed see the same coins,
+and the global ``random`` and ``np.random`` states are never read or written.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import random
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from operator import itemgetter
@@ -68,42 +73,156 @@ class SamplerConfig:
             raise ValueError(f"p={self.p} outside [0, 1]")
 
 
+# ---------------------------------------------------------------------------
+# Random streams.
+
+_MASK = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's odd increment, 2^64 / golden ratio
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64's output function, a bijection of the 64-bit words."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _absorb(h: int, value: int) -> int:
+    """Hash state h after absorbing the 64-bit words of ``value`` >= 0, low
+    word first (at least one word).  Each step is bijective in its word."""
+    while True:
+        h = _mix64(((h ^ (value & _MASK)) + GAMMA) & _MASK)
+        value >>= 64
+        if not value:
+            return h
+
+
+@functools.lru_cache(maxsize=256)
+def _tag_state(tag: str, negative: bool) -> int:
+    return _absorb(0, int.from_bytes((b"-" if negative else b"+") + tag.encode(), "big"))
+
+
+def stream_key(seed: int, tag: str) -> int:
+    """The 64-bit key of the stream (seed, tag).
+
+    The tag and the seed's sign are absorbed first, then the 64-bit words of
+    |seed|, low word first.  Every seed in [0, 2^64) is one word, so those
+    seeds get pairwise-distinct keys per tag.  A negative seed or one of
+    2^64 and above is absorbed whole, every bit of it counts, and its key
+    equals the key of exactly one seed in [0, 2^64): a 64-bit key cannot tell
+    every integer apart.  So ``-5`` and ``2**64 + 5`` are keyed apart from
+    ``5``, not folded onto it.
+    """
+    if 0 <= seed <= _MASK:  # one word: _absorb's first step
+        return _mix64(((_tag_state(tag, False) ^ seed) + GAMMA) & _MASK)
+    return _absorb(_tag_state(tag, seed < 0), abs(seed))
+
+
+_FIRST, _BLOCK = 8, 256
+_NP_GAMMA, _NP_M1, _NP_M2 = (np.uint64(c) for c in (GAMMA, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+_NP_30, _NP_27, _NP_31 = (np.uint64(s) for s in (30, 27, 31))
+
+
+def _blocks(key: int):
+    """The draws of the stream keyed ``key`` in blocks: draw t = 0, 1, ... is
+    ``_mix64(key + (t + 1) * GAMMA)``, the SplitMix64 sequence seeded with key.
+
+    The first _FIRST draws are computed one at a time, as they are read; the
+    rest in numpy blocks of _BLOCK, whose uint64 arithmetic wraps mod 2^64 as
+    the masks do.  One block costs about as much as ten scalar draws, so a
+    short stream (the coins of a small instance) stays scalar, and a long one
+    (the coins of a k=50 greedy) pays for one block instead of a hundred
+    scalar draws.
+    """
+    yield (_mix64((key + t * GAMMA) & _MASK) for t in range(1, _FIRST + 1))
+    for start in itertools.count(_FIRST + 1, _BLOCK):
+        z = np.arange(start, start + _BLOCK, dtype=np.uint64)
+        z *= _NP_GAMMA
+        z += np.uint64(key)
+        z ^= z >> _NP_30
+        z *= _NP_M1
+        z ^= z >> _NP_27
+        z *= _NP_M2
+        z ^= z >> _NP_31
+        yield z.tolist()
+
+
+class SplitMix64:
+    """The counter-based stream (seed, tag): the draws of ``_blocks`` for
+    ``stream_key(seed, tag)``, read one by one.  Coins compare the top 53
+    bits with p; bounded integers reject the biased tail; samples are
+    partial Fisher-Yates."""
+
+    __slots__ = ("_draws",)
+
+    def __init__(self, seed: int, tag: str):
+        self._draws = itertools.chain.from_iterable(_blocks(stream_key(seed, tag)))
+
+    def next64(self) -> int:
+        return next(self._draws)
+
+    def below(self, n: int) -> int:
+        """Unbiased uniform integer in [0, n) for 1 <= n <= 2^64: draws at or
+        above the largest multiple of n are redrawn."""
+        limit = (1 << 64) - (1 << 64) % n
+        for x in self._draws:
+            if x < limit:
+                return x % n
+
+    def coins(self, p: float):
+        """Bernoulli(p) bits as bools, one per draw x: (x >> 11) * 2^-53 < p,
+        that is, x < ceil(p * 2^53) * 2^11."""
+        return map((math.ceil(p * 2.0 ** 53) << 11).__gt__, self._draws)
+
+    def sample(self, pool, m: int) -> list:
+        """Uniform ordered m-subset of ``pool``, in draw order: the first m
+        steps of a Fisher-Yates shuffle."""
+        items = list(pool)
+        if not 0 <= m <= len(items):
+            raise ValueError(f"cannot draw {m} of {len(items)} items")
+        for i in range(m):
+            j = i + self.below(len(items) - i)
+            items[i], items[j] = items[j], items[i]
+        return items[:m]
+
+
+def derive_seed(base_seed: int, tag: str, index: int = 0) -> int:
+    """Child seed ``index`` of a named sub-stream: draw ``index`` of the
+    stream (base_seed, tag), read at random access.  A 64-bit value; for one
+    (base_seed, tag) the seeds of indices 0..2^64-1 are pairwise distinct,
+    since ``_mix64`` is a bijection and GAMMA is odd."""
+    return _mix64((stream_key(base_seed, tag) + (index + 1) * GAMMA) & _MASK)
+
+
 class CoinStream:
     """Bernoulli(p) bit source with an optional forced-bit override for tests.
 
-    Forced bits are consumed in order; running past the end raises rather than
-    silently falling back to randomness.
+    A random stream's bits are its ``coins(p)``.  Forced bits are consumed in
+    order; running past the end raises rather than silently falling back to
+    randomness.
     """
 
-    def __init__(self, p: float, rng: random.Random | None = None, forced=None):
+    def __init__(self, p: float, rng: SplitMix64 | None = None, forced=None):
         self.p = float(p)
-        self._rng = rng
-        self._forced = list(forced) if forced is not None else None
-        self._pos = 0
-        if self._forced is None and rng is None:
+        if forced is not None:
+            self._bits = iter(list(forced))
+        elif rng is not None:
+            self._bits = rng.coins(self.p)
+        else:
             raise ValueError("coin stream needs an rng or a forced bit list")
 
     def draw(self) -> int:
-        if self._forced is not None:
-            if self._pos >= len(self._forced):
-                raise RuntimeError("forced coin stream exhausted")
-            bit = 1 if self._forced[self._pos] else 0
-            self._pos += 1
-            return bit
-        return 1 if self._rng.random() < self.p else 0
+        for bit in self._bits:
+            return 1 if bit else 0
+        raise RuntimeError("forced coin stream exhausted")
 
 
 def _coin_stream(cfg: SamplerConfig, coins) -> CoinStream:
     if coins is None:
-        return CoinStream(cfg.p, rng=random.Random(f"{cfg.seed}:coins"))
+        return CoinStream(cfg.p, rng=SplitMix64(cfg.seed, "coins"))
     if isinstance(coins, CoinStream):
         return coins
     return CoinStream(cfg.p, forced=coins)
-
-
-def derive_seed(base_seed: int, tag: str) -> int:
-    """Deterministic 63-bit child seed for a named sub-stream."""
-    return random.Random(f"{base_seed}:{tag}").getrandbits(63)
 
 
 @dataclass(frozen=True)
@@ -402,8 +521,7 @@ def presampled_greedy(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None
     cfg = cfg if cfg is not None else SamplerConfig()
     k = _check_k(bundle, k)
     if subset is None:
-        rng = random.Random(f"{cfg.seed}:coins")
-        pool = [i for i in bundle.ground if rng.random() < cfg.p]
+        pool = list(itertools.compress(bundle.ground, SplitMix64(cfg.seed, "coins").coins(cfg.p)))
     else:
         pool = sorted(set(int(i) for i in subset))
         if not set(pool) <= set(bundle.ground):
@@ -415,7 +533,7 @@ def presampled_greedy(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None
 
 def _draw_backup(cfg: SamplerConfig, pool: list[int], m: int, forced) -> list[int]:
     """Uniform m-subset of pool in draw order from cfg's backup stream; forced
-    lists are validated.  The stream is seeded only for a draw of m > 0 items
+    lists are validated.  The stream is keyed only for a draw of m > 0 items
     (an empty draw consumes no state, so skipping it changes nothing)."""
     if m < 0:
         raise InfeasibleError("backup pool smaller than the required fill")
@@ -430,7 +548,7 @@ def _draw_backup(cfg: SamplerConfig, pool: list[int], m: int, forced) -> list[in
         raise InfeasibleError("backup pool smaller than the required fill")
     if m == 0:
         return []
-    return random.Random(f"{cfg.seed}:backup").sample(pool, m)
+    return SplitMix64(cfg.seed, "backup").sample(pool, m)
 
 
 def fixed_length_solve(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None = None,
@@ -579,9 +697,9 @@ def _two_block(bundle: ObjectiveBundle, k: int, cfg: SamplerConfig) -> tuple[Seq
     with its F (ties favor the first half).  Positions past k never
     contribute, so the full sequence's F is the truncated one's."""
     first = homogeneous_first_half(
-        bundle, k, SamplerConfig(cfg.p, derive_seed(cfg.seed, "first")))
+        bundle, k, SamplerConfig(cfg.p, derive_seed(cfg.seed, "half", 0)))
     second = alg2_second_half(
-        bundle, k, SamplerConfig(cfg.p, derive_seed(cfg.seed, "second")))
+        bundle, k, SamplerConfig(cfg.p, derive_seed(cfg.seed, "half", 1)))
     first_value, second_value = evaluate_F(bundle, first), evaluate_F(bundle, second)
     if first_value >= second_value:
         return first.prefix(k), first_value

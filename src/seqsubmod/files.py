@@ -146,7 +146,8 @@ def _content_lines(path: str) -> list[str]:
         raise InstanceFormatError(f"cannot read {path}: {exc}") from exc
     lines = []
     for raw in raw_lines:
-        line = raw.split("#", 1)[0].strip()
+        # Most lines (every matrix row) have no comment: skip the split copy.
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if line:
             lines.append(line)
     return lines

@@ -104,8 +104,9 @@ def make_weights(dist: UserTypeDistribution) -> WeightProfile:
 
 
 def round_seed(base_seed: int, round_index: int) -> int:
-    """Deterministic, pairwise-distinct per-round seed."""
-    return derive_seed(base_seed, f"round-{round_index}")
+    """The seed of round ``round_index``: draw ``round_index`` of the stream
+    (base_seed, "round"), so rounds 0..2^64-1 get pairwise-distinct seeds."""
+    return derive_seed(base_seed, "round", round_index)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import math
-import random
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from seqsubmod import (
     P_STAR,
     SamplerConfig,
     Sequence,
+    SplitMix64,
     alg2_second_half,
     baseline_covdiv,
     baseline_quality,
@@ -52,9 +52,8 @@ class TestCoinStream:
             stream.draw()
 
     def test_degenerate_probabilities(self):
-        import random
-        always = CoinStream(1.0, rng=random.Random(0))
-        never = CoinStream(0.0, rng=random.Random(0))
+        always = CoinStream(1.0, rng=SplitMix64(0, "coins"))
+        never = CoinStream(0.0, rng=SplitMix64(0, "coins"))
         assert all(always.draw() == 1 for _ in range(50))
         assert all(never.draw() == 0 for _ in range(50))
 
@@ -197,7 +196,7 @@ def _check_against_eager(bundle, seeds, p=P_STAR, verified=None):
         before = bundle.counter.calls
         seq, trace = sampling_greedy(bundle, k, cfg)
         calls = bundle.counter.calls - before
-        stream = CoinStream(cfg.p, rng=random.Random(f"{seed}:coins"))
+        stream = CoinStream(cfg.p, rng=SplitMix64(seed, "coins"))
         want, want_calls = _eager_greedy(bundle, ground, stream)
         assert trace == want and seq == want.output
         assert calls == want_calls
@@ -205,8 +204,8 @@ def _check_against_eager(bundle, seeds, p=P_STAR, verified=None):
             verify_trace(bundle, trace)
         traces.append(trace)
 
-        coin_rng = random.Random(f"{seed}:coins")
-        pool = [i for i in ground if coin_rng.random() < cfg.p]
+        coins = CoinStream(cfg.p, rng=SplitMix64(seed, "coins"))
+        pool = [i for i in ground if coins.draw()]
         before = bundle.counter.calls
         got = presampled_greedy(bundle, k, cfg)
         calls = bundle.counter.calls - before
@@ -215,7 +214,7 @@ def _check_against_eager(bundle, seeds, p=P_STAR, verified=None):
 
         padded = fixed_length_solve(bundle, k, cfg)
         unused = sorted(set(ground) - set(seq.items))
-        fill = random.Random(f"{seed}:backup").sample(unused, k - len(seq))
+        fill = SplitMix64(seed, "backup").sample(unused, k - len(seq))
         assert padded.items == seq.items + tuple(sorted(fill))
     return traces
 
@@ -358,13 +357,15 @@ def _two_block_digest(n, inst_seed):
 
 class TestTwoBlockGolden:
     """Digests taken with the marginal-based solvers, before running gains:
-    the running sums must leave every output, F and oracle count in place."""
+    the running sums must leave every output, F and oracle count in place.
+    Retaken when the SplitMix64 streams replaced Mersenne Twister ones; the
+    old solvers fed the new streams gave the same digests."""
 
     @pytest.mark.parametrize("n, inst_seed, digest", (
-        (6, 51, "7b84d8eb83ba365e21aa1303032288abc00a457872d7454f5da6d0945eaa4eab"),
-        (40, 52, "07ca2483150d9d38f6fa6f988a5b8c429000bf809e2d2b01e75295699f720b0b"),
-        (160, 53, "ce0a3ad504d982161f1066b22998dd193e863f33c4734588ae206cf6ea232239"),
-    ))
+        (6, 51, "600042d39d42d530fdf5dc1f4f6ae4d4d8308e89d3235ba7beb7d14c051d4f04"),
+        (40, 52, "373a17bcecbfca551c8d8671b3bb28c551198e5713a3ea8277896b6c5b7d2116"),
+        (160, 53, "2f33717a9354b410b72793f0549ca8dd4411cb026a570863e0b7b49d3e511f19"),
+    ), ids=("6-51", "40-52", "160-53"))
     def test_outputs_unchanged(self, n, inst_seed, digest):
         assert _two_block_digest(n, inst_seed) == digest
 
@@ -398,12 +399,13 @@ def _complement_digest(fn, n):
 
 class TestComplementGolden:
     """Digests of the complement greedy on covdiv (``marginal``) and on a
-    value-only oracle, taken before it ran through the forward engine."""
+    value-only oracle, taken before it ran through the forward engine, and
+    retaken like ``TestTwoBlockGolden``'s for the SplitMix64 streams."""
 
     @pytest.mark.parametrize("case, digest", (
-        ("covdiv", "94cf19b0d2145cdb5634f95dc7065f0e47ba292d0e8e83deee3f0387293db47a"),
-        ("value-only", "3dea2ff1cb5d6783d568331a8c90a156c504336d06c5a47fc39a32c270989c53"),
-    ))
+        ("covdiv", "7855e1a22eee54c91457ef1b4e56b9c081b2f06c477ad4cd6cba4b50b55deefa"),
+        ("value-only", "0d93184947cd3c37c4bc3b616108c88ad28497773e09e5aa6268b52ffddb7e56"),
+    ), ids=("covdiv", "value-only"))
     def test_outputs_unchanged(self, case, digest):
         if case == "covdiv":
             fn, n = synthetic_covdiv_instance(12, d=5, seed=91, density=0.4, eta=3.0).oracle(), 12
@@ -863,9 +865,9 @@ class TestHomogeneousSolve:
             out = homogeneous_solve(bundle, 4, cfg)
             assert len(out) == 4
             first = homogeneous_first_half(
-                bundle, 4, SamplerConfig(cfg.p, derive_seed(seed, "first")))
+                bundle, 4, SamplerConfig(cfg.p, derive_seed(seed, "half", 0)))
             second = alg2_second_half(
-                bundle, 4, SamplerConfig(cfg.p, derive_seed(seed, "second")))
+                bundle, 4, SamplerConfig(cfg.p, derive_seed(seed, "half", 1)))
             best = max(evaluate_F(bundle, first), evaluate_F(bundle, second))
             assert evaluate_F(bundle, out) == pytest.approx(best)
 
