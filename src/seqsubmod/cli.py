@@ -134,7 +134,7 @@ def cmd_experiment(args) -> int:
     instance, oracle = _read_instance(exp.instance_path)
     _require_covdiv(instance, exp.algorithms)
     if instance.scales is not None:
-        raise InstanceFormatError("experiments run on homogeneous instances only")
+        raise InstanceFormatError("experiments run on instances without scales")
     spec = ExperimentSpec(
         oracle=oracle,
         ratings=instance.ratings,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algorithms import P_STAR
-from .core import EvalCounter, ObjectiveBundle, as_weights, heterogeneous_bundle, homogeneous_bundle
+from .core import EvalCounter, ObjectiveBundle, WeightProfile, as_weights, homogeneous_bundle
 from .functions import (
     CoverageDiversityFn,
     ModularPenaltyFn,
@@ -37,31 +37,15 @@ class InstanceFormatError(ValueError):
     """An instance or spec file violates the format contract."""
 
 
-class ScaledOracle:
-    """f_j = scale * f_base; the per-position oracle behind `scales` lines."""
-
-    __slots__ = ("base", "scale")
-
-    def __init__(self, base, scale: float):
-        self.base = base
-        self.scale = float(scale)
-        if not math.isfinite(self.scale):
-            raise ValueError(f"scale {self.scale} is not finite")
-
-    def __call__(self, items) -> float:
-        return self.scale * float(self.base(items))
-
-    def marginal(self, item, items) -> float:
-        return self.scale * float(self.base.marginal(item, items))
-
-
 @dataclass
 class Instance:
     """One on-disk problem instance.
 
     ``ratings`` double as the rewards of the modular-penalty family.  A
-    non-None ``scales`` tuple makes bundles heterogeneous with f_j = scales[j]
-    times the base function.
+    non-None ``scales`` tuple sets f_j = scales[j] times the base function;
+    scales are finite and nonnegative, so sum_j lambda_j * s_j * f is the
+    identical-utility objective under the weights lambda_j * s_j, and every
+    bundle is homogeneous.
     """
 
     family: str
@@ -85,14 +69,14 @@ class Instance:
     def bundle(self, weights, counter: EvalCounter | None = None, oracle=None) -> ObjectiveBundle:
         """Bundle under ``weights``; pass ``oracle`` if this instance's oracle is built."""
         profile = as_weights(weights)
+        if self.scales is not None:
+            if len(self.scales) != profile.k:
+                raise InstanceFormatError(
+                    f"{len(self.scales)} scales cannot serve k={profile.k} positions")
+            profile = WeightProfile(tuple(
+                lam * s for lam, s in zip(profile.lambdas, self.scales)))
         base = oracle if oracle is not None else self.oracle()
-        if self.scales is None:
-            return homogeneous_bundle(base, profile, n=self.n, counter=counter)
-        if len(self.scales) != profile.k:
-            raise InstanceFormatError(
-                f"{len(self.scales)} scales cannot serve k={profile.k} positions")
-        oracles = tuple(ScaledOracle(base, s) for s in self.scales)
-        return heterogeneous_bundle(oracles, profile, n=self.n, counter=counter)
+        return homogeneous_bundle(base, profile, n=self.n, counter=counter)
 
     def __eq__(self, other):
         if not isinstance(other, Instance):
@@ -299,15 +283,15 @@ def _validate_instance(inst: Instance):
         if inst.penalties.shape != (inst.n, inst.n):
             raise InstanceFormatError(
                 f"penalties are {inst.penalties.shape}, expected ({inst.n}, {inst.n})")
+    bad = [s for s in inst.scales or () if not 0.0 <= s < math.inf]
+    if bad:
+        raise InstanceFormatError(f"scales: {bad[0]!r} is not finite and nonnegative")
     try:
-        base = inst.oracle()
-        for scale in inst.scales or ():
-            ScaledOracle(base, scale)
+        return inst.oracle()
     except InstanceFormatError:
         raise
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from exc
-    return base
 
 
 def write_instance(path: str, inst: Instance) -> None:

@@ -22,6 +22,21 @@ def naive_F(oracles, lambdas, items) -> float:
     return total
 
 
+class ScaledFn:
+    """s * f through ``__call__`` and ``marginal`` alone: no running gains or
+    prefix values, so a heterogeneous bundle of these takes the marginal path."""
+
+    def __init__(self, fn, scale):
+        self.fn = fn
+        self.scale = float(scale)
+
+    def __call__(self, items):
+        return self.scale * float(self.fn(items))
+
+    def marginal(self, item, items):
+        return self.scale * float(self.fn.marginal(item, items))
+
+
 def naive_best(oracles, lambdas, ids, k, constraint="flexible"):
     """Exhaustive optimum; ties to the lexicographically smallest tuple."""
     lengths = [k] if constraint == "fixed" else list(range(0, k + 1))

@@ -36,11 +36,11 @@ from seqsubmod import (
     verify_trace,
 )
 from seqsubmod import OracleEvaluationError, algorithms
-from seqsubmod.files import Instance, synthetic_covdiv_instance, synthetic_modular_instance
+from seqsubmod.files import synthetic_covdiv_instance, synthetic_modular_instance
 from seqsubmod.functions import RunningGains
 from seqsubmod.harness import UserTypeDistribution, make_weights
 
-from oracles import naive_best, naive_diversity_greedy
+from oracles import ScaledFn, naive_best, naive_diversity_greedy
 
 
 class TestCoinStream:
@@ -486,10 +486,9 @@ def _check_against_value_differences(bundle, seeds, monkeypatch):
 def _scaled_modular_bundle(seed):
     n, k = 40, 8
     rng = np.random.default_rng([seed, 5])
-    base = synthetic_modular_instance(n, seed=seed)
-    inst = Instance(family=base.family, n=n, ratings=base.ratings, penalties=base.penalties,
-                    scales=tuple(float(x) for x in rng.uniform(0.5, 1.5, k)))
-    return inst.bundle(tuple(float(x) for x in rng.uniform(0.1, 1.0, k)))
+    fn = synthetic_modular_instance(n, seed=seed).oracle()
+    oracles = tuple(ScaledFn(fn, s) for s in rng.uniform(0.5, 1.5, k))
+    return heterogeneous_bundle(oracles, tuple(float(x) for x in rng.uniform(0.1, 1.0, k)), n=n)
 
 
 class TestHeterogeneousMarginals:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import os
@@ -155,8 +156,13 @@ class TestSolve:
         ("family modular-penalty\nn -2\nrewards 1 1\n", "error: n: must be at least 1"),
         ("family modular-penalty\nn 2\nrewards 1_0 2\npenalties inline\n0 0\n0 0\n",
          "error: rewards: expected numbers"),
+        # s_j * f is supermodular for s_j < 0, so it cannot fold into the weights.
+        ("family modular-penalty\nn 2\nrewards 1 1\nscales 1 -1\npenalties inline\n0 0\n0 0\n",
+         "error: scales: -1.0 is not finite and nonnegative"),
+        ("family modular-penalty\nn 2\nrewards 1 1\nscales -0.0 -1e-300\npenalties inline\n"
+         "0 0\n0 0\n", "error: scales: -1e-300 is not finite and nonnegative"),
     ), ids=("ragged-matrix", "tag-outside-unit", "nan-tag", "n-below-one",
-            "underscore-on-key-line"))
+            "underscore-on-key-line", "negative-scale", "tiny-negative-scale"))
     def test_malformed_block_is_bad_input(self, tmp_path, capsys, body, message):
         bad = str(tmp_path / "bad.txt")
         with open(bad, "w") as fh:
@@ -279,6 +285,34 @@ class TestCheck:
         assert out.strip().splitlines()[-1] == "FAIL"
 
 
+class TestScaledInstances:
+    """A scales line folds into the weights: a scaled instance under
+    ``normal:10,4`` prints what the same instance without scales prints under
+    the explicit weights lambda_j * s_j, F and oracle_calls included."""
+
+    @pytest.mark.parametrize("argv, k", (
+        (("solve", "--algorithm", "sg"), 6),
+        (("solve", "--algorithm", "homog"), 3),
+        (("solve", "--algorithm", "homog"), 6),
+        (("check", "--mode", "homogeneous", "--rounds", "200"), 5),
+    ), ids=("sg", "homog-below-half", "homog-two-block", "check-homogeneous"))
+    def test_same_stdout_as_the_folded_weights(self, tmp_path, capsys, argv, k):
+        base = synthetic_modular_instance(8, seed=7)
+        scales = tuple(np.random.default_rng(k).uniform(0.5, 1.5, k).tolist())
+        scaled, plain = str(tmp_path / "scaled.txt"), str(tmp_path / "plain.txt")
+        write_instance(scaled, dataclasses.replace(base, scales=scales))
+        write_instance(plain, base)
+        lams = make_weights(UserTypeDistribution.normal(k, 10.0, 4.0)).lambdas
+        folded = "explicit:" + ",".join(repr(lam * s) for lam, s in zip(lams, scales))
+        command, *flags = argv
+        for seed in range(3):
+            rest = [*flags, "--k", str(k), "--seed", str(seed), "--weights"]
+            want = run_cli(command, "--instance", plain, *rest, folded, capsys=capsys)
+            got = run_cli(command, "--instance", scaled, *rest, "normal:10,4", capsys=capsys)
+            assert want[0] == 0
+            assert got == want
+
+
 @pytest.fixture
 def overflow_path(tmp_path):
     """A finite instance whose sums overflow: item 2's penalties against items
@@ -399,6 +433,18 @@ class TestExperiment:
         code, _ = run_cli("experiment", "--spec", spec,
                           "--out", str(tmp_path / "r.csv"), capsys=capsys)
         assert code == 2
+
+    def test_scaled_instance_is_bad_input(self, tmp_path, capsys):
+        # The spec's distribution lines set the weights; an ExperimentSpec has no scales.
+        spec = self._setup(tmp_path)
+        scaled = dataclasses.replace(read_instance(str(tmp_path / "inst.txt")),
+                                     scales=(1.0, 0.5, 2.0))
+        write_instance(str(tmp_path / "inst.txt"), scaled)
+        out = tmp_path / "r.csv"
+        code = main(["experiment", "--spec", spec, "--out", str(out)])
+        assert code == 2
+        assert "scales" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

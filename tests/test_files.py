@@ -11,6 +11,8 @@ from seqsubmod import (
     InstanceFormatError,
     P_STAR,
     UserTypeDistribution,
+    evaluate_F,
+    heterogeneous_bundle,
     read_experiment,
     read_instance,
     read_matrix,
@@ -22,8 +24,9 @@ from seqsubmod import (
     write_matrix,
     write_results,
 )
-from seqsubmod.files import ScaledOracle
 from seqsubmod.functions import tiny_instance
+
+from oracles import ScaledFn
 
 
 class TestMatrixIO:
@@ -65,17 +68,27 @@ class TestInstanceRoundTrip:
         assert back.oracle()(probe) == inst.oracle()(probe)
 
     def test_heterogeneous_scales(self, tmp_path):
-        base = synthetic_modular_instance(5, seed=4)
-        inst = Instance(family=base.family, n=5, ratings=base.ratings,
-                        penalties=base.penalties, scales=(1.0, 0.5, 0.25))
+        # f_j = s_j * f folds into the homogeneous objective under lambda_j * s_j.
+        rng = np.random.default_rng(4)
+        base = synthetic_modular_instance(12, seed=4)
+        scales = (1.0, 0.5, 0.0, 0.25, -0.0, *rng.uniform(0.5, 1.5, 3).tolist())
+        inst = Instance(family=base.family, n=12, ratings=base.ratings,
+                        penalties=base.penalties, scales=scales)
         path = str(tmp_path / "inst.txt")
         write_instance(path, inst)
         back = read_instance(path)
         assert back == inst
-        bundle = back.bundle((0.2, 0.3, 0.5))
-        assert not bundle.homogeneous
-        assert bundle.oracle_value(2, {0, 1}) == pytest.approx(
-            0.5 * base.oracle()({0, 1}))
+        lams = tuple(rng.uniform(0.1, 1.0, len(scales)).tolist())
+        bundle = back.bundle(lams)
+        assert bundle.homogeneous
+        assert bundle.weights.lambdas == tuple(lam * s for lam, s in zip(lams, scales))
+        fn = base.oracle()
+        reference = heterogeneous_bundle(tuple(ScaledFn(fn, s) for s in scales), lams, n=12)
+        for length in (0, 1, 3, 7, 8, 12):
+            for _ in range(5):
+                seq = tuple(int(i) for i in rng.permutation(12)[:length])
+                want = evaluate_F(reference, seq)
+                assert evaluate_F(bundle, seq) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_matrix_in_side_file(self, tmp_path):
         inst = synthetic_modular_instance(4, seed=7)
@@ -346,11 +359,6 @@ class TestInstanceErrors:
         for body in bodies:
             with pytest.raises(InstanceFormatError, match="finite"):
                 read_instance(self._write(tmp_path, body))
-
-    @pytest.mark.parametrize("bad", (float("nan"), float("inf"), float("-inf")))
-    def test_scaled_oracle_rejects_non_finite(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            ScaledOracle(tiny_instance(), bad)
 
     def test_scales_length_checked_at_bundle(self):
         base = synthetic_modular_instance(4, seed=2)
