@@ -12,7 +12,6 @@ from .algorithms import (
     FIXED,
     FLEXIBLE,
     P_STAR,
-    CoinStream,
     EnumerationTooLargeError,
     GreedyTrace,
     InfeasibleError,
@@ -88,7 +87,7 @@ from .harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoinStream", "EnumerationTooLargeError", "FIXED", "FLEXIBLE", "GreedyTrace",
+    "EnumerationTooLargeError", "FIXED", "FLEXIBLE", "GreedyTrace",
     "InfeasibleError", "P_STAR", "SamplerConfig", "SplitMix64", "alg2_second_half",
     "baseline_covdiv", "baseline_quality", "brute_force", "derive_seed",
     "fixed_length_solve", "homogeneous_first_half", "homogeneous_solve",

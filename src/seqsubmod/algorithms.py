@@ -194,35 +194,10 @@ def derive_seed(base_seed: int, tag: str, index: int = 0) -> int:
     return _mix64((stream_key(base_seed, tag) + (index + 1) * GAMMA) & _MASK)
 
 
-class CoinStream:
-    """Bernoulli(p) bit source with an optional forced-bit override for tests.
-
-    A random stream's bits are its ``coins(p)``.  Forced bits are consumed in
-    order; running past the end raises rather than silently falling back to
-    randomness.
-    """
-
-    def __init__(self, p: float, rng: SplitMix64 | None = None, forced=None):
-        self.p = float(p)
-        if forced is not None:
-            self._bits = iter(list(forced))
-        elif rng is not None:
-            self._bits = rng.coins(self.p)
-        else:
-            raise ValueError("coin stream needs an rng or a forced bit list")
-
-    def draw(self) -> int:
-        for bit in self._bits:
-            return 1 if bit else 0
-        raise RuntimeError("forced coin stream exhausted")
-
-
-def _coin_stream(cfg: SamplerConfig, coins) -> CoinStream:
-    if coins is None:
-        return CoinStream(cfg.p, rng=SplitMix64(cfg.seed, "coins"))
-    if isinstance(coins, CoinStream):
-        return coins
-    return CoinStream(cfg.p, forced=coins)
+def _coins(cfg: SamplerConfig, forced):
+    """The coin bits of a greedy run: ``forced`` when given (tests), else
+    the Bernoulli(cfg.p) coins of the stream (cfg.seed, "coins")."""
+    return iter(forced) if forced is not None else SplitMix64(cfg.seed, "coins").coins(cfg.p)
 
 
 @dataclass(frozen=True)
@@ -451,21 +426,28 @@ def _check_k(bundle: ObjectiveBundle, k) -> int:
     return k
 
 
-def _greedy(engine, k: int, stream: CoinStream, considered: list | None = None) -> list[int]:
+_END = object()
+
+
+def _greedy(engine, k: int, coins, considered: list | None = None) -> list[int]:
     """The loop every greedy here runs: at each position t <= k take the
     engine's positive candidates best first, drop each from the pool
-    and keep the first whose coin lands 1.  Stops at k accepts, or when a
-    position has no positive candidate or rejects them all.  Returns the
-    accepts in order; ``considered`` collects (item, gain, coin) when given.
+    and keep the first whose coin lands 1.  ``coins`` is an iterator of
+    bits, one read per considered candidate; running out of it raises.
+    Stops at k accepts, or when a position has no positive candidate or
+    rejects them all.  Returns the accepts in order; ``considered`` collects
+    (item, gain, coin) with coin 0 or 1 when given.
     """
     out: list[int] = []
     t = 1
     while t <= k:
         for item, gain in engine.positive_candidates(t):
             engine.remove(item)
-            bit = stream.draw()
+            bit = next(coins, _END)
+            if bit is _END:
+                raise RuntimeError("forced coin stream exhausted")
             if considered is not None:
-                considered.append((item, gain, bit))
+                considered.append((item, gain, 1 if bit else 0))
             if bit:
                 out.append(item)
                 engine.accept(item)
@@ -492,7 +474,7 @@ def sampling_greedy(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None =
     Args:
         bundle: problem instance; k must equal bundle.k if given.
         cfg: sampling probability and seed (defaults to p* and seed 0).
-        coins: optional CoinStream or iterable of forced bits (tests).
+        coins: optional iterable of forced bits (tests).
 
     Returns:
         (sequence, trace); the trace records every considered item with its
@@ -501,7 +483,7 @@ def sampling_greedy(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None =
     cfg = cfg if cfg is not None else SamplerConfig()
     k = _check_k(bundle, k)
     considered: list[tuple[int, float, int]] = []
-    out = _greedy(_make_engine(bundle, bundle.ground), k, _coin_stream(cfg, coins), considered)
+    out = _greedy(_make_engine(bundle, bundle.ground), k, _coins(cfg, coins), considered)
     seq = Sequence(tuple(out))
     return seq, GreedyTrace(tuple(considered), seq)
 
@@ -527,8 +509,7 @@ def presampled_greedy(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None
         if not set(pool) <= set(bundle.ground):
             raise ValueError("forced subset contains items outside the ground set")
     cap = min(k, len(pool))
-    ones = CoinStream(1.0, forced=[1] * cap)
-    return Sequence(tuple(_greedy(_make_engine(bundle, pool), cap, ones)))
+    return Sequence(tuple(_greedy(_make_engine(bundle, pool), cap, itertools.repeat(1))))
 
 
 def _draw_backup(cfg: SamplerConfig, pool: list[int], m: int, forced) -> list[int]:
@@ -561,13 +542,15 @@ def fixed_length_solve(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | Non
     cfg = cfg if cfg is not None else SamplerConfig()
     k = _check_k(bundle, k)
     seq, _ = sampling_greedy(bundle, k, cfg, coins=coins)
-    return _pad_to_k(bundle, seq, k, cfg, backup)
+    return _pad_to_k(bundle, seq, cfg, backup)
 
 
-def _pad_to_k(bundle: ObjectiveBundle, seq: Sequence, k: int, cfg: SamplerConfig,
+def _pad_to_k(bundle: ObjectiveBundle, seq: Sequence, cfg: SamplerConfig,
               forced=None) -> Sequence:
     """``seq`` plus a uniform draw of k - len(seq) unused items from cfg's backup
-    stream, in ascending id order; ``forced`` fixes the draw.  No oracle calls."""
+    stream, in ascending id order, for k = bundle.k; ``forced`` fixes the
+    draw.  No oracle calls."""
+    k = bundle.k
     if len(seq) == k:
         return seq
     pool = sorted(bundle.ground_set - seq.to_set())
@@ -638,7 +621,7 @@ def alg2_second_half(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None 
             raise ValueError(f"at most ceil(n/2)={h} accepted items")
     else:
         engine = _complement_engine(bundle.base_oracle, bundle.ground, bundle.counter)
-        added = _greedy(engine, h, _coin_stream(cfg, coins))
+        added = _greedy(engine, h, _coins(cfg, coins))
     tail = list(reversed(added[n - k:]))
     pool = sorted(set(bundle.ground) - set(added))
     fill = _draw_backup(cfg, pool, h - len(added), forced_backup)
@@ -663,7 +646,7 @@ def sampling_greedy_j(oracle, n: int, j: int, cfg: SamplerConfig | None = None,
     if not 1 <= j <= n:
         raise ValueError(f"j={j} outside 1..{n}")
     cap = n - j
-    added = _greedy(_complement_engine(oracle, ids, EvalCounter()), cap, _coin_stream(cfg, coins))
+    added = _greedy(_complement_engine(oracle, ids, EvalCounter()), cap, _coins(cfg, coins))
     pool = sorted(set(ids) - set(added))
     fill = _draw_backup(cfg, pool, cap - len(added), forced_backup)
     return frozenset(added) | frozenset(fill)
@@ -678,24 +661,20 @@ def homogeneous_solve(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None
     keep whichever sequence scores higher (ties favor the first-half
     strategy), truncated to exactly k positions.
     """
-    return _homogeneous_run(bundle, k, cfg if cfg is not None else SamplerConfig())[0]
+    _check_k(bundle, k)
+    return _homogeneous_run(bundle, cfg if cfg is not None else SamplerConfig())[0]
 
 
-def _homogeneous_run(bundle: ObjectiveBundle, k,
+def _homogeneous_run(bundle: ObjectiveBundle,
                      cfg: SamplerConfig) -> tuple[Sequence, float | None]:
-    """homogeneous_solve(bundle, k, cfg) and the F its two-block branch picked
-    the winner by; None below ceil(n/2), where nothing scored the sequence."""
+    """homogeneous_solve(bundle, bundle.k, cfg) and the F its two-block
+    branch picked the winner by; None below ceil(n/2), where nothing scored
+    the sequence.  Positions past k never contribute, so a two-block
+    sequence's F is its truncation's."""
     _require_homogeneous(bundle, "homogeneous_solve")
-    k = _check_k(bundle, k)
+    k = _check_k(bundle, None)
     if k < _half(bundle.n):
         return fixed_length_solve(bundle, k, cfg), None
-    return _two_block(bundle, k, cfg)
-
-
-def _two_block(bundle: ObjectiveBundle, k: int, cfg: SamplerConfig) -> tuple[Sequence, float]:
-    """The better of the first-half and complement sequences, truncated to k,
-    with its F (ties favor the first half).  Positions past k never
-    contribute, so the full sequence's F is the truncated one's."""
     first = homogeneous_first_half(
         bundle, k, SamplerConfig(cfg.p, derive_seed(cfg.seed, "half", 0)))
     second = alg2_second_half(
@@ -755,8 +734,8 @@ def baseline_covdiv(fn, bundle: ObjectiveBundle, k=None, constraint: str = FLEXI
     state = fn.incremental()
     engine = _BatchedEngine(state.diversity_gains, state.add, _unit_weight, bundle.counter,
                             bundle.ground, bundle.ground[-1] + 1)
-    seq = Sequence(tuple(_greedy(engine, k, CoinStream(1.0, forced=[1] * k))))
-    return _pad_to_k(bundle, seq, k, cfg, backup) if constraint == FIXED else seq
+    seq = Sequence(tuple(_greedy(engine, k, itertools.repeat(1))))
+    return _pad_to_k(bundle, seq, cfg, backup) if constraint == FIXED else seq
 
 
 def baseline_quality(ratings, k: int) -> Sequence:
@@ -781,15 +760,16 @@ def baseline_quality(ratings, k: int) -> Sequence:
 class Algorithm:
     """How the commands run one named solver.
 
-    ``run(bundle, k, cfg, constraint, oracle, ratings)`` returns the sequence
-    and the F it already computed for it, else None; the baselines read
-    ``oracle`` and ``ratings``.  A command that asks for a constraint in
-    ``pads`` calls ``run`` with FIXED, otherwise with FLEXIBLE.  For the
-    greedies a FIXED run is their FLEXIBLE run padded by ``_pad_to_k``, so an
-    experiment pads one shared run per cell.  ``per_seed`` says whether the
-    run changes with the seed; ``commands`` names the subcommands that take
-    the name.  Runs call the solvers by their module-level names, so a
-    wrapper installed on the module sees every call.
+    ``run(bundle, cfg, constraint, ratings)`` returns the sequence and the
+    F it already computed for it, else None; a run reads k and the oracle
+    from the bundle, and the quality baseline reads ``ratings``.  A command
+    that asks for a constraint in ``pads`` calls ``run`` with FIXED,
+    otherwise with FLEXIBLE.  For the greedies a FIXED run is their FLEXIBLE
+    run padded by ``_pad_to_k``, so an experiment pads one shared run per
+    cell.  ``per_seed`` says whether the run changes with the seed;
+    ``commands`` names the subcommands that take the name.  Runs call the
+    solvers by their module-level names, so a wrapper installed on the
+    module sees every call.
     """
 
     run: Callable
@@ -798,15 +778,15 @@ class Algorithm:
     commands: tuple[str, ...]
 
 
-def _greedy_run(bundle, k, cfg, constraint, oracle, ratings):
+def _greedy_run(bundle, cfg, constraint, ratings):
     if constraint == FIXED:
-        return fixed_length_solve(bundle, k, cfg), None
-    return sampling_greedy(bundle, k, cfg)[0], None
+        return fixed_length_solve(bundle, bundle.k, cfg), None
+    return sampling_greedy(bundle, bundle.k, cfg)[0], None
 
 
-def _presampled_run(bundle, k, cfg, constraint, oracle, ratings):
-    seq = presampled_greedy(bundle, k, cfg)
-    return (_pad_to_k(bundle, seq, bundle.k, cfg) if constraint == FIXED else seq), None
+def _presampled_run(bundle, cfg, constraint, ratings):
+    seq = presampled_greedy(bundle, bundle.k, cfg)
+    return (_pad_to_k(bundle, seq, cfg) if constraint == FIXED else seq), None
 
 
 _EVERYWHERE = ("solve", "experiment")
@@ -815,24 +795,27 @@ ALGORITHMS = {
     "sg": Algorithm(_greedy_run, True, (FIXED,), _EVERYWHERE),
     "presampled": Algorithm(_presampled_run, True, (FIXED,), ("solve",)),
     "fixed": Algorithm(_greedy_run, True, (FLEXIBLE, FIXED), _EVERYWHERE),
-    "homog": Algorithm(lambda bundle, k, cfg, constraint, oracle, ratings:
-                       _homogeneous_run(bundle, k, cfg), True, (), _EVERYWHERE),
-    "covdiv": Algorithm(lambda bundle, k, cfg, constraint, oracle, ratings: (
-        baseline_covdiv(oracle, bundle, k, constraint, cfg), None), False, (FIXED,), _EVERYWHERE),
-    "quality": Algorithm(lambda bundle, k, cfg, constraint, oracle, ratings: (
-        baseline_quality(ratings, k), None), False, (), _EVERYWHERE),
-    "brute": Algorithm(lambda bundle, k, cfg, constraint, oracle, ratings:
-                       brute_force(bundle, k, constraint), False, (FIXED,), ("solve",)),
+    "homog": Algorithm(lambda bundle, cfg, constraint, ratings:
+                       _homogeneous_run(bundle, cfg), True, (), _EVERYWHERE),
+    "covdiv": Algorithm(lambda bundle, cfg, constraint, ratings: (
+        baseline_covdiv(bundle.base_oracle, bundle, bundle.k, constraint, cfg), None),
+        False, (FIXED,), _EVERYWHERE),
+    "quality": Algorithm(lambda bundle, cfg, constraint, ratings: (
+        baseline_quality(ratings, bundle.k), None), False, (), _EVERYWHERE),
+    "brute": Algorithm(lambda bundle, cfg, constraint, ratings:
+                       brute_force(bundle, bundle.k, constraint), False, (FIXED,), ("solve",)),
 }
 
 
-def run_algorithm(name: str, bundle: ObjectiveBundle, k, cfg: SamplerConfig,
-                  constraint: str = FLEXIBLE, oracle=None, ratings=None) -> tuple[Sequence, float]:
+def run_algorithm(name: str, bundle: ObjectiveBundle, k: int, cfg: SamplerConfig,
+                  constraint: str = FLEXIBLE, ratings=None) -> tuple[Sequence, float]:
     """One standalone run of ``name`` under the constraint a command asked
-    for, and the F of its sequence; F a run hands back is not recomputed."""
+    for, and the F of its sequence; F a run hands back is not recomputed.
+    ``k`` must equal bundle.k."""
+    if k != bundle.k:
+        raise ValueError(f"k={k} must match the weight profile length {bundle.k}")
     algo = ALGORITHMS[name]
-    seq, value = algo.run(bundle, k, cfg, FIXED if constraint in algo.pads else FLEXIBLE,
-                          oracle, ratings)
+    seq, value = algo.run(bundle, cfg, FIXED if constraint in algo.pads else FLEXIBLE, ratings)
     return seq, value if value is not None else evaluate_F(bundle, seq)
 
 

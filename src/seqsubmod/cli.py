@@ -103,7 +103,7 @@ def cmd_solve(args) -> int:
     bundle = instance.bundle(_weights(args.weights, args.k), oracle=oracle)
     cfg = SamplerConfig(p=args.p, seed=args.seed)
     seq, value = run_algorithm(args.algorithm, bundle, args.k, cfg, args.constraint,
-                               oracle, instance.ratings)
+                               instance.ratings)
     print(" ".join(str(i) for i in seq))
     print(f"F {value!r}")
     print(f"oracle_calls {bundle.counter.calls}")

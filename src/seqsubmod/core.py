@@ -111,10 +111,6 @@ class WeightProfile:
     def k(self) -> int:
         return len(self.lambdas)
 
-    def weight(self, j: int) -> float:
-        """lambda_j for 1 <= j <= k."""
-        return self.lambdas[j - 1]
-
     def weigh(self, scores, limit: int) -> float:
         """F of a homogeneous objective from its prefix scores: sum_j
         lambda_j * scores[j-1] over j <= ``limit``, then the saturated value

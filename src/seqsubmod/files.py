@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algorithms import P_STAR
-from .core import EvalCounter, ObjectiveBundle, WeightProfile, as_weights, homogeneous_bundle
+from .core import ObjectiveBundle, WeightProfile, as_weights, homogeneous_bundle
 from .functions import (
     CoverageDiversityFn,
     ModularPenaltyFn,
@@ -43,9 +43,9 @@ class Instance:
 
     ``ratings`` double as the rewards of the modular-penalty family.  A
     non-None ``scales`` tuple sets f_j = scales[j] times the base function;
-    scales are finite and nonnegative, so sum_j lambda_j * s_j * f is the
-    identical-utility objective under the weights lambda_j * s_j, and every
-    bundle is homogeneous.
+    ``bundle`` holds scales finite and nonnegative and each lambda_j * s_j
+    finite, so sum_j lambda_j * s_j * f is the identical-utility objective
+    under the weights lambda_j * s_j, and every bundle is homogeneous.
     """
 
     family: str
@@ -66,17 +66,21 @@ class Instance:
             return ModularPenaltyFn(self.ratings, self.penalties.tolist())
         raise InstanceFormatError(f"unknown family {self.family!r}")
 
-    def bundle(self, weights, counter: EvalCounter | None = None, oracle=None) -> ObjectiveBundle:
+    def bundle(self, weights, oracle=None) -> ObjectiveBundle:
         """Bundle under ``weights``; pass ``oracle`` if this instance's oracle is built."""
         profile = as_weights(weights)
         if self.scales is not None:
+            _check_scales(self.scales)
             if len(self.scales) != profile.k:
                 raise InstanceFormatError(
                     f"{len(self.scales)} scales cannot serve k={profile.k} positions")
-            profile = WeightProfile(tuple(
-                lam * s for lam, s in zip(profile.lambdas, self.scales)))
+            folded = tuple(lam * s for lam, s in zip(profile.lambdas, self.scales))
+            for j, (s, w) in enumerate(zip(self.scales, folded), start=1):
+                if not math.isfinite(w):
+                    raise InstanceFormatError(f"scales: lambda_{j} * {s!r} = {w!r} is not finite")
+            profile = WeightProfile(folded)
         base = oracle if oracle is not None else self.oracle()
-        return homogeneous_bundle(base, profile, n=self.n, counter=counter)
+        return homogeneous_bundle(base, profile, n=self.n)
 
     def __eq__(self, other):
         if not isinstance(other, Instance):
@@ -152,14 +156,6 @@ def _floats(tokens, where: str) -> list[float]:
         raise InstanceFormatError(f"{where}: expected numbers, got {tokens}") from exc
 
 
-def _is_number(token: str) -> bool:
-    try:
-        _floats([token], token)
-    except InstanceFormatError:
-        return False
-    return True
-
-
 def _one_float(tokens, where: str) -> float:
     vals = _floats(tokens, where)
     if len(vals) != 1:
@@ -177,15 +173,9 @@ def _one_int(tokens, where: str) -> int:
 
 
 def _inline_block(key: str, lines: list[str], start: int, n: int) -> np.ndarray:
-    """The inline matrix that starts at ``lines[start]``: the next ``n`` lines
-    for similarity and penalties, the run of lines that open with a number
-    for tags.  The block is parsed by one ``np.loadtxt`` call."""
-    if key == "tags":
-        end = start
-        while end < len(lines) and _is_number(lines[end].split(None, 1)[0]):
-            end += 1
-    else:
-        end = min(start + n, len(lines))
+    """The inline matrix of the ``n`` lines from ``lines[start]`` on, parsed
+    by one ``np.loadtxt`` call."""
+    end = min(start + n, len(lines))
     if end - start != n:
         raise InstanceFormatError(f"{key}: expected {n} inline rows, got {end - start}")
     return _load_matrix(lines[start:end], f"{key} inline")
@@ -283,15 +273,20 @@ def _validate_instance(inst: Instance):
         if inst.penalties.shape != (inst.n, inst.n):
             raise InstanceFormatError(
                 f"penalties are {inst.penalties.shape}, expected ({inst.n}, {inst.n})")
-    bad = [s for s in inst.scales or () if not 0.0 <= s < math.inf]
-    if bad:
-        raise InstanceFormatError(f"scales: {bad[0]!r} is not finite and nonnegative")
+    _check_scales(inst.scales or ())
     try:
         return inst.oracle()
     except InstanceFormatError:
         raise
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from exc
+
+
+def _check_scales(scales) -> None:
+    """InstanceFormatError unless every scale is finite and nonnegative."""
+    bad = [s for s in scales if not 0.0 <= s < math.inf]
+    if bad:
+        raise InstanceFormatError(f"scales: {bad[0]!r} is not finite and nonnegative")
 
 
 def write_instance(path: str, inst: Instance) -> None:

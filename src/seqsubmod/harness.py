@@ -244,11 +244,11 @@ class _ProfileRuns:
         """(F, length, oracle calls) of a standalone run of ``name`` in round r."""
         spec, bundle, k = self.spec, self.bundle, self.spec.k
         algo = ALGORITHMS[name]
-        seq, calls = self._once((algo.run, r if algo.per_seed else None), lambda: algo.run(
-            bundle, k, cfg, FLEXIBLE, spec.oracle, spec.ratings))
+        seq, calls = self._once((algo.run, r if algo.per_seed else None),
+                                lambda: algo.run(bundle, cfg, FLEXIBLE, spec.ratings))
         if constraint in algo.pads:
             seq = self._once(("pad", algo.run, r),
-                             lambda: (_pad_to_k(bundle, seq, k, cfg), None))[0]
+                             lambda: (_pad_to_k(bundle, seq, cfg), None))[0]
         value = self._values.get(seq.items)
         if value is None:
             head = seq.items[:k]

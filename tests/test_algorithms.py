@@ -8,7 +8,6 @@ import pytest
 from seqsubmod import (
     FIXED,
     FLEXIBLE,
-    CoinStream,
     CoverageDiversityFn,
     CoverageFn,
     EnumerationTooLargeError,
@@ -44,18 +43,31 @@ from oracles import ScaledFn, naive_best, naive_diversity_greedy
 
 
 class TestCoinStream:
-    def test_forced_bits_and_underflow(self):
-        stream = CoinStream(0.5, forced=[1, 0])
-        assert stream.draw() == 1
-        assert stream.draw() == 0
-        with pytest.raises(RuntimeError):
-            stream.draw()
+    def test_forced_bits_and_underflow(self, tiny_bundle):
+        # A forced list that runs out raises; it never falls back to the seed.
+        cfg = SamplerConfig(0.5, 0)
+        for solve in (lambda coins: sampling_greedy(tiny_bundle, 2, cfg, coins=coins),
+                      lambda coins: fixed_length_solve(tiny_bundle, 2, cfg, coins=coins),
+                      lambda coins: alg2_second_half(tiny_bundle, 2, cfg, coins=coins)):
+            with pytest.raises(RuntimeError, match="exhausted"):
+                solve([0])
+            with pytest.raises(RuntimeError, match="exhausted"):
+                solve([])
 
     def test_degenerate_probabilities(self):
-        always = CoinStream(1.0, rng=SplitMix64(0, "coins"))
-        never = CoinStream(0.0, rng=SplitMix64(0, "coins"))
-        assert all(always.draw() == 1 for _ in range(50))
-        assert all(never.draw() == 0 for _ in range(50))
+        always = SplitMix64(0, "coins").coins(1.0)
+        never = SplitMix64(0, "coins").coins(0.0)
+        assert all(next(always) == 1 for _ in range(600))
+        assert all(next(never) == 0 for _ in range(600))
+
+    def test_generator_coins_equal_list(self, tiny_bundle_k3):
+        # coins= takes any iterable of bits; the trace records them as 0/1.
+        for bits in itertools.product((0, 1), repeat=3):
+            forced = [*bits, 1, 1, 1]
+            want = sampling_greedy(tiny_bundle_k3, 3, coins=forced)
+            got = sampling_greedy(tiny_bundle_k3, 3, coins=(bool(b) for b in forced))
+            assert got == want
+            assert all(type(c) is int for _, _, c in got[1].considered)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -170,7 +182,7 @@ def _eager_greedy(bundle, pool, coins):
             batch = batch[:1]
         for item, gain in batch:
             alive.discard(item)
-            bit = coins.draw() if coins is not None else 1
+            bit = int(next(coins)) if coins is not None else 1
             considered.append((item, gain, bit))
             if bit:
                 out.append(item)
@@ -196,16 +208,16 @@ def _check_against_eager(bundle, seeds, p=P_STAR, verified=None):
         before = bundle.counter.calls
         seq, trace = sampling_greedy(bundle, k, cfg)
         calls = bundle.counter.calls - before
-        stream = CoinStream(cfg.p, rng=SplitMix64(seed, "coins"))
-        want, want_calls = _eager_greedy(bundle, ground, stream)
+        coins = SplitMix64(seed, "coins").coins(cfg.p)
+        want, want_calls = _eager_greedy(bundle, ground, coins)
         assert trace == want and seq == want.output
         assert calls == want_calls
         if verified is None or count < verified:
             verify_trace(bundle, trace)
         traces.append(trace)
 
-        coins = CoinStream(cfg.p, rng=SplitMix64(seed, "coins"))
-        pool = [i for i in ground if coins.draw()]
+        coins = SplitMix64(seed, "coins").coins(cfg.p)
+        pool = [i for i, bit in zip(ground, coins) if bit]
         before = bundle.counter.calls
         got = presampled_greedy(bundle, k, cfg)
         calls = bundle.counter.calls - before

@@ -171,6 +171,18 @@ class TestSolve:
         assert code == 2
         assert capsys.readouterr().err.startswith(message)
 
+    def test_scale_overflow_is_bad_input(self, tmp_path, capsys):
+        # Each scale is fine alone; lambda_1 * s_1 overflows, and the error
+        # names the scales, not the weights.
+        path = str(tmp_path / "big.txt")
+        with open(path, "w") as fh:
+            fh.write("family modular-penalty\nn 2\nrewards 1 1\nscales 1e308 1\n"
+                     "penalties inline\n0 1\n1 0\n")
+        code, _ = run_cli("solve", "--instance", path, "--k", "2",
+                          "--weights", "explicit:10,1")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: scales:")
+
     def test_bad_weight_specs(self, tiny_path, capsys):
         for spec in ("normal:abc,1", "normal:2", "explicit:1", "pareto:1",
                      "explicit:1_0,\u0662", "normal:1_5,1", "explicit:1,,2", "normal:2,inf"):

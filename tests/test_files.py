@@ -1,3 +1,7 @@
+import dataclasses
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -366,6 +370,18 @@ class TestInstanceErrors:
                         penalties=base.penalties, scales=(1.0, 0.5))
         with pytest.raises(ValueError):
             inst.bundle((0.5, 0.3, 0.2))
+
+    @pytest.mark.parametrize("scales, lams, message", (
+        # A negative scale times a zero weight folds to -0.0, which a weight
+        # profile accepts; the scale itself is what is wrong.
+        ((-1.0, 1.0), (0.0, 1.0), "scales: -1.0 is not finite and nonnegative"),
+        ((1.0, math.inf), (1.0, 1.0), "scales: inf is not finite and nonnegative"),
+        ((1e308, 1.0), (10.0, 1.0), "scales: lambda_1 * 1e+308 = inf is not finite"),
+    ), ids=("negative", "infinite", "overflowing-product"))
+    def test_scales_checked_at_bundle(self, scales, lams, message):
+        inst = dataclasses.replace(synthetic_modular_instance(4, seed=1), scales=scales)
+        with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}$"):
+            inst.bundle(lams)
 
 
 class TestSynthetic:

@@ -18,7 +18,6 @@ from seqsubmod import (
     FLEXIBLE,
     HOMOGENEOUS,
     P_STAR,
-    CoinStream,
     SamplerConfig,
     SplitMix64,
     bound_check,
@@ -82,9 +81,9 @@ class TestKnownAnswers:
     @pytest.mark.parametrize("p", (P_STAR, 0.0, 1.0, 0.5, 5e-324, 1.0 - 2.0 ** -53))
     def test_coins_are_the_top_53_bits_below_p(self, p):
         for seed in range(5):
-            stream = CoinStream(p, rng=SplitMix64(seed, "coins"))
+            coins = SplitMix64(seed, "coins").coins(p)
             want = [int((x >> 11) * 2.0 ** -53 < p) for x in _draws(seed, "coins", 300)]
-            assert [stream.draw() for _ in range(300)] == want
+            assert [int(next(coins)) for _ in range(300)] == want
 
 
 class TestSeedMapping:
@@ -129,8 +128,8 @@ class TestStatistics:
         # dependence between a stream's successive draws.
         counts = {pair: 0 for pair in itertools.product((0, 1), repeat=2)}
         for seed in range(20_000):
-            stream = CoinStream(P_STAR, rng=SplitMix64(seed, "coins"))
-            counts[stream.draw(), stream.draw()] += 1
+            coins = SplitMix64(seed, "coins").coins(P_STAR)
+            counts[int(next(coins)), int(next(coins))] += 1
         prob = {0: 1.0 - P_STAR, 1: P_STAR}
         expected = [20_000 * prob[a] * prob[b] for a, b in counts]
         assert scipy.stats.chisquare(list(counts.values()), expected).pvalue >= 0.01
@@ -164,7 +163,7 @@ class TestGlobalRngUntouched:
     @pytest.fixture
     def bundle(self):
         inst = synthetic_covdiv_instance(6, d=4, seed=3, density=0.5, eta=1.0)
-        return inst, inst.oracle(), (0.5, 0.3, 0.2, 0.1)
+        return inst, (0.5, 0.3, 0.2, 0.1)
 
     @staticmethod
     def _states():
@@ -178,17 +177,17 @@ class TestGlobalRngUntouched:
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
     def test_every_algorithm(self, bundle, name):
-        inst, oracle, lams = bundle
+        inst, lams = bundle
         before = self._states()
         for constraint in (FLEXIBLE, FIXED):
             for seed in range(3):
                 run_algorithm(name, inst.bundle(lams), len(lams), SamplerConfig(P_STAR, seed),
-                              constraint, oracle, inst.ratings)
+                              constraint, inst.ratings)
         self._assert_unchanged(before)
 
     @pytest.mark.parametrize("mode", (FLEXIBLE, FIXED, HOMOGENEOUS))
     def test_bound_check(self, bundle, mode):
-        inst, _, lams = bundle
+        inst, lams = bundle
         before = self._states()
         bound_check(inst.bundle(lams), len(lams), mode, SamplerConfig(P_STAR, 1), rounds=20)
         self._assert_unchanged(before)
