@@ -44,7 +44,7 @@ from .core import (
     evaluate_F,
     marginal_gain,
 )
-from .functions import ComplementFn
+from .functions import ComplementFn, CoverageDiversityFn
 
 P_STAR = (math.sqrt(3.0) - 1.0) / 2.0
 FLEXIBLE = "flexible"
@@ -300,8 +300,7 @@ class _ListEngine:
     greedy at weight 1).  ``candidates`` are ascending item ids.
 
     Each term reads its oracle's gains by one rule: the id-indexed list of
-    its ``running_gains()`` state (one per oracle object, shared by every
-    term of that oracle), else one ``marginal`` call per candidate,
+    its own ``running_gains()`` state, else one ``marginal`` call per candidate,
     else f(S + i) - f(S) from one base value per epoch and one grown-set
     value per candidate; every read is counted on ``counter``.  A non-finite
     gain, or any exception raised while scoring, is an OracleEvaluationError
@@ -313,7 +312,7 @@ class _ListEngine:
         self.alive = list(candidates)
         self._counter = counter
         self._suffix_weight = weights if callable(weights) else None
-        self._states: dict = {}  # id(oracle) -> its running-gain state or None
+        self._states: list = []
         # The last term has the largest position: it is read whenever any is.
         if self._suffix_weight is not None:
             self._head, self._last = (), self._term(1, 1.0, oracles[0])
@@ -323,11 +322,10 @@ class _ListEngine:
             self._head, self._last = terms[:-1], terms[-1] if terms else (0, 0.0, None, None, None)
 
     def _term(self, j: int, w: float, oracle) -> tuple:
-        key = id(oracle)  # the terms hold the oracle, so its id stays unique
-        if key not in self._states:
-            self._states[key] = (oracle.running_gains() if hasattr(oracle, "running_gains")
-                                 else None)
-        return j, w, oracle, self._states[key], getattr(oracle, "marginal", None)
+        state = oracle.running_gains() if hasattr(oracle, "running_gains") else None
+        if state is not None:
+            self._states.append(state)
+        return j, w, oracle, state, getattr(oracle, "marginal", None)
 
     def positive_candidates(self, t: int) -> Iterable[tuple[int, float]]:
         """(item, weighted gain) for gains > 0, ordered by gain desc, id asc."""
@@ -386,9 +384,8 @@ class _ListEngine:
 
     def accept(self, item: int) -> None:
         self.members.add(item)
-        for state in self._states.values():
-            if state is not None:
-                state.add(item)
+        for state in self._states:
+            state.add(item)
 
 
 def _make_engine(bundle: ObjectiveBundle, candidates):
@@ -414,6 +411,18 @@ def _complement_engine(base, ground, counter: EvalCounter):
 
 def _unit_weight(t: int) -> float:
     return 1.0
+
+
+def _check_constraint(constraint: str) -> None:
+    if constraint not in (FLEXIBLE, FIXED):
+        raise ValueError(f"unknown constraint {constraint!r}")
+
+
+def _check_covdiv_oracle(oracle) -> None:
+    """The covdiv baseline reads the diversity state of a CoverageDiversityFn."""
+    if not isinstance(oracle, CoverageDiversityFn):
+        raise ValueError(f"the covdiv baseline needs a CoverageDiversityFn oracle, "
+                         f"got {type(oracle).__name__}")
 
 
 def _check_k(bundle: ObjectiveBundle, k) -> int:
@@ -697,8 +706,7 @@ def brute_force(bundle: ObjectiveBundle, k=None, constraint: str = FLEXIBLE) -> 
     k.  Guarded: more than ten million sequences raises instead of running.
     """
     k = _check_k(bundle, k)
-    if constraint not in (FLEXIBLE, FIXED):
-        raise ValueError(f"unknown constraint {constraint!r}")
+    _check_constraint(constraint)
     ids = bundle.ground
     n = len(ids)
     lengths = range(k, k + 1) if constraint == FIXED else range(0, k + 1)
@@ -726,11 +734,12 @@ def baseline_covdiv(fn, bundle: ObjectiveBundle, k=None, constraint: str = FLEXI
     similarity term until k items are placed or no positive marginal remains:
     ``_greedy`` on the state's diversity gains at weight 1 with every coin 1.
     Under the fixed constraint the shortfall is padded like fixed_length_solve.
+    ``fn`` must be a CoverageDiversityFn; any other oracle is a ValueError.
     """
+    _check_covdiv_oracle(fn)
     cfg = cfg if cfg is not None else SamplerConfig()
     k = _check_k(bundle, k)
-    if constraint not in (FLEXIBLE, FIXED):
-        raise ValueError(f"unknown constraint {constraint!r}")
+    _check_constraint(constraint)
     state = fn.incremental()
     engine = _BatchedEngine(state.diversity_gains, state.add, _unit_weight, bundle.counter,
                             bundle.ground, bundle.ground[-1] + 1)
@@ -760,16 +769,15 @@ def baseline_quality(ratings, k: int) -> Sequence:
 class Algorithm:
     """How the commands run one named solver.
 
-    ``run(bundle, cfg, constraint, ratings)`` returns the sequence and the
-    F it already computed for it, else None; a run reads k and the oracle
-    from the bundle, and the quality baseline reads ``ratings``.  A command
-    that asks for a constraint in ``pads`` calls ``run`` with FIXED,
-    otherwise with FLEXIBLE.  For the greedies a FIXED run is their FLEXIBLE
-    run padded by ``_pad_to_k``, so an experiment pads one shared run per
-    cell.  ``per_seed`` says whether the run changes with the seed;
-    ``commands`` names the subcommands that take the name.  Runs call the
-    solvers by their module-level names, so a wrapper installed on the
-    module sees every call.
+    ``run(bundle, cfg, constraint, ratings)`` returns the unpadded
+    sequence and the F it already computed for it, else None; a run reads k
+    and the oracle from the bundle, the quality baseline reads ``ratings``
+    and only ``brute`` reads the constraint.  Under a constraint in ``pads``
+    the caller pads the run to k with ``_pad_to_k``, so an experiment pads
+    one shared run per cell.  ``per_seed`` says whether the run changes with
+    the seed; ``commands`` names the subcommands that take the name.  Runs
+    call the solvers by their module-level names, so a wrapper installed on
+    the module sees every call.
     """
 
     run: Callable
@@ -779,43 +787,40 @@ class Algorithm:
 
 
 def _greedy_run(bundle, cfg, constraint, ratings):
-    if constraint == FIXED:
-        return fixed_length_solve(bundle, bundle.k, cfg), None
     return sampling_greedy(bundle, bundle.k, cfg)[0], None
-
-
-def _presampled_run(bundle, cfg, constraint, ratings):
-    seq = presampled_greedy(bundle, bundle.k, cfg)
-    return (_pad_to_k(bundle, seq, cfg) if constraint == FIXED else seq), None
 
 
 _EVERYWHERE = ("solve", "experiment")
 
 ALGORITHMS = {
     "sg": Algorithm(_greedy_run, True, (FIXED,), _EVERYWHERE),
-    "presampled": Algorithm(_presampled_run, True, (FIXED,), ("solve",)),
+    "presampled": Algorithm(lambda bundle, cfg, constraint, ratings: (
+        presampled_greedy(bundle, bundle.k, cfg), None), True, (FIXED,), ("solve",)),
     "fixed": Algorithm(_greedy_run, True, (FLEXIBLE, FIXED), _EVERYWHERE),
     "homog": Algorithm(lambda bundle, cfg, constraint, ratings:
                        _homogeneous_run(bundle, cfg), True, (), _EVERYWHERE),
     "covdiv": Algorithm(lambda bundle, cfg, constraint, ratings: (
-        baseline_covdiv(bundle.base_oracle, bundle, bundle.k, constraint, cfg), None),
-        False, (FIXED,), _EVERYWHERE),
+        baseline_covdiv(bundle.base_oracle, bundle, bundle.k), None), False, (FIXED,), _EVERYWHERE),
     "quality": Algorithm(lambda bundle, cfg, constraint, ratings: (
         baseline_quality(ratings, bundle.k), None), False, (), _EVERYWHERE),
     "brute": Algorithm(lambda bundle, cfg, constraint, ratings:
-                       brute_force(bundle, bundle.k, constraint), False, (FIXED,), ("solve",)),
+                       brute_force(bundle, bundle.k, constraint), False, (), ("solve",)),
 }
 
 
 def run_algorithm(name: str, bundle: ObjectiveBundle, k: int, cfg: SamplerConfig,
                   constraint: str = FLEXIBLE, ratings=None) -> tuple[Sequence, float]:
     """One standalone run of ``name`` under the constraint a command asked
-    for, and the F of its sequence; F a run hands back is not recomputed.
+    for, padded to k when the constraint is in the algorithm's ``pads``, and
+    the F of its sequence; F an unpadded run hands back is not recomputed.
     ``k`` must equal bundle.k."""
     if k != bundle.k:
         raise ValueError(f"k={k} must match the weight profile length {bundle.k}")
+    _check_constraint(constraint)
     algo = ALGORITHMS[name]
-    seq, value = algo.run(bundle, cfg, FIXED if constraint in algo.pads else FLEXIBLE, ratings)
+    seq, value = algo.run(bundle, cfg, constraint, ratings)
+    if constraint in algo.pads:
+        seq, value = _pad_to_k(bundle, seq, cfg), None
     return seq, value if value is not None else evaluate_F(bundle, seq)
 
 

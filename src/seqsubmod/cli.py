@@ -24,6 +24,7 @@ from .algorithms import (
 )
 from .core import OracleEvaluationError
 from .files import (
+    FAMILIES,
     ExperimentFile,
     InstanceFormatError,
     _distribution,
@@ -77,12 +78,6 @@ def _weights(spec: str, k: int):
     return make_weights(_distribution([kind, *values.split(",")] if colon else [kind], k))
 
 
-def _require_covdiv(instance, names):
-    if "covdiv" in names and instance.family != "covdiv":
-        raise InstanceFormatError(
-            f"the covdiv baseline needs a covdiv instance, got {instance.family}")
-
-
 def cmd_gen(args) -> int:
     if args.n < 1:
         raise InstanceFormatError(f"n: must be at least 1, got {args.n}")
@@ -99,7 +94,6 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     instance, oracle = _read_instance(args.instance)
-    _require_covdiv(instance, (args.algorithm,))
     bundle = instance.bundle(_weights(args.weights, args.k), oracle=oracle)
     cfg = SamplerConfig(p=args.p, seed=args.seed)
     seq, value = run_algorithm(args.algorithm, bundle, args.k, cfg, args.constraint,
@@ -132,7 +126,6 @@ def cmd_experiment(args) -> int:
     if args.seed is not None:
         exp.seed = args.seed
     instance, oracle = _read_instance(exp.instance_path)
-    _require_covdiv(instance, exp.algorithms)
     if instance.scales is not None:
         raise InstanceFormatError("experiments run on instances without scales")
     spec = ExperimentSpec(
@@ -171,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic instance file")
-    gen.add_argument("--family", choices=("covdiv", "modular-penalty"), required=True)
+    gen.add_argument("--family", choices=FAMILIES, required=True)
     gen.add_argument("--n", type=_int_arg, required=True)
     gen.add_argument("--seed", type=_int_arg, default=0)
     gen.add_argument("--out", required=True)
@@ -180,25 +173,24 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--eta", type=_float_arg, default=35.0, help="similarity penalty weight (covdiv)")
     gen.set_defaults(func=cmd_gen)
 
-    solve = sub.add_parser("solve", help="solve one instance")
-    solve.add_argument("--instance", required=True)
-    solve.add_argument("--k", type=_int_arg, required=True)
+    # The flags of one instance, its weights and a seeded run: solve and check.
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--instance", required=True)
+    run.add_argument("--k", type=_int_arg, required=True)
+    run.add_argument("--weights", default="uniform",
+                     help="uniform | normal:MU,SIGMA | explicit:V1,V2,...")
+    run.add_argument("--p", type=_float_arg, default=P_STAR)
+    run.add_argument("--seed", type=_int_arg, default=0)
+
+    solve = sub.add_parser("solve", parents=[run], help="solve one instance")
     solve.add_argument("--algorithm", default="sg", choices=[
         name for name, algo in ALGORITHMS.items() if "solve" in algo.commands])
     solve.add_argument("--constraint", choices=(FLEXIBLE, FIXED), default=FLEXIBLE)
-    solve.add_argument("--weights", default="uniform",
-                       help="uniform | normal:MU,SIGMA | explicit:V1,V2,...")
-    solve.add_argument("--p", type=_float_arg, default=P_STAR)
-    solve.add_argument("--seed", type=_int_arg, default=0)
     solve.set_defaults(func=cmd_solve)
 
-    check = sub.add_parser("check", help="verify an approximation bound empirically")
-    check.add_argument("--instance", required=True)
-    check.add_argument("--k", type=_int_arg, required=True)
+    check = sub.add_parser("check", parents=[run],
+                           help="verify an approximation bound empirically")
     check.add_argument("--mode", choices=tuple(CHECK_ALGORITHMS), default=FLEXIBLE)
-    check.add_argument("--weights", default="uniform")
-    check.add_argument("--p", type=_float_arg, default=P_STAR)
-    check.add_argument("--seed", type=_int_arg, default=0)
     check.add_argument("--rounds", type=_int_arg, default=2000)
     check.add_argument("--factor", type=_float_arg, default=None,
                        help="override the bound factor")

@@ -215,9 +215,6 @@ class ObjectiveBundle:
             raise ValueError("bundle is not homogeneous")
         return self.oracles[0]
 
-    def suffix_weight(self, t: int) -> float:
-        return self.weights.suffix_sum(t)
-
     def head(self, k: int) -> "ObjectiveBundle":
         """The homogeneous bundle of the first ``k`` positions, sharing this
         bundle's oracle, ground and counter; built once per bundle and k."""
@@ -377,7 +374,7 @@ def marginal_gain(bundle: ObjectiveBundle, seq, item: int, t: int) -> float:
     base = frozenset(seq.items)
     grown = base | {item}
     if bundle.homogeneous:
-        w = bundle.suffix_weight(t)
+        w = bundle.weights.suffix_sum(t)
         if w == 0.0:
             return 0.0
         return w * (bundle.oracle_value(t, grown) - bundle.oracle_value(t, base))
@@ -392,29 +389,12 @@ def marginal_gain(bundle: ObjectiveBundle, seq, item: int, t: int) -> float:
 
 
 def telescoping_value(bundle: ObjectiveBundle, seq) -> float:
-    """F rebuilt from per-step gains: sum_t sum_{j>=t} lambda_j * f_j(pi_t | prefix_{t-1}).
+    """F rebuilt from per-step gains: the sum, left to right over
+    t <= min(len(seq), k), of marginal_gain(bundle, pi_1..pi_{t-1}, pi_t, t).
 
     Equals evaluate_F whenever every oracle vanishes on the empty set (the
     difference is exactly sum_j lambda_j * f_j(empty) otherwise).
     """
-    seq = as_sequence(seq)
-    items = _checked_items(bundle, seq)
-    k = bundle.k
-    lams = bundle.weights.lambdas
-    total = 0.0
-    grown: set = set()
-    for t in range(1, min(len(items), k) + 1):
-        base = frozenset(grown)
-        grown.add(items[t - 1])
-        larger = frozenset(grown)
-        if bundle.homogeneous:
-            w = bundle.suffix_weight(t)
-            if w != 0.0:
-                total += w * (bundle.oracle_value(t, larger) - bundle.oracle_value(t, base))
-            continue
-        for j in range(t, k + 1):
-            lam = lams[j - 1]
-            if lam == 0.0:
-                continue
-            total += lam * (bundle.oracle_value(j, larger) - bundle.oracle_value(j, base))
-    return total
+    items = _checked_items(bundle, as_sequence(seq))
+    return left_sum(marginal_gain(bundle, items[:t - 1], items[t - 1], t)
+                    for t in range(1, min(len(items), bundle.k) + 1))

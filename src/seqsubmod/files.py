@@ -13,6 +13,7 @@ reproduces its output file byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -174,11 +175,23 @@ def _one_int(tokens, where: str) -> int:
 
 def _inline_block(key: str, lines: list[str], start: int, n: int) -> np.ndarray:
     """The inline matrix of the ``n`` lines from ``lines[start]`` on, parsed
-    by one ``np.loadtxt`` call."""
+    by one ``np.loadtxt`` call.  The lines after them that open with a number
+    are rows of the block too, so a block with extra rows is reported by its
+    row count, not as an unknown key."""
     end = min(start + n, len(lines))
-    if end - start != n:
-        raise InstanceFormatError(f"{key}: expected {n} inline rows, got {end - start}")
+    extra = itertools.takewhile(_opens_with_number, itertools.islice(lines, end, None))
+    rows = end - start + sum(1 for _ in extra)
+    if rows != n:
+        raise InstanceFormatError(f"{key}: expected {n} inline rows, got {rows}")
     return _load_matrix(lines[start:end], f"{key} inline")
+
+
+def _opens_with_number(line: str) -> bool:
+    try:
+        float(line.split(None, 1)[0])
+    except ValueError:
+        return False
+    return True
 
 
 def read_instance(path: str) -> Instance:

@@ -19,6 +19,8 @@ from .algorithms import (
     FLEXIBLE,
     P_STAR,
     SamplerConfig,
+    _check_constraint,
+    _check_covdiv_oracle,
     _pad_to_k,
     brute_force,
     derive_seed,
@@ -114,8 +116,8 @@ class ExperimentSpec:
     """One in-memory experiment: an instance, the contenders, and the sweep.
 
     ``oracle`` is the shared set function (a CoverageDiversityFn when the
-    covdiv baseline is among the algorithms); ``ratings`` feed the quality
-    baseline.  The ground set is 0..n-1.
+    covdiv baseline is among the algorithms, checked when the spec is
+    built); ``ratings`` feed the quality baseline.  The ground set is 0..n-1.
     """
 
     oracle: object
@@ -137,8 +139,9 @@ class ExperimentSpec:
         for name in self.algorithms:
             if name not in EXPERIMENT_ALGORITHMS:
                 raise ValueError(f"unknown algorithm {name!r}")
-        if self.constraint not in (FLEXIBLE, FIXED):
-            raise ValueError(f"unknown constraint {self.constraint!r}")
+        _check_constraint(self.constraint)
+        if "covdiv" in self.algorithms:
+            _check_covdiv_oracle(self.oracle)
 
 
 @dataclass(frozen=True)
@@ -211,8 +214,9 @@ class _ProfileRuns:
     first request and shared by every cell that asks for it.  A run is keyed
     by its ``ALGORITHMS`` run function and, when it changes with the seed, by
     the round: ``sg`` and ``fixed`` share one sampling_greedy per round, and
-    a padded cell adds one backup pad of it.  A run keeps the oracle calls of
-    its one execution.
+    a padded cell adds one backup pad of it, as ``run_algorithm`` pads.  No
+    experiment algorithm reads the constraint, so both constraints share a
+    run.  A run keeps the oracle calls of its one execution.
 
     F is a pure function of the items, so values are cached by them, and the
     F a run hands back is cached, not recomputed.  Every profile of one
@@ -277,8 +281,7 @@ def comparative_experiment(spec: ExperimentSpec,
     """
     cfgs, profiles, cells, scores = None, [], [], {}
     for constraint in constraints:
-        if constraint not in (FLEXIBLE, FIXED):
-            raise ValueError(f"unknown constraint {constraint!r}")
+        _check_constraint(constraint)
         for i, dist in enumerate(spec.distributions):
             if i == len(profiles):
                 profiles.append(_ProfileRuns(spec, dist, scores))

@@ -36,7 +36,6 @@ from seqsubmod import (
 )
 from seqsubmod import OracleEvaluationError, algorithms
 from seqsubmod.files import synthetic_covdiv_instance, synthetic_modular_instance
-from seqsubmod.functions import RunningGains
 from seqsubmod.harness import UserTypeDistribution, make_weights
 
 from oracles import ScaledFn, naive_best, naive_diversity_greedy
@@ -175,7 +174,7 @@ def _eager_greedy(bundle, pool, coins):
     cap = bundle.k if coins is not None else min(bundle.k, len(pool))
     out, considered, calls = [], [], []
     while len(out) < cap:
-        batch = _eager_ranking(state, alive, bundle.suffix_weight(len(out) + 1), calls)
+        batch = _eager_ranking(state, alive, bundle.weights.suffix_sum(len(out) + 1), calls)
         if not batch:
             break
         if coins is None:
@@ -532,20 +531,13 @@ class TestHeterogeneousMarginals:
         algorithms._make_engine(counted, range(12)).positive_candidates(2)
         assert counted.counter.calls == 12 * 2 + (1 + 12) * 2
 
-    def test_positions_sharing_an_oracle_share_its_running_gains(self, monkeypatch):
+    def test_shared_oracle_matches_separate_copies(self):
         rng = np.random.default_rng(21)
         pen = np.triu(rng.uniform(0.0, 0.2, (40, 40)), 1)
         rewards, penalties = rng.uniform(5.0, 10.0, 40), pen + pen.T
         fn = ModularPenaltyFn(rewards, penalties)
-        adds = []
-        add = RunningGains.add
-        monkeypatch.setattr(RunningGains, "add",
-                            lambda state, item: (adds.append(item), add(state, item))[1])
-        seq, _ = sampling_greedy(heterogeneous_bundle((fn,) * 8, (0.5,) * 8, n=40), 8,
-                                 SamplerConfig(1.0, 0))
-        assert len(seq) == 8 and len(adds) == 8
-        # One state per oracle object: copies of fn get a state each and the
-        # same adds, so the traces agree bit for bit.
+        # Every term keeps its own running-gain state, so one oracle object
+        # at every position traces bit for bit like a copy at each position.
         copies = tuple(ModularPenaltyFn(rewards, penalties) for _ in range(8))
         weights = (0.5, 0.0, 1.0, 0.25, 0.5, 0.0, 0.75, 0.5)
         for seed in range(5):
@@ -908,6 +900,15 @@ class TestHomogeneousSolve:
             assert scored.counter.calls == (calls if k >= 3 else plain.counter.calls)
 
 
+class TestRunAlgorithm:
+    @pytest.mark.parametrize("name", sorted(algorithms.ALGORITHMS))
+    def test_unknown_constraint_is_rejected(self, name):
+        inst = synthetic_covdiv_instance(6, d=4, seed=3, density=0.5, eta=1.0)
+        with pytest.raises(ValueError, match="unknown constraint 'loose'"):
+            algorithms.run_algorithm(name, inst.bundle((0.5, 0.5)), 2, SamplerConfig(P_STAR, 0),
+                                     "loose", inst.ratings)
+
+
 class TestBruteForce:
     def test_demo_flexible_and_fixed(self, tiny_bundle):
         assert brute_force(tiny_bundle, 2, FLEXIBLE) == (Sequence((0, 2)), 8.0)
@@ -1015,6 +1016,12 @@ class TestBaselines:
             want = sorted(range(len(ratings)), key=lambda i: (-ratings[i], i))
             for k in (0, 1, n // 2, len(ratings)):
                 assert baseline_quality(ratings, k).items == tuple(want[:k])
+
+    def test_covdiv_needs_a_covdiv_oracle(self):
+        fn = synthetic_modular_instance(5, seed=1).oracle()
+        bundle = homogeneous_bundle(fn, (1.0, 1.0), n=5)
+        with pytest.raises(ValueError, match="got ModularPenaltyFn"):
+            baseline_covdiv(fn, bundle, 2)
 
     def test_covdiv_ignores_ratings(self):
         inst = synthetic_covdiv_instance(15, d=5, seed=77, density=0.4)

@@ -131,8 +131,10 @@ class TestSolve:
 
     def test_covdiv_needs_covdiv_family(self, tiny_path, capsys):
         code, _ = run_cli("solve", "--instance", tiny_path, "--k", "2",
-                          "--algorithm", "covdiv", capsys=capsys)
+                          "--algorithm", "covdiv")
         assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: the covdiv baseline needs a CoverageDiversityFn oracle, got ModularPenaltyFn")
 
     def test_missing_file(self, tmp_path, capsys):
         code, _ = run_cli("solve", "--instance", str(tmp_path / "ghost.txt"),
@@ -443,8 +445,10 @@ class TestExperiment:
     def test_covdiv_on_wrong_family(self, tmp_path, capsys):
         spec = self._setup(tmp_path, algorithms="sg covdiv")
         code, _ = run_cli("experiment", "--spec", spec,
-                          "--out", str(tmp_path / "r.csv"), capsys=capsys)
+                          "--out", str(tmp_path / "r.csv"))
         assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: the covdiv baseline needs a CoverageDiversityFn oracle, got ModularPenaltyFn")
 
     def test_scaled_instance_is_bad_input(self, tmp_path, capsys):
         # The spec's distribution lines set the weights; an ExperimentSpec has no scales.

@@ -23,7 +23,7 @@ from seqsubmod import (
 from seqsubmod.core import left_sum, prefix_scores
 from seqsubmod.harness import UserTypeDistribution, make_weights
 
-from oracles import naive_F
+from oracles import ScaledFn, naive_F
 
 
 class TestSequence:
@@ -178,6 +178,16 @@ class TestAgainstNaive:
         rhs = evaluate_F(bundle, seq)
         assert math.isclose(lhs, rhs, rel_tol=1e-9, abs_tol=1e-9)
 
+    @given(modular_case(), st.lists(st.floats(0.0, 3.0), min_size=6, max_size=6))
+    @settings(max_examples=120, deadline=None)
+    def test_heterogeneous_telescoping_identity(self, case, scales):
+        # Distinct oracles per position, each vanishing on the empty set.
+        fn, lam, seq = case
+        bundle = heterogeneous_bundle([ScaledFn(fn, s) for s in scales[:len(lam)]], lam, n=fn.n)
+        lhs = telescoping_value(bundle, seq)
+        rhs = evaluate_F(bundle, seq)
+        assert math.isclose(lhs, rhs, rel_tol=1e-9, abs_tol=1e-9)
+
 
 class TestMarginalGain:
     def test_first_pick(self, tiny_bundle):
@@ -221,7 +231,7 @@ def _direct_F(bundle, items):
     if limit < k:
         if value is None:
             value = float(fn(frozenset()))
-        total += bundle.suffix_weight(limit + 1) * value
+        total += bundle.weights.suffix_sum(limit + 1) * value
     return total, max(limit, 1)
 
 

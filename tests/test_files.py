@@ -336,11 +336,20 @@ class TestInstanceErrors:
         # Integer key lines too: int() alone would read these as 3.
         (MODULAR.format(n="0_3", rows="0 0 0\n0 0 0\n0 0 0\n"), "n"),
         (MODULAR.format(n="\u0663", rows="0 0 0\n0 0 0\n0 0 0\n"), "n"),
+        # A row past the block is one of its rows, not an unknown key.
+        (MODULAR.format(n=3, rows="0 0 0\n0 0 0\n0 0 0\n1 0 0\n"),
+         "penalties: expected 3 inline rows, got 4"),
+        (COVDIV_TAGS.format(rows="0.5 0.5\n0.5 0.1\n0.1 0.2\n0.3 0.3\n-1 0\n"),
+         "tags: expected 3 inline rows, got 5"),
+        (COVDIV_TAGS.replace("tags", "similarity").format(
+            rows="0 0.5 0.5\n0.5 0 0.5\n0.5 0.5 0\n0.3 0.2 0.1\n"),
+         "similarity: expected 3 inline rows, got 4"),
     ), ids=("ragged", "short", "short-then-key", "underscore", "word",
             "ragged-tags", "short-tags", "tag-above-one", "negative-tag", "nan-tag",
             "inf-tag", "negative-n", "zero-n", "underscore-rewards", "arabic-digit-ratings",
             "underscore-alpha", "underscore-scales", "underscore-tag-row",
-            "underscore-n", "arabic-digit-n"))
+            "underscore-n", "arabic-digit-n", "extra-row", "extra-tag-rows",
+            "extra-similarity-row"))
     def test_bad_block_names_its_key(self, tmp_path, body, key):
         with pytest.raises(InstanceFormatError, match=rf"^{key}\b"):
             read_instance(self._write(tmp_path, body))

@@ -405,9 +405,17 @@ class TestPlanner:
         assert covdiv[0] > 0 and set(covdiv) == {covdiv[0]}
         assert stats.cell("covdiv", "UNIFORM", FIXED).oracle_calls == covdiv
 
+    def test_covdiv_on_another_oracle_fails_when_built(self):
+        inst = synthetic_modular_instance(7, seed=3)
+        with pytest.raises(ValueError, match="needs a CoverageDiversityFn oracle, "
+                                             "got ModularPenaltyFn"):
+            ExperimentSpec(oracle=inst.oracle(), ratings=inst.ratings, n=7, k=4,
+                           algorithms=("sg", "covdiv"),
+                           distributions=(UserTypeDistribution.uniform(4),))
+
     def test_errors_keep_their_type(self):
         spec = _modular_spec(0)
-        with pytest.raises(AttributeError):  # covdiv needs a diversity state
+        with pytest.raises(ValueError):  # covdiv needs a CoverageDiversityFn
             comparative_experiment(replace(spec, algorithms=("sg", "covdiv")))
         with pytest.raises(InfeasibleError):
             comparative_experiment(replace(spec, ratings=spec.ratings[:3]))
