@@ -41,8 +41,8 @@ from .core import (
     ObjectiveBundle,
     OracleEvaluationError,
     Sequence,
+    _gain,
     evaluate_F,
-    marginal_gain,
 )
 from .functions import ComplementFn, CoverageDiversityFn
 
@@ -51,6 +51,7 @@ FLEXIBLE = "flexible"
 FIXED = "fixed"
 
 ENUMERATION_LIMIT = 10_000_000
+MEMO_LIMIT = 100_000
 
 
 class InfeasibleError(ValueError):
@@ -594,9 +595,18 @@ def homogeneous_first_half(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig |
     h = _half(bundle.n)
     if k < h:
         raise InfeasibleError(f"k={k} below ceil(n/2)={h}; use the direct fixed-length solver")
-    core = fixed_length_solve(bundle.head(h), h, cfg, coins=coins, backup=backup)
+    accepted, _ = sampling_greedy(bundle.head(h), h, cfg, coins=coins)
+    return _first_half(bundle, accepted, cfg, backup)
+
+
+def _first_half(bundle: ObjectiveBundle, accepted: Sequence, cfg: SamplerConfig,
+                forced=None) -> Sequence:
+    """The first-half sequence from the accepts of the greedy on
+    ``bundle.head(ceil(n/2))``: padded to ceil(n/2) as a fixed-length run of
+    that head pads, then by the unused items in ascending id order up to k."""
+    core = _pad_to_k(bundle.head(_half(bundle.n)), accepted, cfg, forced)
     placed = core.to_set()
-    pad = [i for i in bundle.ground if i not in placed][: k - h]
+    pad = [i for i in bundle.ground if i not in placed][: bundle.k - len(core)]
     return Sequence(core.items + tuple(pad))
 
 
@@ -618,8 +628,7 @@ def alg2_second_half(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None 
     cfg = cfg if cfg is not None else SamplerConfig()
     _require_homogeneous(bundle, "alg2_second_half")
     k = _check_k(bundle, k)
-    n = bundle.n
-    h = _half(n)
+    h = _half(bundle.n)
     if k < h:
         raise InfeasibleError(f"k={k} below ceil(n/2)={h}")
     if forced_accepted is not None:
@@ -631,10 +640,17 @@ def alg2_second_half(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None 
     else:
         engine = _complement_engine(bundle.base_oracle, bundle.ground, bundle.counter)
         added = _greedy(engine, h, _coins(cfg, coins))
+    return _second_half(bundle, added, cfg, forced_backup)
+
+
+def _second_half(bundle: ObjectiveBundle, added, cfg: SamplerConfig, forced=None) -> Sequence:
+    """alg2_second_half's assembly from the complement greedy's accepts
+    ``added``, in acceptance order; cfg's backup stream draws the fill."""
+    n, k, h = bundle.n, bundle.k, _half(bundle.n)
     tail = list(reversed(added[n - k:]))
-    pool = sorted(set(bundle.ground) - set(added))
-    fill = _draw_backup(cfg, pool, h - len(added), forced_backup)
-    rest = sorted(set(bundle.ground) - set(added) - set(fill))
+    pool = sorted(bundle.ground_set.difference(added))
+    fill = _draw_backup(cfg, pool, h - len(added), forced)
+    rest = sorted(bundle.ground_set.difference(added, fill))
     return Sequence(tuple(rest + fill + tail))
 
 
@@ -674,24 +690,138 @@ def homogeneous_solve(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None
     return _homogeneous_run(bundle, cfg if cfg is not None else SamplerConfig())[0]
 
 
-def _homogeneous_run(bundle: ObjectiveBundle,
-                     cfg: SamplerConfig) -> tuple[Sequence, float | None]:
+def _homogeneous_run(bundle: ObjectiveBundle, cfg: SamplerConfig,
+                     memo: _RoundMemo | None = None) -> tuple[Sequence, float | None]:
     """homogeneous_solve(bundle, bundle.k, cfg) and the F its two-block
     branch picked the winner by; None below ceil(n/2), where nothing scored
     the sequence.  Positions past k never contribute, so a two-block
-    sequence's F is its truncation's."""
+    sequence's F is its truncation's.  ``memo`` serves the greedies' accepts
+    and the F values instead of computing them."""
     _require_homogeneous(bundle, "homogeneous_solve")
     k = _check_k(bundle, None)
     if k < _half(bundle.n):
-        return fixed_length_solve(bundle, k, cfg), None
-    first = homogeneous_first_half(
-        bundle, k, SamplerConfig(cfg.p, derive_seed(cfg.seed, "half", 0)))
-    second = alg2_second_half(
-        bundle, k, SamplerConfig(cfg.p, derive_seed(cfg.seed, "half", 1)))
-    first_value, second_value = evaluate_F(bundle, first), evaluate_F(bundle, second)
+        if memo is None:
+            return fixed_length_solve(bundle, k, cfg), None
+        return _pad_to_k(bundle, memo.accepts(_PLAIN, cfg), cfg), None
+    first_cfg, second_cfg = (SamplerConfig(cfg.p, derive_seed(cfg.seed, "half", i)) for i in (0, 1))
+    if memo is None:
+        first = homogeneous_first_half(bundle, k, first_cfg)
+        second = alg2_second_half(bundle, k, second_cfg)
+        first_value, second_value = evaluate_F(bundle, first), evaluate_F(bundle, second)
+    else:
+        first = _first_half(bundle, memo.accepts(_HEAD, first_cfg), first_cfg)
+        second = _second_half(bundle, memo.accepts(_COMPLEMENT, second_cfg).items, second_cfg)
+        first_value, second_value = memo.value(first), memo.value(second)
     if first_value >= second_value:
         return first.prefix(k), first_value
     return second.prefix(k), second_value
+
+
+# ---------------------------------------------------------------------------
+# Memoized rounds.  Below n of about 8 a greedy has a few dozen coin paths,
+# and a bound check runs thousands of rounds on one bundle: the rounds are
+# served from a trie of the paths that replays of the real greedy read and
+# from a table of F by item tuple, with the same outputs as direct runs.
+
+_PLAIN, _HEAD, _COMPLEMENT = "plain", "head", "complement"
+
+
+class _CoinTree:
+    """The accepts of one greedy, ``_greedy(make_engine(), cap, coins)``,
+    keyed by the coin bits it reads.
+
+    An internal node is a list [child after a 0, child after a 1]; a leaf is
+    the Sequence of accepts of every run that reads exactly the bits on its
+    path; an unknown child is None.  ``accepts(cfg)`` walks the trie with
+    cfg's coin stream.  On a miss it runs the greedy on a fresh engine with
+    the bits walked so far, then the rest of the stream, and stores the bits
+    it read and its accepts.  A run is a function of the bits it reads, so
+    no stored path is a prefix of another, and a walk returns what a direct
+    run on cfg returns.  The stored bits and accepted items are capped at
+    MEMO_LIMIT; past it a miss runs and is not stored.
+    """
+
+    def __init__(self, make_engine: Callable, cap: int):
+        self._make_engine = make_engine
+        self._cap = cap
+        self._root = None
+        self._size = 0
+
+    def accepts(self, cfg: SamplerConfig) -> Sequence:
+        coins = _coins(cfg, None)
+        node, walked, parent = self._root, [], None
+        while node.__class__ is list:
+            parent = node
+            bit = next(coins)
+            walked.append(bit)
+            node = node[bit]
+        if node is not None:
+            return node
+        bits = itertools.chain(walked, coins)
+        if self._size >= MEMO_LIMIT:
+            return Sequence(tuple(_greedy(self._make_engine(), self._cap, bits)))
+        # Count the bits the run reads and keep a copy of them, in C.
+        bits, copy = itertools.tee(bits)
+        count = itertools.count()
+        out = Sequence(tuple(_greedy(self._make_engine(), self._cap,
+                                     map(itemgetter(0), zip(bits, count)))))
+        read = list(itertools.islice(copy, next(count)))
+        size = self._size + len(read) - len(walked) + len(out) + 1
+        if size <= MEMO_LIMIT:
+            self._size = size
+            # The new branch hangs from the empty slot where the walk stopped.
+            branch = out
+            for bit in reversed(read[len(walked):]):
+                branch = [None, branch] if bit else [branch, None]
+            if parent is None:
+                self._root = branch
+            else:
+                parent[walked[-1]] = branch
+        return out
+
+
+class _RoundMemo:
+    """The greedy rounds of one bundle, served from coin trees and an F
+    table; the bound check builds one per call.
+
+    ``accepts(greedy, cfg)`` gives the accepts that a run of the _PLAIN
+    greedy on the bundle, the _HEAD greedy on ``bundle.head(ceil(n/2))`` or
+    the _COMPLEMENT greedy of alg2_second_half makes on cfg's coins, each
+    from its own ``_CoinTree``.  ``value(seq)`` is evaluate_F(bundle, seq),
+    kept by ``seq.items[:k]`` (F reads no item past k) for at most
+    MEMO_LIMIT stored item ids.
+    """
+
+    def __init__(self, bundle: ObjectiveBundle):
+        self.bundle = bundle
+        self._trees: dict = {}
+        self._values: dict = {}
+        self._size = 0
+
+    def accepts(self, greedy: str, cfg: SamplerConfig) -> Sequence:
+        tree = self._trees.get(greedy)
+        if tree is None:
+            bundle = self.bundle
+            if greedy == _COMPLEMENT:
+                tree = _CoinTree(functools.partial(_complement_engine, bundle.base_oracle,
+                                                   bundle.ground, bundle.counter),
+                                 _half(bundle.n))
+            else:
+                if greedy == _HEAD:
+                    bundle = bundle.head(_half(bundle.n))
+                tree = _CoinTree(functools.partial(_make_engine, bundle, bundle.ground), bundle.k)
+            self._trees[greedy] = tree
+        return tree.accepts(cfg)
+
+    def value(self, seq: Sequence) -> float:
+        key = seq.items[:self.bundle.k]
+        value = self._values.get(key)
+        if value is None:
+            value = evaluate_F(self.bundle, seq)
+            if self._size + len(key) + 1 <= MEMO_LIMIT:
+                self._size += len(key) + 1
+                self._values[key] = value
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -726,25 +856,22 @@ def brute_force(bundle: ObjectiveBundle, k=None, constraint: str = FLEXIBLE) -> 
     return Sequence(best_items), best_value
 
 
-def baseline_covdiv(fn, bundle: ObjectiveBundle, k=None, constraint: str = FLEXIBLE,
-                    cfg: SamplerConfig | None = None, *, backup=None) -> Sequence:
+def baseline_covdiv(fn, bundle: ObjectiveBundle, k=None) -> Sequence:
     """Diversity-only greedy: ignores ratings and the position weights.
 
     Adds the item with the largest positive marginal of the coverage-minus-
     similarity term until k items are placed or no positive marginal remains:
     ``_greedy`` on the state's diversity gains at weight 1 with every coin 1.
-    Under the fixed constraint the shortfall is padded like fixed_length_solve.
-    ``fn`` must be a CoverageDiversityFn; any other oracle is a ValueError.
+    The result may be shorter than k; ``run_algorithm("covdiv", ...)`` pads
+    it under the fixed constraint.  ``fn`` must be a CoverageDiversityFn;
+    any other oracle is a ValueError.
     """
     _check_covdiv_oracle(fn)
-    cfg = cfg if cfg is not None else SamplerConfig()
     k = _check_k(bundle, k)
-    _check_constraint(constraint)
     state = fn.incremental()
     engine = _BatchedEngine(state.diversity_gains, state.add, _unit_weight, bundle.counter,
                             bundle.ground, bundle.ground[-1] + 1)
-    seq = Sequence(tuple(_greedy(engine, k, itertools.repeat(1))))
-    return _pad_to_k(bundle, seq, cfg, backup) if constraint == FIXED else seq
+    return Sequence(tuple(_greedy(engine, k, itertools.repeat(1))))
 
 
 def baseline_quality(ratings, k: int) -> Sequence:
@@ -772,7 +899,9 @@ class Algorithm:
     ``run(bundle, cfg, constraint, ratings)`` returns the unpadded
     sequence and the F it already computed for it, else None; a run reads k
     and the oracle from the bundle, the quality baseline reads ``ratings``
-    and only ``brute`` reads the constraint.  Under a constraint in ``pads``
+    and only ``brute`` reads the constraint.  The greedy runs (``sg``,
+    ``fixed``, ``homog``) take a ``_RoundMemo`` of the bundle as a fifth
+    argument, which serves their accepts and F.  Under a constraint in ``pads``
     the caller pads the run to k with ``_pad_to_k``, so an experiment pads
     one shared run per cell.  ``per_seed`` says whether the run changes with
     the seed; ``commands`` names the subcommands that take the name.  Runs
@@ -786,7 +915,9 @@ class Algorithm:
     commands: tuple[str, ...]
 
 
-def _greedy_run(bundle, cfg, constraint, ratings):
+def _greedy_run(bundle, cfg, constraint, ratings, memo=None):
+    if memo is not None:
+        return memo.accepts(_PLAIN, cfg), None
     return sampling_greedy(bundle, bundle.k, cfg)[0], None
 
 
@@ -797,8 +928,8 @@ ALGORITHMS = {
     "presampled": Algorithm(lambda bundle, cfg, constraint, ratings: (
         presampled_greedy(bundle, bundle.k, cfg), None), True, (FIXED,), ("solve",)),
     "fixed": Algorithm(_greedy_run, True, (FLEXIBLE, FIXED), _EVERYWHERE),
-    "homog": Algorithm(lambda bundle, cfg, constraint, ratings:
-                       _homogeneous_run(bundle, cfg), True, (), _EVERYWHERE),
+    "homog": Algorithm(lambda bundle, cfg, constraint, ratings, memo=None:
+                       _homogeneous_run(bundle, cfg, memo), True, (), _EVERYWHERE),
     "covdiv": Algorithm(lambda bundle, cfg, constraint, ratings: (
         baseline_covdiv(bundle.base_oracle, bundle, bundle.k), None), False, (FIXED,), _EVERYWHERE),
     "quality": Algorithm(lambda bundle, cfg, constraint, ratings: (
@@ -816,12 +947,24 @@ def run_algorithm(name: str, bundle: ObjectiveBundle, k: int, cfg: SamplerConfig
     ``k`` must equal bundle.k."""
     if k != bundle.k:
         raise ValueError(f"k={k} must match the weight profile length {bundle.k}")
+    return _run(name, bundle, cfg, constraint, ratings)
+
+
+def _run(name: str, bundle: ObjectiveBundle, cfg: SamplerConfig, constraint: str, ratings,
+         memo: _RoundMemo | None = None) -> tuple[Sequence, float]:
+    """run_algorithm at k = bundle.k; a greedy run given a ``memo`` of the
+    bundle takes its accepts and F from it, with the same result."""
     _check_constraint(constraint)
     algo = ALGORITHMS[name]
-    seq, value = algo.run(bundle, cfg, constraint, ratings)
+    if memo is None:
+        seq, value = algo.run(bundle, cfg, constraint, ratings)
+    else:
+        seq, value = algo.run(bundle, cfg, constraint, ratings, memo)
     if constraint in algo.pads:
         seq, value = _pad_to_k(bundle, seq, cfg), None
-    return seq, value if value is not None else evaluate_F(bundle, seq)
+    if value is None:
+        value = evaluate_F(bundle, seq) if memo is None else memo.value(seq)
+    return seq, value
 
 
 def verify_trace(bundle: ObjectiveBundle, trace: GreedyTrace, tol: float = 1e-9) -> None:
@@ -838,7 +981,8 @@ def verify_trace(bundle: ObjectiveBundle, trace: GreedyTrace, tol: float = 1e-9)
     for item, gain, coin in trace.considered:
         if t > bundle.k:
             raise ValueError("trace considers items after the sequence was full")
-        gains = {i: marginal_gain(bundle, accepted, i, t) for i in sorted(alive)}
+        base = frozenset(accepted)
+        gains = {i: _gain(bundle, base, i, t) for i in sorted(alive)}
         positive = [(i, g) for i, g in gains.items() if g > 0.0]
         if not positive:
             raise ValueError(f"trace considers {item} but no candidate had positive gain")
@@ -855,7 +999,7 @@ def verify_trace(bundle: ObjectiveBundle, trace: GreedyTrace, tol: float = 1e-9)
     if tuple(accepted) != trace.output.items:
         raise ValueError("coin-1 items do not reproduce the recorded output")
     if t <= bundle.k:
-        leftovers = [i for i in sorted(alive)
-                     if marginal_gain(bundle, accepted, i, t) > 0.0]
+        base = frozenset(accepted)
+        leftovers = [i for i in sorted(alive) if _gain(bundle, base, i, t) > 0.0]
         if leftovers:
             raise ValueError(f"trace ended with positive candidates {leftovers} unconsidered")

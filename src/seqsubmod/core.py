@@ -371,7 +371,12 @@ def marginal_gain(bundle: ObjectiveBundle, seq, item: int, t: int) -> float:
         raise ValueError(f"item {item} is outside the ground set")
     if not 1 <= t <= bundle.k:
         raise ValueError(f"position t={t} outside 1..{bundle.k}")
-    base = frozenset(seq.items)
+    return _gain(bundle, frozenset(seq.items), item, t)
+
+
+def _gain(bundle: ObjectiveBundle, base: frozenset, item: int, t: int) -> float:
+    """marginal_gain on checked arguments: ``base`` and ``item`` are ground
+    items, ``item`` is not in ``base`` and 1 <= t <= k."""
     grown = base | {item}
     if bundle.homogeneous:
         w = bundle.weights.suffix_sum(t)
@@ -396,5 +401,5 @@ def telescoping_value(bundle: ObjectiveBundle, seq) -> float:
     difference is exactly sum_j lambda_j * f_j(empty) otherwise).
     """
     items = _checked_items(bundle, as_sequence(seq))
-    return left_sum(marginal_gain(bundle, items[:t - 1], items[t - 1], t)
+    return left_sum(_gain(bundle, frozenset(items[:t - 1]), items[t - 1], t)
                     for t in range(1, min(len(items), bundle.k) + 1))

@@ -22,9 +22,10 @@ from .algorithms import (
     _check_constraint,
     _check_covdiv_oracle,
     _pad_to_k,
+    _RoundMemo,
+    _run,
     brute_force,
     derive_seed,
-    run_algorithm,
 )
 from .core import Sequence, WeightProfile, homogeneous_bundle, left_sum, prefix_scores
 
@@ -344,13 +345,21 @@ def bound_check(bundle, k, mode: str, cfg: SamplerConfig, rounds: int,
     the other modes exactly k), the mean from ``rounds`` runs of the
     algorithm CHECK_ALGORITHMS gives the mode, on seeds derived from
     cfg.seed.  ``factor`` overrides the formula value of bound_factor.
+
+    Round r is ``run_algorithm(CHECK_ALGORITHMS[mode], bundle, k,
+    SamplerConfig(cfg.p, round_seed(cfg.seed, r)))``, served from a tree of
+    the greedy's coin paths and a table of F values that this call builds:
+    each round draws its own coins and backup, the verdict is the one
+    direct runs give, and ``bundle.counter`` counts only the oracle calls
+    of the greedy runs and F values the call had to compute.
     """
     if mode not in CHECK_ALGORITHMS:
         raise ValueError(f"unknown mode {mode!r}")
     opt_constraint = FLEXIBLE if mode == FLEXIBLE else FIXED
     opt_seq, opt_value = brute_force(bundle, k, opt_constraint)
-    values = [run_algorithm(CHECK_ALGORITHMS[mode], bundle, k,
-                            SamplerConfig(cfg.p, round_seed(cfg.seed, r)))[1]
+    memo = _RoundMemo(bundle)
+    values = [_run(CHECK_ALGORITHMS[mode], bundle, SamplerConfig(cfg.p, round_seed(cfg.seed, r)),
+                   FLEXIBLE, None, memo)[1]
               for r in range(rounds)]
     stats = CellStats(mode, "", mode, tuple(values), (), ())
     mean, stderr = stats.mean, stats.stderr

@@ -960,7 +960,7 @@ class TestBaselines:
             inst = synthetic_covdiv_instance(20, d=6, seed=700 + idx, density=0.3)
             fn = inst.oracle()
             bundle = homogeneous_bundle(fn, (1.0,) * 5, n=20)
-            got = baseline_covdiv(fn, bundle, 5, FLEXIBLE, SamplerConfig(0.5, 0))
+            got = baseline_covdiv(fn, bundle, 5)
             want = naive_diversity_greedy(fn, range(20), 5)
             assert got.items == want
 
@@ -968,8 +968,9 @@ class TestBaselines:
         inst = synthetic_covdiv_instance(12, d=4, seed=55, density=0.5, eta=35.0)
         fn = inst.oracle()
         bundle = homogeneous_bundle(fn, (1.0,) * 6, n=12)
-        flexible = baseline_covdiv(fn, bundle, 6, FLEXIBLE, SamplerConfig(0.5, 1))
-        fixed = baseline_covdiv(fn, bundle, 6, FIXED, SamplerConfig(0.5, 1))
+        flexible, _ = algorithms.run_algorithm("covdiv", bundle, 6, SamplerConfig(0.5, 1), FLEXIBLE)
+        fixed, _ = algorithms.run_algorithm("covdiv", bundle, 6, SamplerConfig(0.5, 1), FIXED)
+        assert flexible == baseline_covdiv(fn, bundle, 6)
         assert len(flexible) < 6  # eta=35 kills marginals early here
         assert len(fixed) == 6
         assert fixed.items[: len(flexible)] == flexible.items
@@ -1004,7 +1005,7 @@ class TestBaselines:
             cases.append((fn, range(3, 80, 2), 25))
         for fn, ground, k in cases:
             bundle = homogeneous_bundle(fn, (1.0,) * k, ground=ground)
-            got = baseline_covdiv(fn, bundle, k, FLEXIBLE)
+            got = baseline_covdiv(fn, bundle, k)
             calls = bundle.counter.calls
             assert got.items == list_version(fn, bundle, k)
             assert bundle.counter.calls == 2 * calls
@@ -1029,8 +1030,8 @@ class TestBaselines:
         boosted = type(fn)(np.asarray(inst.ratings) * 100.0, fn.similarity,
                            fn.alpha, fn.beta, fn.eta)
         bundle = homogeneous_bundle(fn, (1.0,) * 4, n=15)
-        a = baseline_covdiv(fn, bundle, 4, FLEXIBLE, SamplerConfig(0.5, 0))
-        b = baseline_covdiv(boosted, bundle, 4, FLEXIBLE, SamplerConfig(0.5, 0))
+        a = baseline_covdiv(fn, bundle, 4)
+        b = baseline_covdiv(boosted, bundle, 4)
         assert a == b
 
 

@@ -1,0 +1,166 @@
+"""Memoized bound-check rounds: every round served from the coin trees and
+the F table equals a direct ``run_algorithm`` run, and every verdict equals
+the one a loop of direct runs gives."""
+
+import numpy as np
+import pytest
+
+from seqsubmod import (
+    FIXED,
+    FLEXIBLE,
+    HOMOGENEOUS,
+    CoverageFn,
+    ModularPenaltyFn,
+    P_STAR,
+    SamplerConfig,
+    bound_check,
+    bound_factor,
+    brute_force,
+    heterogeneous_bundle,
+    homogeneous_bundle,
+    round_seed,
+)
+from seqsubmod import algorithms
+from seqsubmod.algorithms import _PLAIN, _RoundMemo, _run, run_algorithm
+from seqsubmod.core import Sequence
+from seqsubmod.files import synthetic_modular_instance
+from seqsubmod.harness import CHECK_ALGORITHMS, BoundVerdict, CellStats
+
+import families
+
+
+def _direct_bound_check(bundle, k, mode, cfg, rounds, *, factor=None, monotone=False):
+    """bound_check as a loop of direct runs: run_algorithm in every round."""
+    opt_seq, opt_value = brute_force(bundle, k, FLEXIBLE if mode == FLEXIBLE else FIXED)
+    values = [run_algorithm(CHECK_ALGORITHMS[mode], bundle, k,
+                            SamplerConfig(cfg.p, round_seed(cfg.seed, r)))[1]
+              for r in range(rounds)]
+    stats = CellStats(mode, "", mode, tuple(values), (), ())
+    fac = factor if factor is not None else bound_factor(cfg.p, mode, k, bundle.n, monotone)
+    margin = stats.mean - (fac * opt_value - 3.0 * stats.stderr)
+    return BoundVerdict(margin >= 0.0, stats.mean, stats.stderr, opt_value, opt_seq, fac,
+                        margin, rounds)
+
+
+def _value_only(bundle):
+    """The bundle's oracle through ``__call__`` alone: the list engine's
+    value-difference path."""
+    fn = bundle.base_oracle
+    return homogeneous_bundle(lambda items: fn(items), bundle.weights, ground=bundle.ground)
+
+
+def _heterogeneous(idx):
+    inst = synthetic_modular_instance(6, seed=3000 + idx, penalty_prob=0.6)
+    other = synthetic_modular_instance(6, seed=4000 + idx, penalty_prob=0.6)
+    return heterogeneous_bundle((inst.oracle(), other.oracle(), inst.oracle()),
+                                (0.5, 0.3, 0.2), n=6)
+
+
+def _cases():
+    # (label, bundle, mode): modular bundles under the flexible and fixed
+    # modes, and two under homogeneous, whose k < ceil(n/2) runs the plain
+    # greedy and pads; the two-block family under homogeneous; the list
+    # engine's value-difference and heterogeneous paths.
+    cases = []
+    for idx, bundle in enumerate(families.modular_bundles()):
+        modes = (FLEXIBLE, FIXED, HOMOGENEOUS) if idx in (2, 3) else (FLEXIBLE, FIXED)
+        cases += [(f"modular{idx}", bundle, mode) for mode in modes]
+    for idx, bundle in enumerate(families.homogeneous_bundles()):
+        cases.append((f"homogeneous{idx}", bundle, HOMOGENEOUS))
+    for idx in (0, 3):
+        value_only = _value_only(families.homogeneous_bundles()[idx])
+        cases += [(f"value-only{idx}", value_only, mode) for mode in (FIXED, HOMOGENEOUS)]
+        cases += [(f"heterogeneous{idx}", _heterogeneous(idx), mode) for mode in (FLEXIBLE, FIXED)]
+    return cases
+
+
+CASES = _cases()
+
+
+class TestRounds:
+    @pytest.mark.parametrize("label, bundle, mode", CASES, ids=[c[0] + "-" + c[2] for c in CASES])
+    def test_each_round_equals_a_direct_run(self, label, bundle, mode):
+        name, k, seed = CHECK_ALGORITHMS[mode], bundle.k, 77
+        memo = _RoundMemo(bundle)
+        for r in range(2000):
+            cfg = SamplerConfig(P_STAR, round_seed(seed, r))
+            seq, value = _run(name, bundle, cfg, FLEXIBLE, None, memo)
+            want_seq, want_value = run_algorithm(name, bundle, k, cfg)
+            assert (seq.items, value) == (want_seq.items, want_value), r
+
+
+def _verdict_cases():
+    cases = [(bundle, mode, 100 + i) for i, (_, bundle, mode) in enumerate(CASES)]
+    return cases[::3]
+
+
+class TestVerdicts:
+    @pytest.mark.parametrize("limit", (None, 0, 3), ids=("limit", "no-room", "three"))
+    def test_equal_the_direct_loop(self, monkeypatch, limit):
+        if limit is not None:
+            monkeypatch.setattr(algorithms, "MEMO_LIMIT", limit)
+        for bundle, mode, seed in _verdict_cases():
+            cfg = SamplerConfig(P_STAR, seed)
+            want = _direct_bound_check(bundle, bundle.k, mode, cfg, 300)
+            got = bound_check(bundle, bundle.k, mode, cfg, 300)
+            assert got == want
+
+    @pytest.mark.parametrize("mode", (FLEXIBLE, FIXED, HOMOGENEOUS))
+    def test_no_room_runs_every_round_directly(self, monkeypatch, mode):
+        # With nothing stored, every round makes the oracle calls a direct
+        # run makes; with room, the trees and the table save most of them.
+        bundle = families.homogeneous_bundles()[3]
+        cfg = SamplerConfig(P_STAR, 5)
+
+        def rounds_calls(check):
+            before = bundle.counter.calls
+            check(bundle, bundle.k, mode, cfg, 200)
+            calls = bundle.counter.calls - before
+            before = bundle.counter.calls
+            brute_force(bundle, bundle.k, FLEXIBLE if mode == FLEXIBLE else FIXED)
+            return calls - (bundle.counter.calls - before)
+
+        direct = rounds_calls(_direct_bound_check)
+        assert rounds_calls(bound_check) < direct / 2
+        monkeypatch.setattr(algorithms, "MEMO_LIMIT", 0)
+        assert rounds_calls(bound_check) == direct
+
+    @pytest.mark.parametrize("limit", (3, 40))
+    def test_stored_size_stays_within_the_limit(self, monkeypatch, limit):
+        monkeypatch.setattr(algorithms, "MEMO_LIMIT", limit)
+        bundle = families.homogeneous_bundles()[7]
+        memo = _RoundMemo(bundle)
+        for r in range(300):
+            _run("homog", bundle, SamplerConfig(P_STAR, round_seed(1, r)), FLEXIBLE, None, memo)
+        assert memo._size <= limit
+        assert all(tree._size <= limit for tree in memo._trees.values())
+
+
+class TestEdges:
+    @pytest.mark.parametrize("mode", (FLEXIBLE, FIXED, HOMOGENEOUS))
+    def test_p0(self, mode):
+        bundle = families.homogeneous_bundles()[2]
+        cfg = SamplerConfig(0.0, 9)
+        assert (bound_check(bundle, bundle.k, mode, cfg, 200, factor=0.0)
+                == _direct_bound_check(bundle, bundle.k, mode, cfg, 200, factor=0.0))
+
+    def test_p1_monotone(self):
+        fn = CoverageFn([(0, 1), (2,), (1, 2), (3,)], (2.0, 1.0, 3.0, 0.5))
+        bundle = homogeneous_bundle(fn, (0.7, 0.3), n=4)
+        cfg = SamplerConfig(1.0, 0)
+        got = bound_check(bundle, 2, FLEXIBLE, cfg, 50, monotone=True)
+        assert got == _direct_bound_check(bundle, 2, FLEXIBLE, cfg, 50, monotone=True)
+        assert got.factor == 0.5 and got.stderr == pytest.approx(0.0, abs=1e-12)
+
+    def test_no_coin_read_is_a_root_leaf(self):
+        # No item has a positive gain, so the greedy reads no coin at all.
+        fn = ModularPenaltyFn((0.0,) * 4, np.zeros((4, 4)))
+        bundle = homogeneous_bundle(fn, (0.6, 0.4), n=4)
+        memo = _RoundMemo(bundle)
+        for r in range(5):
+            assert memo.accepts(_PLAIN, SamplerConfig(P_STAR, r)) == Sequence(())
+        assert memo._trees[_PLAIN]._root == Sequence(())
+        for mode in (FLEXIBLE, FIXED, HOMOGENEOUS):
+            cfg = SamplerConfig(P_STAR, 3)
+            assert (bound_check(bundle, 2, mode, cfg, 50)
+                    == _direct_bound_check(bundle, 2, mode, cfg, 50))

@@ -15,7 +15,6 @@ from seqsubmod import (
     P_STAR,
     SamplerConfig,
     UserTypeDistribution,
-    baseline_covdiv,
     baseline_quality,
     bound_check,
     bound_factor,
@@ -31,6 +30,7 @@ from seqsubmod import (
     sampling_greedy,
     write_instance,
 )
+from seqsubmod.algorithms import run_algorithm
 from seqsubmod.cli import main
 from seqsubmod.files import synthetic_covdiv_instance, synthetic_modular_instance
 from seqsubmod.functions import tiny_instance
@@ -311,7 +311,7 @@ def _standalone(name, bundle, spec, constraint, cfg):
     if name == "homog":
         return homogeneous_solve(bundle, spec.k, cfg)
     if name == "covdiv":
-        return baseline_covdiv(spec.oracle, bundle, spec.k, constraint, cfg)
+        return run_algorithm("covdiv", bundle, spec.k, cfg, constraint)[0]
     return baseline_quality(spec.ratings, spec.k)
 
 
@@ -328,10 +328,15 @@ def _reference_cells(spec, constraints, sequences=None):
                     cfg = SamplerConfig(spec.p, round_seed(spec.base_seed, r))
                     before = bundle.counter.calls
                     seq = _standalone(name, bundle, spec, constraint, cfg)
-                    calls.append(bundle.counter.calls - before)
+                    run_calls = bundle.counter.calls - before
                     if sequences is not None:
                         sequences.append(tuple(seq))
+                    before = bundle.counter.calls
                     values.append(evaluate_F(bundle, seq))
+                    if name == "covdiv":
+                        # run_algorithm scored the sequence once, as evaluate_F just did
+                        run_calls -= bundle.counter.calls - before
+                    calls.append(run_calls)
                     lengths.append(len(seq))
                 cells.append(CellStats(name, dist.label, constraint, tuple(values),
                                        tuple(lengths), tuple(calls)))
