@@ -9,6 +9,13 @@ the same number grammar, so every float field accepts the same numbers.  All
 floats are written with ``repr`` and parsed with correct rounding, so
 write -> read round-trips bit-exactly and rerunning a seeded experiment
 reproduces its output file byte for byte.
+
+A covdiv similarity W is given either as its dense ``similarity`` block or
+by the ``tags`` it derives from, never both.  An instance that carries its
+tags is written as them (n x d numbers instead of n x n), and the reader
+derives W = ``similarity_from_tags(tags)`` from the ``repr``-exact tags, so
+W comes out with the bits the writer's instance held; a known-answer test
+pins those bits across platforms.
 """
 
 from __future__ import annotations
@@ -43,10 +50,12 @@ class Instance:
     """One on-disk problem instance.
 
     ``ratings`` double as the rewards of the modular-penalty family.  A
-    non-None ``scales`` tuple sets f_j = scales[j] times the base function;
-    ``bundle`` holds scales finite and nonnegative and each lambda_j * s_j
-    finite, so sum_j lambda_j * s_j * f is the identical-utility objective
-    under the weights lambda_j * s_j, and every bundle is homogeneous.
+    covdiv instance may carry the ``tags`` its ``similarity`` derives from;
+    it is then written as its tags.  A non-None ``scales`` tuple sets
+    f_j = scales[j] times the base function; ``bundle`` holds scales finite
+    and nonnegative and each lambda_j * s_j finite, so sum_j lambda_j * s_j
+    * f is the identical-utility objective under the weights
+    lambda_j * s_j, and every bundle is homogeneous.
     """
 
     family: str
@@ -58,6 +67,7 @@ class Instance:
     similarity: np.ndarray | None = None
     penalties: np.ndarray | None = None
     scales: tuple[float, ...] | None = None
+    tags: np.ndarray | None = None
 
     def oracle(self):
         if self.family == "covdiv":
@@ -95,7 +105,8 @@ class Instance:
                 and self.alpha == other.alpha and self.beta == other.beta
                 and self.eta == other.eta and self.scales == other.scales
                 and arr_eq(self.similarity, other.similarity)
-                and arr_eq(self.penalties, other.penalties))
+                and arr_eq(self.penalties, other.penalties)
+                and arr_eq(self.tags, other.tags))
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +263,10 @@ def _read_instance(path: str) -> tuple[Instance, object]:
         raise InstanceFormatError("instance needs family, n, and ratings/rewards")
     if len(ratings) != n:
         raise InstanceFormatError(f"{len(ratings)} ratings for n={n}")
-    similarity = fields.get("similarity")
-    if similarity is None and "tags" in fields:
-        tags = fields["tags"]
+    similarity, tags = fields.get("similarity"), fields.get("tags")
+    if similarity is not None and tags is not None:
+        raise InstanceFormatError("similarity and tags: give one of the two, not both")
+    if tags is not None:
         if tags.shape[0] != n:
             raise InstanceFormatError(f"tags have {tags.shape[0]} rows for n={n}")
         try:
@@ -265,7 +277,7 @@ def _read_instance(path: str) -> tuple[Instance, object]:
     inst = Instance(
         family=family, n=n, ratings=ratings,
         alpha=fields.get("alpha"), beta=fields.get("beta"), eta=fields.get("eta"),
-        similarity=similarity, penalties=penalties, scales=fields.get("scales"),
+        similarity=similarity, penalties=penalties, scales=fields.get("scales"), tags=tags,
     )
     return inst, _validate_instance(inst)
 
@@ -303,7 +315,14 @@ def _check_scales(scales) -> None:
 
 
 def write_instance(path: str, inst: Instance) -> None:
-    """Write an instance with its matrix inline; read_instance inverts this."""
+    """Write an instance with its matrix inline; read_instance inverts this.
+
+    A covdiv instance with tags is written as ``tags inline``, from which
+    the reader derives its similarity, so it must be bit for bit
+    ``similarity_from_tags(tags)``: an instance whose similarity was
+    replaced is refused rather than written as a different W.  Without
+    tags the dense ``similarity`` block is written.
+    """
     lines = [f"family {inst.family}", f"n {inst.n}"]
     if inst.family == "covdiv":
         for key in ("alpha", "beta", "eta"):
@@ -312,13 +331,29 @@ def write_instance(path: str, inst: Instance) -> None:
     lines.append(f"{key} " + " ".join(repr(float(r)) for r in inst.ratings))
     if inst.scales is not None:
         lines.append("scales " + " ".join(repr(float(s)) for s in inst.scales))
-    matrix = inst.similarity if inst.family == "covdiv" else inst.penalties
-    matrix_name = "similarity" if inst.family == "covdiv" else "penalties"
+    if inst.family != "covdiv":
+        matrix_name, matrix = "penalties", inst.penalties
+    elif inst.tags is None:
+        matrix_name, matrix = "similarity", inst.similarity
+    else:
+        matrix_name, matrix = "tags", inst.tags
+        if not _same_bits(inst.similarity, similarity_from_tags(matrix)):
+            raise InstanceFormatError(
+                "tags: similarity is not similarity_from_tags(tags), so the tags "
+                "would read back a different similarity")
     lines.append(f"{matrix_name} inline")
     for row in np.asarray(matrix, dtype=float):
         lines.append(" ".join(repr(float(x)) for x in row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _same_bits(a, b) -> bool:
+    """Float64 arrays of equal shape and bits, which tells -0.0 from 0.0;
+    the bits are compared through integer views, not ``tobytes`` copies."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype == np.float64 and a.shape == b.shape
+            and bool(np.all(a.view(np.int64) == b.view(np.int64))))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +400,8 @@ def synthetic_covdiv_instance(n: int, d: int = 25, seed: int = 0,
     alpha, beta = auto_scale(ratings, similarity)
     return Instance(family="covdiv", n=n,
                     ratings=tuple(float(r) for r in ratings),
-                    alpha=alpha, beta=beta, eta=float(eta), similarity=similarity)
+                    alpha=alpha, beta=beta, eta=float(eta), similarity=similarity,
+                    tags=tags)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -907,6 +908,21 @@ class TestRunAlgorithm:
         with pytest.raises(ValueError, match="unknown constraint 'loose'"):
             algorithms.run_algorithm(name, inst.bundle((0.5, 0.5)), 2, SamplerConfig(P_STAR, 0),
                                      "loose", inst.ratings)
+
+
+    def test_readme_table_says_which_runs_are_padded(self):
+        # The last column of the README's algorithm table, read as the
+        # constraints a run is padded under.
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        start = lines.index("| name | `solve` | `experiment` | `check --mode` | padded to `k` |")
+        rows = [line.split("|")[1:-1] for line in
+                itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:])]
+        padded = {"under `fixed`": (FIXED,), "always": (FLEXIBLE, FIXED), "never": ()}
+        table = {name.strip().strip("`"): padded[last.strip().split(" (")[0].split(";")[0]]
+                 for name, *_, last in rows}
+        assert table == {name: algo.pads for name, algo in algorithms.ALGORITHMS.items()}
 
 
 class TestBruteForce:

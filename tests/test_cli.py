@@ -155,6 +155,9 @@ class TestSolve:
          "tags inline\n0.5 1.5\n0.2 0.1\n", "error: tags: tag entries must lie in [0, 1]"),
         ("family covdiv\nn 2\nratings 1 1\nalpha 1\nbeta 1\neta 2\n"
          "tags inline\n0.5 nan\n0.2 0.1\n", "error: tags: tag entries must be finite"),
+        ("family covdiv\nn 2\nratings 1 1\nalpha 1\nbeta 1\neta 2\n"
+         "tags inline\n0.5 0.5\n0.2 0.1\nsimilarity inline\n0 0.5\n0.5 0\n",
+         "error: similarity and tags: give one of the two, not both"),
         ("family modular-penalty\nn -2\nrewards 1 1\n", "error: n: must be at least 1"),
         ("family modular-penalty\nn 2\nrewards 1_0 2\npenalties inline\n0 0\n0 0\n",
          "error: rewards: expected numbers"),
@@ -163,7 +166,7 @@ class TestSolve:
          "error: scales: -1.0 is not finite and nonnegative"),
         ("family modular-penalty\nn 2\nrewards 1 1\nscales -0.0 -1e-300\npenalties inline\n"
          "0 0\n0 0\n", "error: scales: -1e-300 is not finite and nonnegative"),
-    ), ids=("ragged-matrix", "tag-outside-unit", "nan-tag", "n-below-one",
+    ), ids=("ragged-matrix", "tag-outside-unit", "nan-tag", "similarity-and-tags", "n-below-one",
             "underscore-on-key-line", "negative-scale", "tiny-negative-scale"))
     def test_malformed_block_is_bad_input(self, tmp_path, capsys, body, message):
         bad = str(tmp_path / "bad.txt")

@@ -28,7 +28,8 @@ from seqsubmod import (
     write_matrix,
     write_results,
 )
-from seqsubmod.functions import tiny_instance
+from seqsubmod.cli import main
+from seqsubmod.functions import similarity_from_tags, tiny_instance
 
 from oracles import ScaledFn
 
@@ -114,7 +115,6 @@ class TestInstanceRoundTrip:
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         inst = read_instance(path)
-        from seqsubmod import similarity_from_tags
         assert np.array_equal(inst.similarity, similarity_from_tags(tags))
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
@@ -139,7 +139,7 @@ def _assert_exact_round_trip(path, inst):
     back = read_instance(path)
     assert back == inst
     assert _same_bytes(back.ratings, inst.ratings)
-    for key in ("similarity", "penalties"):
+    for key in ("similarity", "penalties", "tags"):
         if getattr(inst, key) is not None:
             assert _same_bytes(getattr(back, key), np.asarray(getattr(inst, key), dtype=float))
     if inst.scales is not None:
@@ -247,9 +247,67 @@ class TestExactParse:
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         inst = read_instance(path)
-        from seqsubmod import similarity_from_tags
         assert _same_bytes(inst.similarity, similarity_from_tags(tags))
         assert inst.ratings == (1.0, 2.0, 3.0) and inst.eta == 2.0
+
+
+def _matrix_keys(path) -> list[str]:
+    """The first word of each matrix key line of an instance file."""
+    with open(path) as fh:
+        return [line.split()[0] for line in fh
+                if line.split()[:1] in (["similarity"], ["penalties"], ["tags"])]
+
+
+class TestTagsForm:
+    """A covdiv instance that carries its tags is written as them, and the
+    reader derives the similarity from them with the same bits."""
+
+    @pytest.mark.parametrize("d", (1, 4, 25))
+    @pytest.mark.parametrize("n", (1, 2, 9, 257, 500))
+    def test_round_trip(self, tmp_path, n, d):
+        inst = synthetic_covdiv_instance(n, d=d, seed=1000 + n + d, density=0.4)
+        path = str(tmp_path / "inst.txt")
+        back = _assert_exact_round_trip(path, inst)
+        assert _matrix_keys(path) == ["tags"]
+        assert np.array_equal(back.tags, inst.tags)
+        assert back.similarity.tobytes() == inst.similarity.tobytes()
+
+    def test_gen_writes_tags(self, tmp_path, capsys):
+        path = str(tmp_path / "inst.txt")
+        assert main(["gen", "--family", "covdiv", "--n", "12", "--seed", "3",
+                     "--out", path]) == 0
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        assert "tags inline" in lines
+        assert not any(line.startswith("similarity") for line in lines)
+
+    @pytest.mark.parametrize("edit", ("doubled", "one-ulp", "negative-zero", "float32", "dropped"))
+    def test_tags_that_disagree_with_similarity_are_refused(self, tmp_path, edit):
+        inst = synthetic_covdiv_instance(9, d=4, seed=5, density=0.5)
+        sim = inst.similarity.copy()
+        if edit == "doubled":
+            sim = 2.0 * sim
+        elif edit == "one-ulp":
+            sim[3, 3] = np.nextafter(sim[3, 3], 2.0)
+        elif edit == "negative-zero":
+            assert np.any(sim == 0.0)
+            sim[sim == 0.0] = -0.0
+        elif edit == "float32":
+            sim = sim.astype(np.float32)
+        else:
+            sim = None
+        path = tmp_path / "inst.txt"
+        with pytest.raises(InstanceFormatError, match="^tags: similarity is not"):
+            write_instance(str(path), dataclasses.replace(inst, similarity=sim))
+        assert not path.exists()
+
+    def test_without_tags_the_dense_form_is_written(self, tmp_path):
+        tagged = synthetic_covdiv_instance(30, d=6, seed=8, density=0.3)
+        inst = dataclasses.replace(tagged, tags=None)
+        path = str(tmp_path / "inst.txt")
+        back = _assert_exact_round_trip(path, inst)
+        assert _matrix_keys(path) == ["similarity"]
+        assert back.tags is None and back != tagged
 
 
 class TestInstanceErrors:
@@ -344,18 +402,23 @@ class TestInstanceErrors:
         (COVDIV_TAGS.replace("tags", "similarity").format(
             rows="0 0.5 0.5\n0.5 0 0.5\n0.5 0.5 0\n0.3 0.2 0.1\n"),
          "similarity: expected 3 inline rows, got 4"),
+        # Two matrices for one W: neither is silently dropped.
+        (COVDIV_TAGS.format(rows="0.5 0.5\n0.5 0.1\n0.1 0.2\n")
+         + "similarity inline\n0 0.5 0.5\n0.5 0 0.5\n0.5 0.5 0\n", "similarity and tags"),
+        (COVDIV_TAGS.replace("tags", "similarity").format(
+            rows="0 0.5 0.5\n0.5 0 0.5\n0.5 0.5 0\n") + "tags inline\n0.5 0.5\n0.5 0.1\n0.1 0.2\n",
+         "similarity and tags"),
     ), ids=("ragged", "short", "short-then-key", "underscore", "word",
             "ragged-tags", "short-tags", "tag-above-one", "negative-tag", "nan-tag",
             "inf-tag", "negative-n", "zero-n", "underscore-rewards", "arabic-digit-ratings",
             "underscore-alpha", "underscore-scales", "underscore-tag-row",
             "underscore-n", "arabic-digit-n", "extra-row", "extra-tag-rows",
-            "extra-similarity-row"))
+            "extra-similarity-row", "tags-then-similarity", "similarity-then-tags"))
     def test_bad_block_names_its_key(self, tmp_path, body, key):
         with pytest.raises(InstanceFormatError, match=rf"^{key}\b"):
             read_instance(self._write(tmp_path, body))
 
     def test_non_finite_tags_are_rejected_at_the_source(self):
-        from seqsubmod import similarity_from_tags
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="tag entries must be finite"):
                 similarity_from_tags([[0.5, bad], [0.1, 0.2]])

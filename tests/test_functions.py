@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -331,6 +332,22 @@ class TestSimilarityFromTags:
             similarity_from_tags(np.empty((0, 3)))
         with pytest.raises(ValueError):
             similarity_from_tags([[0.5, 1.2]])
+
+
+class TestSimilarityKnownAnswer:
+    """Covdiv files store tags, and every reader rebuilds W from them, so W's
+    bits must be the same on every platform.  The dense tags give each entry
+    25 nonzero squares; summing them left to right instead of by numpy's row
+    reduction changes 1394 of the 4096 entries, so this digest pins the
+    reduction order."""
+
+    def test_digest(self):
+        tags = np.random.default_rng(64).uniform(0.0, 1.0, (64, 25))
+        assert hashlib.sha256(tags.tobytes()).hexdigest() == (
+            "83ec6facff9fdd106878511d00e2a7597989708defa51ccc69a83dda2b1acb21")
+        sim = similarity_from_tags(tags)
+        assert hashlib.sha256(sim.tobytes()).hexdigest() == (
+            "26a02e6c6fdfe2057029df4a45962ec699d3501b6c4f00ebe3ed0474a571ebc4")
 
 
 class TestComplement:
