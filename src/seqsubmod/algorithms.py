@@ -11,8 +11,10 @@ baseline included, runs one loop, ``_greedy``, over one of two marginal
 engines: ``_BatchedEngine`` for an oracle with a numpy ``incremental()``
 state, and ``_ListEngine`` for the rest, which sums per-term gains read from
 a ``running_gains()`` list, else ``marginal`` calls, else value differences.
-The complement greedy is that loop on g(S) = f(V minus S).
-``ALGORITHMS`` names the solvers for the CLI, experiments and bound checks.
+The complement greedy is ``sampling_greedy`` on the homogeneous bundle of
+g(S) = f(V minus S) whose positions all weigh 1.  ``ALGORITHMS`` names the
+solvers for the CLI, experiments and bound checks; each of its runs reads
+its bundle, greedy accepts and F from a ``_RoundMemo``.
 
 Randomness policy: every random draw comes from a counter-based SplitMix64
 stream named by (seed, tag) (Steele, Lea & Flood, OOPSLA 2014).  A solver
@@ -43,6 +45,7 @@ from .core import (
     Sequence,
     _gain,
     evaluate_F,
+    homogeneous_bundle,
 )
 from .functions import ComplementFn, CoverageDiversityFn
 
@@ -297,8 +300,8 @@ class _ListEngine:
     ``weights`` is either the profile lambda_1..lambda_k of ``oracles``, one
     term per position j with lambda_j != 0 (a heterogeneous bundle), or a
     function ``suffix_weight(t)`` for a single oracle, whose one term sits at
-    position t with that weight (a homogeneous bundle, or the complement
-    greedy at weight 1).  ``candidates`` are ascending item ids.
+    position t with that weight (a homogeneous bundle).  ``candidates`` are
+    ascending item ids.
 
     Each term reads its oracle's gains by one rule: the id-indexed list of
     its own ``running_gains()`` state, else one ``marginal`` call per candidate,
@@ -402,12 +405,14 @@ def _make_engine(bundle: ObjectiveBundle, candidates):
     return _ListEngine((oracle,), bundle.weights.suffix_sum, bundle.counter, candidates)
 
 
-def _complement_engine(base, ground, counter: EvalCounter):
-    """The list engine on g(S) = f(V minus S) over V = ``ground``, every
-    position weighted 1: a modular base's ``complement_gains`` or
-    ``ComplementFn.marginal`` give the gains, one counted call per candidate."""
+def _complement_bundle(base, ground, cap: int, counter: EvalCounter | None = None) -> ObjectiveBundle:
+    """The homogeneous bundle of g(S) = f(V minus S) over V = ``ground`` with
+    ``cap`` >= 1 positions: only the last weighs 1, so suffix_sum(t) is
+    exactly 1.0 at every t <= cap.  sampling_greedy on it is the complement
+    greedy capped at ``cap`` accepts; a modular base's ``complement_gains``
+    or ``ComplementFn.marginal`` give the gains."""
     fn = ComplementFn(base, ground)
-    return _ListEngine((fn,), _unit_weight, counter, fn.ground)
+    return homogeneous_bundle(fn, (0.0,) * (cap - 1) + (1.0,), ground=fn.ground, counter=counter)
 
 
 def _unit_weight(t: int) -> float:
@@ -638,8 +643,8 @@ def alg2_second_half(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None 
         if len(added) > h:
             raise ValueError(f"at most ceil(n/2)={h} accepted items")
     else:
-        engine = _complement_engine(bundle.base_oracle, bundle.ground, bundle.counter)
-        added = _greedy(engine, h, _coins(cfg, coins))
+        complement = _complement_bundle(bundle.base_oracle, bundle.ground, h, bundle.counter)
+        added = sampling_greedy(complement, h, cfg, coins=coins)[0].items
     return _second_half(bundle, added, cfg, forced_backup)
 
 
@@ -671,7 +676,8 @@ def sampling_greedy_j(oracle, n: int, j: int, cfg: SamplerConfig | None = None,
     if not 1 <= j <= n:
         raise ValueError(f"j={j} outside 1..{n}")
     cap = n - j
-    added = _greedy(_complement_engine(oracle, ids, EvalCounter()), cap, _coins(cfg, coins))
+    added = sampling_greedy(_complement_bundle(oracle, ids, cap), cap, cfg,
+                            coins=coins)[0].items if cap else ()
     pool = sorted(set(ids) - set(added))
     fill = _draw_backup(cfg, pool, cap - len(added), forced_backup)
     return frozenset(added) | frozenset(fill)
@@ -687,31 +693,24 @@ def homogeneous_solve(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None
     strategy), truncated to exactly k positions.
     """
     _check_k(bundle, k)
-    return _homogeneous_run(bundle, cfg if cfg is not None else SamplerConfig())[0]
+    return _homogeneous_run(_RoundMemo(bundle), cfg if cfg is not None else SamplerConfig())[0]
 
 
-def _homogeneous_run(bundle: ObjectiveBundle, cfg: SamplerConfig,
-                     memo: _RoundMemo | None = None) -> tuple[Sequence, float | None]:
-    """homogeneous_solve(bundle, bundle.k, cfg) and the F its two-block
-    branch picked the winner by; None below ceil(n/2), where nothing scored
-    the sequence.  Positions past k never contribute, so a two-block
-    sequence's F is its truncation's.  ``memo`` serves the greedies' accepts
-    and the F values instead of computing them."""
+def _homogeneous_run(memo: _RoundMemo, cfg: SamplerConfig) -> tuple[Sequence, float | None]:
+    """homogeneous_solve(memo.bundle, k, cfg), with the greedies' accepts and
+    the F values served by ``memo``, and the F its two-block branch picked
+    the winner by; None below ceil(n/2), where nothing scored the sequence.
+    Positions past k never contribute, so a two-block sequence's F is its
+    truncation's."""
+    bundle = memo.bundle
     _require_homogeneous(bundle, "homogeneous_solve")
     k = _check_k(bundle, None)
     if k < _half(bundle.n):
-        if memo is None:
-            return fixed_length_solve(bundle, k, cfg), None
         return _pad_to_k(bundle, memo.accepts(_PLAIN, cfg), cfg), None
     first_cfg, second_cfg = (SamplerConfig(cfg.p, derive_seed(cfg.seed, "half", i)) for i in (0, 1))
-    if memo is None:
-        first = homogeneous_first_half(bundle, k, first_cfg)
-        second = alg2_second_half(bundle, k, second_cfg)
-        first_value, second_value = evaluate_F(bundle, first), evaluate_F(bundle, second)
-    else:
-        first = _first_half(bundle, memo.accepts(_HEAD, first_cfg), first_cfg)
-        second = _second_half(bundle, memo.accepts(_COMPLEMENT, second_cfg).items, second_cfg)
-        first_value, second_value = memo.value(first), memo.value(second)
+    first = _first_half(bundle, memo.accepts(_HEAD, first_cfg), first_cfg)
+    second = _second_half(bundle, memo.accepts(_COMPLEMENT, second_cfg).items, second_cfg)
+    first_value, second_value = memo.value(first), memo.value(second)
     if first_value >= second_value:
         return first.prefix(k), first_value
     return second.prefix(k), second_value
@@ -720,30 +719,29 @@ def _homogeneous_run(bundle: ObjectiveBundle, cfg: SamplerConfig,
 # ---------------------------------------------------------------------------
 # Memoized rounds.  Below n of about 8 a greedy has a few dozen coin paths,
 # and a bound check runs thousands of rounds on one bundle: the rounds are
-# served from a trie of the paths that replays of the real greedy read and
-# from a table of F by item tuple, with the same outputs as direct runs.
+# served from a trie of the paths that sampling_greedy read and from a table
+# of F by item tuple, with the outputs of plain solver runs.
 
 _PLAIN, _HEAD, _COMPLEMENT = "plain", "head", "complement"
 
 
 class _CoinTree:
-    """The accepts of one greedy, ``_greedy(make_engine(), cap, coins)``,
+    """The accepts of ``sampling_greedy(bundle, bundle.k, coins=...)``,
     keyed by the coin bits it reads.
 
     An internal node is a list [child after a 0, child after a 1]; a leaf is
     the Sequence of accepts of every run that reads exactly the bits on its
     path; an unknown child is None.  ``accepts(cfg)`` walks the trie with
-    cfg's coin stream.  On a miss it runs the greedy on a fresh engine with
-    the bits walked so far, then the rest of the stream, and stores the bits
-    it read and its accepts.  A run is a function of the bits it reads, so
-    no stored path is a prefix of another, and a walk returns what a direct
-    run on cfg returns.  The stored bits and accepted items are capped at
+    cfg's coin stream.  On a miss it runs the greedy with the bits walked so
+    far, then the rest of the stream, and stores the bits its GreedyTrace
+    shows it read and its accepts.  A run is a function of the bits it
+    reads, so no stored path is a prefix of another, and a walk returns what
+    a run on cfg returns.  The stored bits and accepted items are capped at
     MEMO_LIMIT; past it a miss runs and is not stored.
     """
 
-    def __init__(self, make_engine: Callable, cap: int):
-        self._make_engine = make_engine
-        self._cap = cap
+    def __init__(self, bundle: ObjectiveBundle):
+        self._bundle = bundle
         self._root = None
         self._size = 0
 
@@ -757,15 +755,9 @@ class _CoinTree:
             node = node[bit]
         if node is not None:
             return node
-        bits = itertools.chain(walked, coins)
-        if self._size >= MEMO_LIMIT:
-            return Sequence(tuple(_greedy(self._make_engine(), self._cap, bits)))
-        # Count the bits the run reads and keep a copy of them, in C.
-        bits, copy = itertools.tee(bits)
-        count = itertools.count()
-        out = Sequence(tuple(_greedy(self._make_engine(), self._cap,
-                                     map(itemgetter(0), zip(bits, count)))))
-        read = list(itertools.islice(copy, next(count)))
+        out, trace = sampling_greedy(self._bundle, self._bundle.k,
+                                     coins=itertools.chain(walked, coins))
+        read = [coin for _, _, coin in trace.considered]
         size = self._size + len(read) - len(walked) + len(out) + 1
         if size <= MEMO_LIMIT:
             self._size = size
@@ -781,14 +773,16 @@ class _CoinTree:
 
 
 class _RoundMemo:
-    """The greedy rounds of one bundle, served from coin trees and an F
-    table; the bound check builds one per call.
+    """The greedy runs and F values of one bundle, served from coin trees
+    and an F table.  Every ``ALGORITHMS`` run reads its bundle from one: a
+    standalone run builds a fresh memo, so its oracle calls are those of one
+    execution, and a bound check keeps one per call.
 
-    ``accepts(greedy, cfg)`` gives the accepts that a run of the _PLAIN
-    greedy on the bundle, the _HEAD greedy on ``bundle.head(ceil(n/2))`` or
-    the _COMPLEMENT greedy of alg2_second_half makes on cfg's coins, each
-    from its own ``_CoinTree``.  ``value(seq)`` is evaluate_F(bundle, seq),
-    kept by ``seq.items[:k]`` (F reads no item past k) for at most
+    ``accepts(greedy, cfg)`` gives the accepts that sampling_greedy makes on
+    cfg's coins on the bundle (_PLAIN), on ``bundle.head(ceil(n/2))``
+    (_HEAD) or on the complement bundle of alg2_second_half (_COMPLEMENT),
+    each from its own ``_CoinTree``.  ``value(seq)`` is evaluate_F(bundle,
+    seq), kept by ``seq.items[:k]`` (F reads no item past k) for at most
     MEMO_LIMIT stored item ids.
     """
 
@@ -802,15 +796,12 @@ class _RoundMemo:
         tree = self._trees.get(greedy)
         if tree is None:
             bundle = self.bundle
-            if greedy == _COMPLEMENT:
-                tree = _CoinTree(functools.partial(_complement_engine, bundle.base_oracle,
-                                                   bundle.ground, bundle.counter),
-                                 _half(bundle.n))
-            else:
-                if greedy == _HEAD:
-                    bundle = bundle.head(_half(bundle.n))
-                tree = _CoinTree(functools.partial(_make_engine, bundle, bundle.ground), bundle.k)
-            self._trees[greedy] = tree
+            if greedy == _HEAD:
+                bundle = bundle.head(_half(bundle.n))
+            elif greedy == _COMPLEMENT:
+                bundle = _complement_bundle(bundle.base_oracle, bundle.ground, _half(bundle.n),
+                                            bundle.counter)
+            tree = self._trees[greedy] = _CoinTree(bundle)
         return tree.accepts(cfg)
 
     def value(self, seq: Sequence) -> float:
@@ -896,17 +887,17 @@ def baseline_quality(ratings, k: int) -> Sequence:
 class Algorithm:
     """How the commands run one named solver.
 
-    ``run(bundle, cfg, constraint, ratings)`` returns the unpadded
-    sequence and the F it already computed for it, else None; a run reads k
-    and the oracle from the bundle, the quality baseline reads ``ratings``
-    and only ``brute`` reads the constraint.  The greedy runs (``sg``,
-    ``fixed``, ``homog``) take a ``_RoundMemo`` of the bundle as a fifth
-    argument, which serves their accepts and F.  Under a constraint in ``pads``
-    the caller pads the run to k with ``_pad_to_k``, so an experiment pads
-    one shared run per cell.  ``per_seed`` says whether the run changes with
-    the seed; ``commands`` names the subcommands that take the name.  Runs
-    call the solvers by their module-level names, so a wrapper installed on
-    the module sees every call.
+    ``run(memo, cfg, constraint, ratings)`` returns the unpadded sequence
+    and the F it already computed for it, else None.  A run reads k and the
+    oracle from ``memo.bundle``; the greedy runs (``sg``, ``fixed``,
+    ``homog``) take their accepts and F from the ``_RoundMemo``, the quality
+    baseline reads ``ratings`` and only ``brute`` reads the constraint.
+    Under a constraint in ``pads`` the caller pads the run to k with
+    ``_pad_to_k``, so an experiment pads one shared run per cell.
+    ``per_seed`` says whether the run changes with the seed; ``commands``
+    names the subcommands that take the name.  Runs call the solvers by
+    their module-level names, so a wrapper installed on the module sees
+    every call.
     """
 
     run: Callable
@@ -915,27 +906,26 @@ class Algorithm:
     commands: tuple[str, ...]
 
 
-def _greedy_run(bundle, cfg, constraint, ratings, memo=None):
-    if memo is not None:
-        return memo.accepts(_PLAIN, cfg), None
-    return sampling_greedy(bundle, bundle.k, cfg)[0], None
+def _greedy_run(memo, cfg, constraint, ratings):
+    return memo.accepts(_PLAIN, cfg), None
 
 
 _EVERYWHERE = ("solve", "experiment")
 
 ALGORITHMS = {
     "sg": Algorithm(_greedy_run, True, (FIXED,), _EVERYWHERE),
-    "presampled": Algorithm(lambda bundle, cfg, constraint, ratings: (
-        presampled_greedy(bundle, bundle.k, cfg), None), True, (FIXED,), ("solve",)),
+    "presampled": Algorithm(lambda memo, cfg, constraint, ratings: (
+        presampled_greedy(memo.bundle, memo.bundle.k, cfg), None), True, (FIXED,), ("solve",)),
     "fixed": Algorithm(_greedy_run, True, (FLEXIBLE, FIXED), _EVERYWHERE),
-    "homog": Algorithm(lambda bundle, cfg, constraint, ratings, memo=None:
-                       _homogeneous_run(bundle, cfg, memo), True, (), _EVERYWHERE),
-    "covdiv": Algorithm(lambda bundle, cfg, constraint, ratings: (
-        baseline_covdiv(bundle.base_oracle, bundle, bundle.k), None), False, (FIXED,), _EVERYWHERE),
-    "quality": Algorithm(lambda bundle, cfg, constraint, ratings: (
-        baseline_quality(ratings, bundle.k), None), False, (), _EVERYWHERE),
-    "brute": Algorithm(lambda bundle, cfg, constraint, ratings:
-                       brute_force(bundle, bundle.k, constraint), False, (), ("solve",)),
+    "homog": Algorithm(lambda memo, cfg, constraint, ratings:
+                       _homogeneous_run(memo, cfg), True, (), _EVERYWHERE),
+    "covdiv": Algorithm(lambda memo, cfg, constraint, ratings: (
+        baseline_covdiv(memo.bundle.base_oracle, memo.bundle, memo.bundle.k), None),
+        False, (FIXED,), _EVERYWHERE),
+    "quality": Algorithm(lambda memo, cfg, constraint, ratings: (
+        baseline_quality(ratings, memo.bundle.k), None), False, (), _EVERYWHERE),
+    "brute": Algorithm(lambda memo, cfg, constraint, ratings:
+                       brute_force(memo.bundle, memo.bundle.k, constraint), False, (), ("solve",)),
 }
 
 
@@ -945,25 +935,21 @@ def run_algorithm(name: str, bundle: ObjectiveBundle, k: int, cfg: SamplerConfig
     for, padded to k when the constraint is in the algorithm's ``pads``, and
     the F of its sequence; F an unpadded run hands back is not recomputed.
     ``k`` must equal bundle.k."""
-    if k != bundle.k:
-        raise ValueError(f"k={k} must match the weight profile length {bundle.k}")
-    return _run(name, bundle, cfg, constraint, ratings)
+    _check_k(bundle, k)
+    return _run(name, _RoundMemo(bundle), cfg, constraint, ratings)
 
 
-def _run(name: str, bundle: ObjectiveBundle, cfg: SamplerConfig, constraint: str, ratings,
-         memo: _RoundMemo | None = None) -> tuple[Sequence, float]:
-    """run_algorithm at k = bundle.k; a greedy run given a ``memo`` of the
-    bundle takes its accepts and F from it, with the same result."""
+def _run(name: str, memo: _RoundMemo, cfg: SamplerConfig, constraint: str,
+         ratings) -> tuple[Sequence, float]:
+    """run_algorithm on ``memo.bundle`` at its k, with the accepts and F that
+    ``memo`` serves."""
     _check_constraint(constraint)
     algo = ALGORITHMS[name]
-    if memo is None:
-        seq, value = algo.run(bundle, cfg, constraint, ratings)
-    else:
-        seq, value = algo.run(bundle, cfg, constraint, ratings, memo)
+    seq, value = algo.run(memo, cfg, constraint, ratings)
     if constraint in algo.pads:
-        seq, value = _pad_to_k(bundle, seq, cfg), None
+        seq, value = _pad_to_k(memo.bundle, seq, cfg), None
     if value is None:
-        value = evaluate_F(bundle, seq) if memo is None else memo.value(seq)
+        value = memo.value(seq)
     return seq, value
 
 

@@ -40,6 +40,12 @@ from .harness import CellStats, RunStats, UserTypeDistribution
 
 FAMILIES = ("covdiv", "modular-penalty")
 
+# The keys each family reads besides the shared ones; a file that gives a
+# key its family does not read is bad input, not silently dropped.
+_SHARED_KEYS = ("family", "n", "ratings", "scales")
+_FAMILY_KEYS = {"covdiv": ("alpha", "beta", "eta", "similarity", "tags"),
+                "modular-penalty": ("penalties",)}
+
 
 class InstanceFormatError(ValueError):
     """An instance or spec file violates the format contract."""
@@ -263,6 +269,9 @@ def _read_instance(path: str) -> tuple[Instance, object]:
         raise InstanceFormatError("instance needs family, n, and ratings/rewards")
     if len(ratings) != n:
         raise InstanceFormatError(f"{len(ratings)} ratings for n={n}")
+    for key in fields:
+        if key not in _SHARED_KEYS and key not in _FAMILY_KEYS[family]:
+            raise InstanceFormatError(f"{key}: a {family} instance has no {key}")
     similarity, tags = fields.get("similarity"), fields.get("tags")
     if similarity is not None and tags is not None:
         raise InstanceFormatError("similarity and tags: give one of the two, not both")

@@ -217,7 +217,8 @@ class _ProfileRuns:
     the round: ``sg`` and ``fixed`` share one sampling_greedy per round, and
     a padded cell adds one backup pad of it, as ``run_algorithm`` pads.  No
     experiment algorithm reads the constraint, so both constraints share a
-    run.  A run keeps the oracle calls of its one execution.
+    run.  Each run reads a fresh ``_RoundMemo`` of the profile's bundle, so
+    it keeps the oracle calls of its one execution.
 
     F is a pure function of the items, so values are cached by them, and the
     F a run hands back is cached, not recomputed.  Every profile of one
@@ -250,7 +251,7 @@ class _ProfileRuns:
         spec, bundle, k = self.spec, self.bundle, self.spec.k
         algo = ALGORITHMS[name]
         seq, calls = self._once((algo.run, r if algo.per_seed else None),
-                                lambda: algo.run(bundle, cfg, FLEXIBLE, spec.ratings))
+                                lambda: algo.run(_RoundMemo(bundle), cfg, FLEXIBLE, spec.ratings))
         if constraint in algo.pads:
             seq = self._once(("pad", algo.run, r),
                              lambda: (_pad_to_k(bundle, seq, cfg), None))[0]
@@ -347,19 +348,19 @@ def bound_check(bundle, k, mode: str, cfg: SamplerConfig, rounds: int,
     cfg.seed.  ``factor`` overrides the formula value of bound_factor.
 
     Round r is ``run_algorithm(CHECK_ALGORITHMS[mode], bundle, k,
-    SamplerConfig(cfg.p, round_seed(cfg.seed, r)))``, served from a tree of
-    the greedy's coin paths and a table of F values that this call builds:
-    each round draws its own coins and backup, the verdict is the one
-    direct runs give, and ``bundle.counter`` counts only the oracle calls
-    of the greedy runs and F values the call had to compute.
+    SamplerConfig(cfg.p, round_seed(cfg.seed, r)))``, but every round reads
+    one ``_RoundMemo`` that this call builds, not a fresh one: each round
+    draws its own coins and backup, the verdict is the one standalone runs
+    give, and ``bundle.counter`` counts only the oracle calls of the greedy
+    runs and F values the call had to compute.
     """
     if mode not in CHECK_ALGORITHMS:
         raise ValueError(f"unknown mode {mode!r}")
     opt_constraint = FLEXIBLE if mode == FLEXIBLE else FIXED
     opt_seq, opt_value = brute_force(bundle, k, opt_constraint)
     memo = _RoundMemo(bundle)
-    values = [_run(CHECK_ALGORITHMS[mode], bundle, SamplerConfig(cfg.p, round_seed(cfg.seed, r)),
-                   FLEXIBLE, None, memo)[1]
+    values = [_run(CHECK_ALGORITHMS[mode], memo, SamplerConfig(cfg.p, round_seed(cfg.seed, r)),
+                   FLEXIBLE, None)[1]
               for r in range(rounds)]
     stats = CellStats(mode, "", mode, tuple(values), (), ())
     mean, stderr = stats.mean, stats.stderr

@@ -39,6 +39,7 @@ from seqsubmod import OracleEvaluationError, algorithms
 from seqsubmod.files import synthetic_covdiv_instance, synthetic_modular_instance
 from seqsubmod.harness import UserTypeDistribution, make_weights
 
+import families
 from oracles import ScaledFn, naive_best, naive_diversity_greedy
 
 
@@ -850,6 +851,25 @@ class TestSamplingGreedyJ:
             sampling_greedy_j(tiny_fn, 3, 0, SamplerConfig(0.5, 0))
         with pytest.raises(ValueError):
             sampling_greedy_j(tiny_fn, 3, 4, SamplerConfig(0.5, 0))
+
+
+class TestComplementBundle:
+    """The complement greedy is sampling_greedy on the homogeneous bundle of
+    g(S) = f(V minus S) whose last position alone weighs 1."""
+
+    def test_every_position_weighs_exactly_one(self):
+        for cap in range(1, 65):
+            bundle = algorithms._complement_bundle(lambda items: 0.0, range(cap), cap)
+            assert [bundle.weights.suffix_sum(t) for t in range(1, cap + 1)] == [1.0] * cap
+
+    @pytest.mark.parametrize("family", ("modular", "coverage", "homogeneous"))
+    def test_traces_replay(self, family):
+        for bundle in getattr(families, f"{family}_bundles")():
+            cap = (bundle.n + 1) // 2
+            complement = algorithms._complement_bundle(bundle.base_oracle, bundle.ground, cap)
+            for seed in range(10):
+                _, trace = sampling_greedy(complement, cap, SamplerConfig(P_STAR, seed))
+                verify_trace(complement, trace)
 
 
 class TestHomogeneousSolve:

@@ -166,8 +166,18 @@ class TestSolve:
          "error: scales: -1.0 is not finite and nonnegative"),
         ("family modular-penalty\nn 2\nrewards 1 1\nscales -0.0 -1e-300\npenalties inline\n"
          "0 0\n0 0\n", "error: scales: -1e-300 is not finite and nonnegative"),
+        # A block or key line the family does not read is named, not dropped.
+        ("family modular-penalty\nn 2\nrewards 1 1\npenalties inline\n0 1\n1 0\n"
+         "similarity inline\n0 9\n9 0\n",
+         "error: similarity: a modular-penalty instance has no similarity"),
+        ("family modular-penalty\nn 2\nrewards 1 1\nalpha 5\npenalties inline\n0 1\n1 0\n"
+         "similarity inline\n0 9\n9 0\n", "error: alpha: a modular-penalty instance has no alpha"),
+        ("family covdiv\nn 2\nratings 1 1\nalpha 1\nbeta 1\neta 2\n"
+         "tags inline\n0.5 0.5\n0.2 0.1\npenalties inline\n0 1\n1 0\n",
+         "error: penalties: a covdiv instance has no penalties"),
     ), ids=("ragged-matrix", "tag-outside-unit", "nan-tag", "similarity-and-tags", "n-below-one",
-            "underscore-on-key-line", "negative-scale", "tiny-negative-scale"))
+            "underscore-on-key-line", "negative-scale", "tiny-negative-scale",
+            "modular-similarity", "modular-alpha", "covdiv-penalties"))
     def test_malformed_block_is_bad_input(self, tmp_path, capsys, body, message):
         bad = str(tmp_path / "bad.txt")
         with open(bad, "w") as fh:

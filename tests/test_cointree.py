@@ -1,6 +1,6 @@
 """Memoized bound-check rounds: every round served from the coin trees and
-the F table equals a direct ``run_algorithm`` run, and every verdict equals
-the one a loop of direct runs gives."""
+the F table equals a round built from the public solvers alone, and every
+verdict equals the one a loop of such rounds gives."""
 
 import numpy as np
 import pytest
@@ -13,15 +13,21 @@ from seqsubmod import (
     ModularPenaltyFn,
     P_STAR,
     SamplerConfig,
+    alg2_second_half,
     bound_check,
     bound_factor,
     brute_force,
+    derive_seed,
+    evaluate_F,
+    fixed_length_solve,
     heterogeneous_bundle,
     homogeneous_bundle,
+    homogeneous_first_half,
     round_seed,
+    sampling_greedy,
 )
 from seqsubmod import algorithms
-from seqsubmod.algorithms import _PLAIN, _RoundMemo, _run, run_algorithm
+from seqsubmod.algorithms import _PLAIN, _RoundMemo, _run
 from seqsubmod.core import Sequence
 from seqsubmod.files import synthetic_modular_instance
 from seqsubmod.harness import CHECK_ALGORITHMS, BoundVerdict, CellStats
@@ -29,11 +35,32 @@ from seqsubmod.harness import CHECK_ALGORITHMS, BoundVerdict, CellStats
 import families
 
 
+def _direct_round(bundle, mode, cfg):
+    """One round of ``mode``'s algorithm from the public solvers alone: its
+    sequence and F.  The homogeneous mode below ceil(n/2) is the fixed-length
+    solve; from there on, the better of the two halves on their derived
+    seeds, ties to the first half, cut to k."""
+    k = bundle.k
+    if mode == FLEXIBLE:
+        seq = sampling_greedy(bundle, k, cfg)[0]
+    elif mode == FIXED or k < (bundle.n + 1) // 2:
+        seq = fixed_length_solve(bundle, k, cfg)
+    else:
+        first_cfg, second_cfg = (SamplerConfig(cfg.p, derive_seed(cfg.seed, "half", i))
+                                 for i in (0, 1))
+        first = homogeneous_first_half(bundle, k, first_cfg)
+        second = alg2_second_half(bundle, k, second_cfg)
+        first_value, second_value = evaluate_F(bundle, first), evaluate_F(bundle, second)
+        if first_value >= second_value:
+            return first.prefix(k), first_value
+        return second.prefix(k), second_value
+    return seq, evaluate_F(bundle, seq)
+
+
 def _direct_bound_check(bundle, k, mode, cfg, rounds, *, factor=None, monotone=False):
-    """bound_check as a loop of direct runs: run_algorithm in every round."""
+    """bound_check as a loop of direct rounds: _direct_round in every round."""
     opt_seq, opt_value = brute_force(bundle, k, FLEXIBLE if mode == FLEXIBLE else FIXED)
-    values = [run_algorithm(CHECK_ALGORITHMS[mode], bundle, k,
-                            SamplerConfig(cfg.p, round_seed(cfg.seed, r)))[1]
+    values = [_direct_round(bundle, mode, SamplerConfig(cfg.p, round_seed(cfg.seed, r)))[1]
               for r in range(rounds)]
     stats = CellStats(mode, "", mode, tuple(values), (), ())
     fac = factor if factor is not None else bound_factor(cfg.p, mode, k, bundle.n, monotone)
@@ -80,12 +107,12 @@ CASES = _cases()
 class TestRounds:
     @pytest.mark.parametrize("label, bundle, mode", CASES, ids=[c[0] + "-" + c[2] for c in CASES])
     def test_each_round_equals_a_direct_run(self, label, bundle, mode):
-        name, k, seed = CHECK_ALGORITHMS[mode], bundle.k, 77
+        name, seed = CHECK_ALGORITHMS[mode], 77
         memo = _RoundMemo(bundle)
         for r in range(2000):
             cfg = SamplerConfig(P_STAR, round_seed(seed, r))
-            seq, value = _run(name, bundle, cfg, FLEXIBLE, None, memo)
-            want_seq, want_value = run_algorithm(name, bundle, k, cfg)
+            seq, value = _run(name, memo, cfg, FLEXIBLE, None)
+            want_seq, want_value = _direct_round(bundle, mode, cfg)
             assert (seq.items, value) == (want_seq.items, want_value), r
 
 
@@ -131,7 +158,7 @@ class TestVerdicts:
         bundle = families.homogeneous_bundles()[7]
         memo = _RoundMemo(bundle)
         for r in range(300):
-            _run("homog", bundle, SamplerConfig(P_STAR, round_seed(1, r)), FLEXIBLE, None, memo)
+            _run("homog", memo, SamplerConfig(P_STAR, round_seed(1, r)), FLEXIBLE, None)
         assert memo._size <= limit
         assert all(tree._size <= limit for tree in memo._trees.values())
 

@@ -408,12 +408,25 @@ class TestInstanceErrors:
         (COVDIV_TAGS.replace("tags", "similarity").format(
             rows="0 0.5 0.5\n0.5 0 0.5\n0.5 0.5 0\n") + "tags inline\n0.5 0.5\n0.5 0.1\n0.1 0.2\n",
          "similarity and tags"),
+        # A key the family does not read is named, not parsed and dropped.
+        (MODULAR.format(n=3, rows="0 0 0\n0 0 0\n0 0 0\n")
+         + "similarity inline\n0 9 9\n9 0 9\n9 9 0\n",
+         "similarity: a modular-penalty instance has no similarity"),
+        (MODULAR.format(n=3, rows="0 0 0\n0 0 0\n0 0 0\n") + "tags inline\n0.5\n0.5\n0.1\n",
+         "tags: a modular-penalty instance has no tags"),
+        (MODULAR.format(n=3, rows="0 0 0\n0 0 0\n0 0 0\n").replace("rewards", "alpha 5\nrewards")
+         + "similarity inline\n0 9 9\n9 0 9\n9 9 0\n",
+         "alpha: a modular-penalty instance has no alpha"),
+        (COVDIV_TAGS.format(rows="0.5 0.5\n0.5 0.1\n0.1 0.2\n")
+         + "penalties inline\n0 1 1\n1 0 1\n1 1 0\n",
+         "penalties: a covdiv instance has no penalties"),
     ), ids=("ragged", "short", "short-then-key", "underscore", "word",
             "ragged-tags", "short-tags", "tag-above-one", "negative-tag", "nan-tag",
             "inf-tag", "negative-n", "zero-n", "underscore-rewards", "arabic-digit-ratings",
             "underscore-alpha", "underscore-scales", "underscore-tag-row",
             "underscore-n", "arabic-digit-n", "extra-row", "extra-tag-rows",
-            "extra-similarity-row", "tags-then-similarity", "similarity-then-tags"))
+            "extra-similarity-row", "tags-then-similarity", "similarity-then-tags",
+            "modular-similarity", "modular-tags", "modular-alpha", "covdiv-penalties"))
     def test_bad_block_names_its_key(self, tmp_path, body, key):
         with pytest.raises(InstanceFormatError, match=rf"^{key}\b"):
             read_instance(self._write(tmp_path, body))
