@@ -444,7 +444,7 @@ def _check_k(bundle: ObjectiveBundle, k) -> int:
 _END = object()
 
 
-def _greedy(engine, k: int, coins, considered: list | None = None) -> list[int]:
+def _greedy(engine, k: int, coins, considered: list | None = None) -> tuple[int, ...]:
     """The loop every greedy here runs: at each position t <= k take the
     engine's positive candidates best first, drop each from the pool
     and keep the first whose coin lands 1.  ``coins`` is an iterator of
@@ -470,7 +470,7 @@ def _greedy(engine, k: int, coins, considered: list | None = None) -> list[int]:
                 break
         else:
             break
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +498,7 @@ def sampling_greedy(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None =
     cfg = cfg if cfg is not None else SamplerConfig()
     k = _check_k(bundle, k)
     considered: list[tuple[int, float, int]] = []
-    out = _greedy(_make_engine(bundle, bundle.ground), k, _coins(cfg, coins), considered)
-    seq = Sequence(tuple(out))
+    seq = Sequence(_greedy(_make_engine(bundle, bundle.ground), k, _coins(cfg, coins), considered))
     return seq, GreedyTrace(tuple(considered), seq)
 
 
@@ -524,7 +523,7 @@ def presampled_greedy(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None
         if not set(pool) <= set(bundle.ground):
             raise ValueError("forced subset contains items outside the ground set")
     cap = min(k, len(pool))
-    return Sequence(tuple(_greedy(_make_engine(bundle, pool), cap, itertools.repeat(1))))
+    return Sequence(_greedy(_make_engine(bundle, pool), cap, itertools.repeat(1)))
 
 
 def _draw_backup(cfg: SamplerConfig, pool: list[int], m: int, forced) -> list[int]:
@@ -557,20 +556,19 @@ def fixed_length_solve(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | Non
     cfg = cfg if cfg is not None else SamplerConfig()
     k = _check_k(bundle, k)
     seq, _ = sampling_greedy(bundle, k, cfg, coins=coins)
-    return _pad_to_k(bundle, seq, cfg, backup)
+    return Sequence(_pad_to_k(bundle, seq.items, cfg, backup))
 
 
-def _pad_to_k(bundle: ObjectiveBundle, seq: Sequence, cfg: SamplerConfig,
-              forced=None) -> Sequence:
-    """``seq`` plus a uniform draw of k - len(seq) unused items from cfg's backup
-    stream, in ascending id order, for k = bundle.k; ``forced`` fixes the
-    draw.  No oracle calls."""
+def _pad_to_k(bundle: ObjectiveBundle, items: tuple, cfg: SamplerConfig, forced=None) -> tuple:
+    """``items`` plus a uniform draw of k - len(items) unused items from cfg's
+    backup stream, in ascending id order, for k = bundle.k; ``forced`` fixes
+    the draw.  No oracle calls."""
     k = bundle.k
-    if len(seq) == k:
-        return seq
-    pool = sorted(bundle.ground_set - seq.to_set())
-    extra = _draw_backup(cfg, pool, k - len(seq), forced)
-    return Sequence(seq.items + tuple(sorted(extra)))
+    if len(items) == k:
+        return items
+    pool = sorted(bundle.ground_set.difference(items))
+    extra = _draw_backup(cfg, pool, k - len(items), forced)
+    return items + tuple(sorted(extra))
 
 
 # ---------------------------------------------------------------------------
@@ -601,18 +599,16 @@ def homogeneous_first_half(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig |
     if k < h:
         raise InfeasibleError(f"k={k} below ceil(n/2)={h}; use the direct fixed-length solver")
     accepted, _ = sampling_greedy(bundle.head(h), h, cfg, coins=coins)
-    return _first_half(bundle, accepted, cfg, backup)
+    return Sequence(_first_half(bundle, accepted.items, cfg, backup))
 
 
-def _first_half(bundle: ObjectiveBundle, accepted: Sequence, cfg: SamplerConfig,
-                forced=None) -> Sequence:
-    """The first-half sequence from the accepts of the greedy on
+def _first_half(bundle: ObjectiveBundle, accepted: tuple, cfg: SamplerConfig,
+                forced=None) -> tuple:
+    """The first-half items from the accepts of the greedy on
     ``bundle.head(ceil(n/2))``: padded to ceil(n/2) as a fixed-length run of
     that head pads, then by the unused items in ascending id order up to k."""
     core = _pad_to_k(bundle.head(_half(bundle.n)), accepted, cfg, forced)
-    placed = core.to_set()
-    pad = [i for i in bundle.ground if i not in placed][: bundle.k - len(core)]
-    return Sequence(core.items + tuple(pad))
+    return core + tuple(sorted(bundle.ground_set.difference(core)))[: bundle.k - len(core)]
 
 
 def alg2_second_half(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None = None,
@@ -645,18 +641,18 @@ def alg2_second_half(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None 
     else:
         complement = _complement_bundle(bundle.base_oracle, bundle.ground, h, bundle.counter)
         added = sampling_greedy(complement, h, cfg, coins=coins)[0].items
-    return _second_half(bundle, added, cfg, forced_backup)
+    return Sequence(_second_half(bundle, added, cfg, forced_backup))
 
 
-def _second_half(bundle: ObjectiveBundle, added, cfg: SamplerConfig, forced=None) -> Sequence:
-    """alg2_second_half's assembly from the complement greedy's accepts
+def _second_half(bundle: ObjectiveBundle, added, cfg: SamplerConfig, forced=None) -> tuple:
+    """alg2_second_half's items from the complement greedy's accepts
     ``added``, in acceptance order; cfg's backup stream draws the fill."""
     n, k, h = bundle.n, bundle.k, _half(bundle.n)
     tail = list(reversed(added[n - k:]))
     pool = sorted(bundle.ground_set.difference(added))
     fill = _draw_backup(cfg, pool, h - len(added), forced)
     rest = sorted(bundle.ground_set.difference(added, fill))
-    return Sequence(tuple(rest + fill + tail))
+    return tuple(rest + fill + tail)
 
 
 def sampling_greedy_j(oracle, n: int, j: int, cfg: SamplerConfig | None = None,
@@ -693,15 +689,15 @@ def homogeneous_solve(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None
     strategy), truncated to exactly k positions.
     """
     _check_k(bundle, k)
-    return _homogeneous_run(_RoundMemo(bundle), cfg if cfg is not None else SamplerConfig())[0]
+    return Sequence(_homogeneous_run(_RoundMemo(bundle), cfg or SamplerConfig())[0])
 
 
-def _homogeneous_run(memo: _RoundMemo, cfg: SamplerConfig) -> tuple[Sequence, float | None]:
-    """homogeneous_solve(memo.bundle, k, cfg), with the greedies' accepts and
-    the F values served by ``memo``, and the F its two-block branch picked
-    the winner by; None below ceil(n/2), where nothing scored the sequence.
-    Positions past k never contribute, so a two-block sequence's F is its
-    truncation's."""
+def _homogeneous_run(memo: _RoundMemo, cfg: SamplerConfig) -> tuple[tuple, float | None]:
+    """The items of homogeneous_solve(memo.bundle, k, cfg), with the
+    greedies' accepts and the F values served by ``memo``, and the F its
+    two-block branch picked the winner by; None below ceil(n/2), where
+    nothing scored the items.  Positions past k never contribute, so a
+    two-block sequence's F is its truncation's."""
     bundle = memo.bundle
     _require_homogeneous(bundle, "homogeneous_solve")
     k = _check_k(bundle, None)
@@ -709,11 +705,9 @@ def _homogeneous_run(memo: _RoundMemo, cfg: SamplerConfig) -> tuple[Sequence, fl
         return _pad_to_k(bundle, memo.accepts(_PLAIN, cfg), cfg), None
     first_cfg, second_cfg = (SamplerConfig(cfg.p, derive_seed(cfg.seed, "half", i)) for i in (0, 1))
     first = _first_half(bundle, memo.accepts(_HEAD, first_cfg), first_cfg)
-    second = _second_half(bundle, memo.accepts(_COMPLEMENT, second_cfg).items, second_cfg)
+    second = _second_half(bundle, memo.accepts(_COMPLEMENT, second_cfg), second_cfg)
     first_value, second_value = memo.value(first), memo.value(second)
-    if first_value >= second_value:
-        return first.prefix(k), first_value
-    return second.prefix(k), second_value
+    return (first[:k], first_value) if first_value >= second_value else (second[:k], second_value)
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +724,7 @@ class _CoinTree:
     keyed by the coin bits it reads.
 
     An internal node is a list [child after a 0, child after a 1]; a leaf is
-    the Sequence of accepts of every run that reads exactly the bits on its
+    the item tuple of accepts of every run that reads exactly the bits on its
     path; an unknown child is None.  ``accepts(cfg)`` walks the trie with
     cfg's coin stream.  On a miss it runs the greedy with the bits walked so
     far, then the rest of the stream, and stores the bits its GreedyTrace
@@ -745,7 +739,7 @@ class _CoinTree:
         self._root = None
         self._size = 0
 
-    def accepts(self, cfg: SamplerConfig) -> Sequence:
+    def accepts(self, cfg: SamplerConfig) -> tuple:
         coins = _coins(cfg, None)
         node, walked, parent = self._root, [], None
         while node.__class__ is list:
@@ -755,8 +749,9 @@ class _CoinTree:
             node = node[bit]
         if node is not None:
             return node
-        out, trace = sampling_greedy(self._bundle, self._bundle.k,
+        seq, trace = sampling_greedy(self._bundle, self._bundle.k,
                                      coins=itertools.chain(walked, coins))
+        out = seq.items
         read = [coin for _, _, coin in trace.considered]
         size = self._size + len(read) - len(walked) + len(out) + 1
         if size <= MEMO_LIMIT:
@@ -781,9 +776,9 @@ class _RoundMemo:
     ``accepts(greedy, cfg)`` gives the accepts that sampling_greedy makes on
     cfg's coins on the bundle (_PLAIN), on ``bundle.head(ceil(n/2))``
     (_HEAD) or on the complement bundle of alg2_second_half (_COMPLEMENT),
-    each from its own ``_CoinTree``.  ``value(seq)`` is evaluate_F(bundle,
-    seq), kept by ``seq.items[:k]`` (F reads no item past k) for at most
-    MEMO_LIMIT stored item ids.
+    each from its own ``_CoinTree``, as an item tuple.  ``value(items)`` is
+    evaluate_F(bundle, items), kept by ``items[:k]`` (F reads no item past
+    k) for at most MEMO_LIMIT stored item ids.
     """
 
     def __init__(self, bundle: ObjectiveBundle):
@@ -792,7 +787,7 @@ class _RoundMemo:
         self._values: dict = {}
         self._size = 0
 
-    def accepts(self, greedy: str, cfg: SamplerConfig) -> Sequence:
+    def accepts(self, greedy: str, cfg: SamplerConfig) -> tuple:
         tree = self._trees.get(greedy)
         if tree is None:
             bundle = self.bundle
@@ -804,11 +799,11 @@ class _RoundMemo:
             tree = self._trees[greedy] = _CoinTree(bundle)
         return tree.accepts(cfg)
 
-    def value(self, seq: Sequence) -> float:
-        key = seq.items[:self.bundle.k]
+    def value(self, items: tuple) -> float:
+        key = items[:self.bundle.k]
         value = self._values.get(key)
         if value is None:
-            value = evaluate_F(self.bundle, seq)
+            value = evaluate_F(self.bundle, items)
             if self._size + len(key) + 1 <= MEMO_LIMIT:
                 self._size += len(key) + 1
                 self._values[key] = value
@@ -862,7 +857,7 @@ def baseline_covdiv(fn, bundle: ObjectiveBundle, k=None) -> Sequence:
     state = fn.incremental()
     engine = _BatchedEngine(state.diversity_gains, state.add, _unit_weight, bundle.counter,
                             bundle.ground, bundle.ground[-1] + 1)
-    return Sequence(tuple(_greedy(engine, k, itertools.repeat(1))))
+    return Sequence(_greedy(engine, k, itertools.repeat(1)))
 
 
 def baseline_quality(ratings, k: int) -> Sequence:
@@ -870,6 +865,8 @@ def baseline_quality(ratings, k: int) -> Sequence:
 
     Always returns exactly k items regardless of constraint mode.
     """
+    if ratings is None:
+        raise ValueError("the quality baseline needs item ratings, got None")
     scores = np.asarray(ratings, dtype=float)
     if k > len(scores):
         raise InfeasibleError(f"k={k} exceeds the {len(scores)} rated items")
@@ -887,7 +884,7 @@ def baseline_quality(ratings, k: int) -> Sequence:
 class Algorithm:
     """How the commands run one named solver.
 
-    ``run(memo, cfg, constraint, ratings)`` returns the unpadded sequence
+    ``run(memo, cfg, constraint, ratings)`` returns the unpadded item tuple
     and the F it already computed for it, else None.  A run reads k and the
     oracle from ``memo.bundle``; the greedy runs (``sg``, ``fixed``,
     ``homog``) take their accepts and F from the ``_RoundMemo``, the quality
@@ -910,22 +907,27 @@ def _greedy_run(memo, cfg, constraint, ratings):
     return memo.accepts(_PLAIN, cfg), None
 
 
+def _brute_run(memo, cfg, constraint, ratings):
+    seq, value = brute_force(memo.bundle, memo.bundle.k, constraint)
+    return seq.items, value
+
+
 _EVERYWHERE = ("solve", "experiment")
 
 ALGORITHMS = {
     "sg": Algorithm(_greedy_run, True, (FIXED,), _EVERYWHERE),
     "presampled": Algorithm(lambda memo, cfg, constraint, ratings: (
-        presampled_greedy(memo.bundle, memo.bundle.k, cfg), None), True, (FIXED,), ("solve",)),
+        presampled_greedy(memo.bundle, memo.bundle.k, cfg).items, None),
+        True, (FIXED,), ("solve",)),
     "fixed": Algorithm(_greedy_run, True, (FLEXIBLE, FIXED), _EVERYWHERE),
     "homog": Algorithm(lambda memo, cfg, constraint, ratings:
                        _homogeneous_run(memo, cfg), True, (), _EVERYWHERE),
     "covdiv": Algorithm(lambda memo, cfg, constraint, ratings: (
-        baseline_covdiv(memo.bundle.base_oracle, memo.bundle, memo.bundle.k), None),
+        baseline_covdiv(memo.bundle.base_oracle, memo.bundle, memo.bundle.k).items, None),
         False, (FIXED,), _EVERYWHERE),
     "quality": Algorithm(lambda memo, cfg, constraint, ratings: (
-        baseline_quality(ratings, memo.bundle.k), None), False, (), _EVERYWHERE),
-    "brute": Algorithm(lambda memo, cfg, constraint, ratings:
-                       brute_force(memo.bundle, memo.bundle.k, constraint), False, (), ("solve",)),
+        baseline_quality(ratings, memo.bundle.k).items, None), False, (), _EVERYWHERE),
+    "brute": Algorithm(_brute_run, False, (), ("solve",)),
 }
 
 
@@ -936,21 +938,22 @@ def run_algorithm(name: str, bundle: ObjectiveBundle, k: int, cfg: SamplerConfig
     the F of its sequence; F an unpadded run hands back is not recomputed.
     ``k`` must equal bundle.k."""
     _check_k(bundle, k)
-    return _run(name, _RoundMemo(bundle), cfg, constraint, ratings)
+    items, value = _run(name, _RoundMemo(bundle), cfg, constraint, ratings)
+    return Sequence(items), value
 
 
 def _run(name: str, memo: _RoundMemo, cfg: SamplerConfig, constraint: str,
-         ratings) -> tuple[Sequence, float]:
-    """run_algorithm on ``memo.bundle`` at its k, with the accepts and F that
-    ``memo`` serves."""
+         ratings) -> tuple[tuple, float]:
+    """run_algorithm's items and F on ``memo.bundle`` at its k, with the
+    accepts and F that ``memo`` serves."""
     _check_constraint(constraint)
     algo = ALGORITHMS[name]
-    seq, value = algo.run(memo, cfg, constraint, ratings)
+    items, value = algo.run(memo, cfg, constraint, ratings)
     if constraint in algo.pads:
-        seq, value = _pad_to_k(memo.bundle, seq, cfg), None
+        items, value = _pad_to_k(memo.bundle, items, cfg), None
     if value is None:
-        value = memo.value(seq)
-    return seq, value
+        value = memo.value(items)
+    return items, value
 
 
 def verify_trace(bundle: ObjectiveBundle, trace: GreedyTrace, tol: float = 1e-9) -> None:

@@ -75,9 +75,6 @@ class Sequence:
         """Return a new sequence with ``item`` appended."""
         return Sequence(self.items + (int(item),))
 
-    def to_set(self) -> frozenset:
-        return frozenset(self.items)
-
 
 def as_sequence(seq) -> Sequence:
     """Coerce a Sequence or an iterable of ids into a Sequence."""

@@ -150,9 +150,9 @@ class CellStats:
     """Aggregate of one (algorithm, distribution, constraint) cell.
 
     Per-round values are kept so aggregates can always be recomputed.
-    ``oracle_calls[r]`` is what a standalone run of the cell's algorithm
-    counts in round r, even when the experiment ran that work once for
-    several cells: shared work is executed, and counted, once.
+    ``oracle_calls[r]`` counts the cell's solver run alone in round r (a
+    ``homog`` run's two F values included), not the scoring of its output's
+    F; shared work is executed, and counted, once.
     """
 
     algorithm: str
@@ -218,7 +218,7 @@ class _ProfileRuns:
     a padded cell adds one backup pad of it, as ``run_algorithm`` pads.  No
     experiment algorithm reads the constraint, so both constraints share a
     run.  Each run reads a fresh ``_RoundMemo`` of the profile's bundle, so
-    it keeps the oracle calls of its one execution.
+    it counts the oracle calls of its one execution (see CellStats).
 
     F is a pure function of the items, so values are cached by them, and the
     F a run hands back is cached, not recomputed.  Every profile of one
@@ -237,32 +237,32 @@ class _ProfileRuns:
         self._values: dict = {}
         self._scores = scores
 
-    def _once(self, key, solve) -> tuple[Sequence, int]:
+    def _once(self, key, solve) -> tuple[tuple, int]:
         if key not in self._runs:
             before = self.bundle.counter.calls
-            seq, value = solve()
-            self._runs[key] = (seq, self.bundle.counter.calls - before)
+            items, value = solve()
+            self._runs[key] = (items, self.bundle.counter.calls - before)
             if value is not None:
-                self._values[seq.items] = value
+                self._values[items] = value
         return self._runs[key]
 
     def row(self, name: str, constraint: str, r: int, cfg: SamplerConfig) -> tuple[float, int, int]:
         """(F, length, oracle calls) of a standalone run of ``name`` in round r."""
         spec, bundle, k = self.spec, self.bundle, self.spec.k
         algo = ALGORITHMS[name]
-        seq, calls = self._once((algo.run, r if algo.per_seed else None),
-                                lambda: algo.run(_RoundMemo(bundle), cfg, FLEXIBLE, spec.ratings))
+        items, calls = self._once((algo.run, r if algo.per_seed else None),
+                                  lambda: algo.run(_RoundMemo(bundle), cfg, FLEXIBLE, spec.ratings))
         if constraint in algo.pads:
-            seq = self._once(("pad", algo.run, r),
-                             lambda: (_pad_to_k(bundle, seq, cfg), None))[0]
-        value = self._values.get(seq.items)
+            items = self._once(("pad", algo.run, r),
+                               lambda: (_pad_to_k(bundle, items, cfg), None))[0]
+        value = self._values.get(items)
         if value is None:
-            head = seq.items[:k]
+            head = items[:k]
             scores = self._scores.get(head)
             if scores is None:
                 scores = self._scores[head] = prefix_scores(bundle, head)
-            value = self._values[seq.items] = bundle.weights.weigh(scores, len(head))
-        return value, len(seq), calls
+            value = self._values[items] = bundle.weights.weigh(scores, len(head))
+        return value, len(items), calls
 
 
 def run_monte_carlo(spec: ExperimentSpec) -> RunStats:
@@ -278,8 +278,8 @@ def comparative_experiment(spec: ExperimentSpec,
     Round r of every cell uses SamplerConfig(spec.p, round_seed(base_seed, r)),
     so cells see matched randomness and the whole table is reproducible from
     (spec, base_seed) alone.  Each distinct computation runs once and every
-    cell reports what a standalone run of its algorithm gives: a solver run
-    once per profile, the prefix scores of a sequence once per experiment.
+    cell reports what standalone solver runs give (see CellStats): a solver
+    run once per profile, the prefix scores of a sequence once per experiment.
     """
     cfgs, profiles, cells, scores = None, [], [], {}
     for constraint in constraints:

@@ -991,6 +991,13 @@ class TestBaselines:
         with pytest.raises(InfeasibleError):
             baseline_quality((1.0,), 2)
 
+    def test_quality_without_ratings_names_them(self):
+        bundle = synthetic_modular_instance(5, seed=1).bundle((1.0, 1.0))
+        with pytest.raises(ValueError, match="ratings"):
+            baseline_quality(None, 2)
+        with pytest.raises(ValueError, match="ratings"):
+            algorithms.run_algorithm("quality", bundle, 2, SamplerConfig())
+
     def test_covdiv_matches_independent_reimplementation(self):
         for idx in range(6):
             inst = synthetic_covdiv_instance(20, d=6, seed=700 + idx, density=0.3)

@@ -111,9 +111,26 @@ class TestRounds:
         memo = _RoundMemo(bundle)
         for r in range(2000):
             cfg = SamplerConfig(P_STAR, round_seed(seed, r))
-            seq, value = _run(name, memo, cfg, FLEXIBLE, None)
+            items, value = _run(name, memo, cfg, FLEXIBLE, None)
             want_seq, want_value = _direct_round(bundle, mode, cfg)
-            assert (seq.items, value) == (want_seq.items, want_value), r
+            assert (items, value) == (want_seq.items, want_value), r
+
+    @pytest.mark.parametrize("name, bundle", (
+        ("sg", families.modular_bundles()[2]),
+        ("fixed", families.modular_bundles()[2]),
+        ("homog", families.homogeneous_bundles()[3]),
+    ), ids=("sg", "fixed", "homog"))
+    def test_a_warm_round_builds_no_sequence(self, monkeypatch, name, bundle):
+        # The second run of one cfg on one memo is served from the trees and
+        # the F table, and carries item tuples: nothing wraps them.  Seed 10
+        # accepts fewer than k items on the modular bundle, so fixed pads.
+        memo, cfg = _RoundMemo(bundle), SamplerConfig(P_STAR, 10)
+        first = _run(name, memo, cfg, FLEXIBLE, None)
+        built = []
+        real = Sequence.__post_init__
+        monkeypatch.setattr(Sequence, "__post_init__", lambda seq: built.append(seq) or real(seq))
+        assert _run(name, memo, cfg, FLEXIBLE, None) == first
+        assert built == []
 
 
 def _verdict_cases():
@@ -185,8 +202,8 @@ class TestEdges:
         bundle = homogeneous_bundle(fn, (0.6, 0.4), n=4)
         memo = _RoundMemo(bundle)
         for r in range(5):
-            assert memo.accepts(_PLAIN, SamplerConfig(P_STAR, r)) == Sequence(())
-        assert memo._trees[_PLAIN]._root == Sequence(())
+            assert memo.accepts(_PLAIN, SamplerConfig(P_STAR, r)) == ()
+        assert memo._trees[_PLAIN]._root == ()
         for mode in (FLEXIBLE, FIXED, HOMOGENEOUS):
             cfg = SamplerConfig(P_STAR, 3)
             assert (bound_check(bundle, 2, mode, cfg, 50)
