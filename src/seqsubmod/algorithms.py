@@ -25,6 +25,10 @@ and (seed, "round") at an integer index.  The arithmetic is 64-bit integer
 work (Python ints, and numpy uint64 blocks for long streams), so runs are
 reproducible across platforms, two solvers on one seed see the same coins,
 and the global ``random`` and ``np.random`` states are never read or written.
+Draw t of a stream is a function of (seed, tag, t) alone, so a bound check
+or an experiment keys the streams of all its rounds in one numpy pass
+(``_StreamBatch``): the same integers, computed per call instead of per
+round.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import functools
 import itertools
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 
 import numpy as np
@@ -71,6 +75,10 @@ class SamplerConfig:
 
     p: float = P_STAR
     seed: int = 0
+    # (batch, row) when a _StreamBatch built this config and serves its
+    # streams; None draws them one by one.  Not an argument, and not part of
+    # ==, hash or repr: the streams are the same either way.
+    _row: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
@@ -122,33 +130,41 @@ def stream_key(seed: int, tag: str) -> int:
     return _absorb(_tag_state(tag, seed < 0), abs(seed))
 
 
-_FIRST, _BLOCK = 8, 256
+_FIRST, _BLOCK, _BATCH = 8, 256, 1024
 _NP_GAMMA, _NP_M1, _NP_M2 = (np.uint64(c) for c in (GAMMA, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
 _NP_30, _NP_27, _NP_31 = (np.uint64(s) for s in (30, 27, 31))
+_FIRST_COUNTERS = np.arange(1, _FIRST + 1, dtype=np.uint64)
 
 
-def _blocks(key: int):
+def _np_draws(keys, counters: np.ndarray) -> np.ndarray:
+    """``_mix64(key + c * GAMMA)`` for the uint64 keys and array of counters
+    c, broadcast: draw c - 1 of the streams keyed ``keys``.  Array
+    arithmetic wraps mod 2^64 as the masks do (a product of numpy scalars
+    would warn on overflow)."""
+    z = keys + counters * _NP_GAMMA
+    z ^= z >> _NP_30
+    z *= _NP_M1
+    z ^= z >> _NP_27
+    z *= _NP_M2
+    z ^= z >> _NP_31
+    return z
+
+
+def _blocks(key: int, first: list | None = None):
     """The draws of the stream keyed ``key`` in blocks: draw t = 0, 1, ... is
     ``_mix64(key + (t + 1) * GAMMA)``, the SplitMix64 sequence seeded with key.
 
-    The first _FIRST draws are computed one at a time, as they are read; the
-    rest in numpy blocks of _BLOCK, whose uint64 arithmetic wraps mod 2^64 as
-    the masks do.  One block costs about as much as ten scalar draws, so a
-    short stream (the coins of a small instance) stays scalar, and a long one
-    (the coins of a k=50 greedy) pays for one block instead of a hundred
+    The first _FIRST draws are ``first`` when a _StreamBatch computed them,
+    else computed one at a time, as they are read; the rest come in numpy
+    blocks of _BLOCK.  One block costs about as much as ten scalar draws, so
+    a short stream (the coins of a small instance) stays scalar, and a long
+    one (the coins of a k=50 greedy) pays for one block instead of a hundred
     scalar draws.
     """
-    yield (_mix64((key + t * GAMMA) & _MASK) for t in range(1, _FIRST + 1))
+    yield first if first is not None else (
+        _mix64((key + t * GAMMA) & _MASK) for t in range(1, _FIRST + 1))
     for start in itertools.count(_FIRST + 1, _BLOCK):
-        z = np.arange(start, start + _BLOCK, dtype=np.uint64)
-        z *= _NP_GAMMA
-        z += np.uint64(key)
-        z ^= z >> _NP_30
-        z *= _NP_M1
-        z ^= z >> _NP_27
-        z *= _NP_M2
-        z ^= z >> _NP_31
-        yield z.tolist()
+        yield _np_draws(np.uint64(key), np.arange(start, start + _BLOCK, dtype=np.uint64)).tolist()
 
 
 class SplitMix64:
@@ -161,6 +177,13 @@ class SplitMix64:
 
     def __init__(self, seed: int, tag: str):
         self._draws = itertools.chain.from_iterable(_blocks(stream_key(seed, tag)))
+
+    @classmethod
+    def _keyed(cls, key: int, first: list) -> SplitMix64:
+        """The stream keyed ``key`` whose first _FIRST draws are ``first``."""
+        stream = cls.__new__(cls)
+        stream._draws = itertools.chain.from_iterable(_blocks(key, first))
+        return stream
 
     def next64(self) -> int:
         return next(self._draws)
@@ -198,10 +221,84 @@ def derive_seed(base_seed: int, tag: str, index: int = 0) -> int:
     return _mix64((stream_key(base_seed, tag) + (index + 1) * GAMMA) & _MASK)
 
 
+class _StreamBatch:
+    """The streams of a run of one-word seeds, keyed together.
+
+    SplitMix64 is counter-based: draw t of the stream (s, tag) is a function
+    of s, tag and t alone, so the streams of many seeds can be keyed in one
+    numpy pass.  Row i is the seed ``seeds[i]``.  The first time any row
+    asks for a stream tag, the batch computes every row's ``stream_key``
+    (its one-word branch) and first _FIRST draws; the first time any row
+    asks for a child seed (tag, index), it computes every row's
+    ``derive_seed`` as a batch of its own.  ``config(p, i)`` is
+    SamplerConfig(p, seeds[i]) carrying its row, so ``_stream`` and
+    ``_derived`` read the batch where they would key a stream.
+    """
+
+    def __init__(self, seeds: np.ndarray):
+        self._array = seeds
+        self.seeds = seeds.tolist()
+        self._children: dict = {}
+        self._streams: dict = {}
+
+    def _keys(self, tag: str) -> np.ndarray:
+        # stream_key's one-word branch: draw 0 of the stream keyed tag ^ seed
+        return _np_draws(self._array ^ np.uint64(_tag_state(tag, False)), _FIRST_COUNTERS[:1])
+
+    def config(self, p: float, i: int) -> SamplerConfig:
+        cfg = SamplerConfig(p, self.seeds[i])
+        object.__setattr__(cfg, "_row", (self, i))
+        return cfg
+
+    def child(self, tag: str, index: int) -> _StreamBatch:
+        batch = self._children.get((tag, index))
+        if batch is None:
+            counter = np.full(1, (index + 1) & _MASK, dtype=np.uint64)
+            batch = self._children[tag, index] = _StreamBatch(_np_draws(self._keys(tag), counter))
+        return batch
+
+    def stream(self, i: int, tag: str) -> SplitMix64:
+        column = self._streams.get(tag)
+        if column is None:
+            keys = self._keys(tag)
+            column = self._streams[tag] = (keys.tolist(),
+                                           _np_draws(keys[:, None], _FIRST_COUNTERS).tolist())
+        keys, first = column
+        return SplitMix64._keyed(keys[i], first[i])
+
+
+def _child_configs(p: float, seed: int, tag: str, count: int):
+    """SamplerConfig(p, derive_seed(seed, tag, i)) for i in range(count),
+    each served by its row of a _StreamBatch of at most _BATCH seeds."""
+    key = np.uint64(stream_key(seed, tag))
+    for start in range(0, count, _BATCH):
+        stop = min(count, start + _BATCH)
+        batch = _StreamBatch(_np_draws(key, np.arange(start + 1, stop + 1, dtype=np.uint64)))
+        for i in range(stop - start):
+            yield batch.config(p, i)
+
+
+def _stream(cfg: SamplerConfig, tag: str) -> SplitMix64:
+    """The stream (cfg.seed, tag), from cfg's batch row when it has one."""
+    if cfg._row is None:
+        return SplitMix64(cfg.seed, tag)
+    batch, i = cfg._row
+    return batch.stream(i, tag)
+
+
+def _derived(cfg: SamplerConfig, tag: str, index: int) -> SamplerConfig:
+    """SamplerConfig(cfg.p, derive_seed(cfg.seed, tag, index)), from cfg's
+    batch row when it has one."""
+    if cfg._row is None:
+        return SamplerConfig(cfg.p, derive_seed(cfg.seed, tag, index))
+    batch, i = cfg._row
+    return batch.child(tag, index).config(cfg.p, i)
+
+
 def _coins(cfg: SamplerConfig, forced):
     """The coin bits of a greedy run: ``forced`` when given (tests), else
     the Bernoulli(cfg.p) coins of the stream (cfg.seed, "coins")."""
-    return iter(forced) if forced is not None else SplitMix64(cfg.seed, "coins").coins(cfg.p)
+    return iter(forced) if forced is not None else _stream(cfg, "coins").coins(cfg.p)
 
 
 @dataclass(frozen=True)
@@ -517,7 +614,7 @@ def presampled_greedy(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None
     cfg = cfg if cfg is not None else SamplerConfig()
     k = _check_k(bundle, k)
     if subset is None:
-        pool = list(itertools.compress(bundle.ground, SplitMix64(cfg.seed, "coins").coins(cfg.p)))
+        pool = list(itertools.compress(bundle.ground, _coins(cfg, None)))
     else:
         pool = sorted(set(int(i) for i in subset))
         if not set(pool) <= set(bundle.ground):
@@ -543,7 +640,7 @@ def _draw_backup(cfg: SamplerConfig, pool: list[int], m: int, forced) -> list[in
         raise InfeasibleError("backup pool smaller than the required fill")
     if m == 0:
         return []
-    return SplitMix64(cfg.seed, "backup").sample(pool, m)
+    return _stream(cfg, "backup").sample(pool, m)
 
 
 def fixed_length_solve(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None = None,
@@ -703,7 +800,7 @@ def _homogeneous_run(memo: _RoundMemo, cfg: SamplerConfig) -> tuple[tuple, float
     k = _check_k(bundle, None)
     if k < _half(bundle.n):
         return _pad_to_k(bundle, memo.accepts(_PLAIN, cfg), cfg), None
-    first_cfg, second_cfg = (SamplerConfig(cfg.p, derive_seed(cfg.seed, "half", i)) for i in (0, 1))
+    first_cfg, second_cfg = (_derived(cfg, "half", i) for i in (0, 1))
     first = _first_half(bundle, memo.accepts(_HEAD, first_cfg), first_cfg)
     second = _second_half(bundle, memo.accepts(_COMPLEMENT, second_cfg), second_cfg)
     first_value, second_value = memo.value(first), memo.value(second)

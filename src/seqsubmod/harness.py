@@ -21,6 +21,7 @@ from .algorithms import (
     SamplerConfig,
     _check_constraint,
     _check_covdiv_oracle,
+    _child_configs,
     _pad_to_k,
     _RoundMemo,
     _run,
@@ -112,13 +113,20 @@ def round_seed(base_seed: int, round_index: int) -> int:
     return derive_seed(base_seed, "round", round_index)
 
 
+def _round_configs(p: float, base_seed: int, rounds: int):
+    """SamplerConfig(p, round_seed(base_seed, r)) for r in range(rounds),
+    whose streams are keyed for all rounds at once (see _StreamBatch)."""
+    return _child_configs(p, base_seed, "round", rounds)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One in-memory experiment: an instance, the contenders, and the sweep.
 
     ``oracle`` is the shared set function (a CoverageDiversityFn when the
     covdiv baseline is among the algorithms, checked when the spec is
-    built); ``ratings`` feed the quality baseline.  The ground set is 0..n-1.
+    built); ``ratings`` feed the quality baseline, one per item.  The ground
+    set is 0..n-1.
     """
 
     oracle: object
@@ -137,6 +145,8 @@ class ExperimentSpec:
             raise ValueError("rounds must be positive")
         if not 1 <= self.k <= self.n:
             raise ValueError(f"k={self.k} outside 1..{self.n}")
+        if len(self.ratings) != self.n:
+            raise ValueError(f"{len(self.ratings)} ratings for n={self.n}")
         for name in self.algorithms:
             if name not in EXPERIMENT_ALGORITHMS:
                 raise ValueError(f"unknown algorithm {name!r}")
@@ -275,21 +285,21 @@ def comparative_experiment(spec: ExperimentSpec,
     """Every (constraint, distribution, algorithm) cell for ``spec.rounds``
     rounds, in that order.
 
-    Round r of every cell uses SamplerConfig(spec.p, round_seed(base_seed, r)),
-    so cells see matched randomness and the whole table is reproducible from
-    (spec, base_seed) alone.  Each distinct computation runs once and every
-    cell reports what standalone solver runs give (see CellStats): a solver
-    run once per profile, the prefix scores of a sequence once per experiment.
+    Round r of every cell uses SamplerConfig(spec.p, round_seed(base_seed, r))
+    from ``_round_configs``, so cells see matched randomness and the whole
+    table is reproducible from (spec, base_seed) alone.  Each distinct
+    computation runs once and every cell reports what standalone solver runs
+    give (see CellStats): a solver run once per profile, the prefix scores
+    of a sequence once per experiment.
     """
-    cfgs, profiles, cells, scores = None, [], [], {}
+    cfgs = list(_round_configs(spec.p, spec.base_seed, spec.rounds))
+    profiles, cells, scores = [], [], {}
     for constraint in constraints:
         _check_constraint(constraint)
         for i, dist in enumerate(spec.distributions):
             if i == len(profiles):
                 profiles.append(_ProfileRuns(spec, dist, scores))
             for name in spec.algorithms:
-                cfgs = cfgs or [SamplerConfig(spec.p, round_seed(spec.base_seed, r))
-                                for r in range(spec.rounds)]
                 rows = [profiles[i].row(name, constraint, r, cfg) for r, cfg in enumerate(cfgs)]
                 cells.append(CellStats(name, dist.label, constraint, *zip(*rows)))
     return RunStats(tuple(cells))
@@ -352,16 +362,18 @@ def bound_check(bundle, k, mode: str, cfg: SamplerConfig, rounds: int,
     one ``_RoundMemo`` that this call builds, not a fresh one: each round
     draws its own coins and backup, the verdict is the one standalone runs
     give, and ``bundle.counter`` counts only the oracle calls of the greedy
-    runs and F values the call had to compute.
+    runs and F values the call had to compute.  The rounds' seeds, half
+    seeds, stream keys and first draws are computed for all rounds at once
+    (``_round_configs``); they are the integers round_seed, derive_seed and
+    SplitMix64 give.
     """
     if mode not in CHECK_ALGORITHMS:
         raise ValueError(f"unknown mode {mode!r}")
     opt_constraint = FLEXIBLE if mode == FLEXIBLE else FIXED
     opt_seq, opt_value = brute_force(bundle, k, opt_constraint)
     memo = _RoundMemo(bundle)
-    values = [_run(CHECK_ALGORITHMS[mode], memo, SamplerConfig(cfg.p, round_seed(cfg.seed, r)),
-                   FLEXIBLE, None)[1]
-              for r in range(rounds)]
+    values = [_run(CHECK_ALGORITHMS[mode], memo, round_cfg, FLEXIBLE, None)[1]
+              for round_cfg in _round_configs(cfg.p, cfg.seed, rounds)]
     stats = CellStats(mode, "", mode, tuple(values), (), ())
     mean, stderr = stats.mean, stats.stderr
     fac = factor if factor is not None else bound_factor(cfg.p, mode, k, bundle.n, monotone)

@@ -149,6 +149,20 @@ class TestVerdicts:
             got = bound_check(bundle, bundle.k, mode, cfg, 300)
             assert got == want
 
+    @pytest.mark.parametrize("mode", (FLEXIBLE, FIXED))
+    def test_rounds_past_the_prefetched_draws(self, mode):
+        # A bound check prefetches the first 8 draws of every round's
+        # streams; at n=10 some rounds consider more than 8 candidates, so
+        # their coins continue from the stream's numpy blocks.
+        inst = synthetic_modular_instance(10, seed=1, penalty_prob=0.6)
+        bundle = homogeneous_bundle(inst.oracle(), (0.5, 0.3, 0.2), n=10)
+        cfg = SamplerConfig(P_STAR, 11)  # round r reads round_seed(11, r)
+        coins_read = [len(sampling_greedy(bundle, 3, SamplerConfig(P_STAR, round_seed(11, r)))[1]
+                          .considered) for r in range(300)]
+        assert max(coins_read) > algorithms._FIRST
+        assert (bound_check(bundle, 3, mode, cfg, 300)
+                == _direct_bound_check(bundle, 3, mode, cfg, 300))
+
     @pytest.mark.parametrize("mode", (FLEXIBLE, FIXED, HOMOGENEOUS))
     def test_no_room_runs_every_round_directly(self, monkeypatch, mode):
         # With nothing stored, every round makes the oracle calls a direct

@@ -11,7 +11,6 @@ from seqsubmod import (
     CellStats,
     CoverageFn,
     ExperimentSpec,
-    InfeasibleError,
     P_STAR,
     SamplerConfig,
     UserTypeDistribution,
@@ -418,11 +417,22 @@ class TestPlanner:
                            algorithms=("sg", "covdiv"),
                            distributions=(UserTypeDistribution.uniform(4),))
 
+    @pytest.mark.parametrize("count", (3, 7))
+    def test_ratings_must_number_n(self, count):
+        # Unchecked, 3 ratings rank items 0..2 alone, and 7 fail only when
+        # the quality run is scored, with an error that does not name them.
+        inst = synthetic_modular_instance(5, seed=1)
+        ratings = (inst.ratings + inst.ratings)[:count]
+        with pytest.raises(ValueError, match=f"{count} ratings for n=5"):
+            ExperimentSpec(oracle=inst.oracle(), ratings=ratings, n=5, k=2,
+                           algorithms=("quality",),
+                           distributions=(UserTypeDistribution.uniform(2),))
+
     def test_errors_keep_their_type(self):
         spec = _modular_spec(0)
         with pytest.raises(ValueError):  # covdiv needs a CoverageDiversityFn
             comparative_experiment(replace(spec, algorithms=("sg", "covdiv")))
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(ValueError, match="ratings"):  # 3 ratings for n=7
             comparative_experiment(replace(spec, ratings=spec.ratings[:3]))
         with pytest.raises(ValueError):
             comparative_experiment(spec, (FLEXIBLE, "loose"))

@@ -25,7 +25,16 @@ from seqsubmod import (
     round_seed,
     synthetic_covdiv_instance,
 )
-from seqsubmod.algorithms import ALGORITHMS, GAMMA, _mix64, run_algorithm, stream_key
+from seqsubmod.algorithms import (
+    ALGORITHMS,
+    GAMMA,
+    _derived,
+    _mix64,
+    _stream,
+    run_algorithm,
+    stream_key,
+)
+from seqsubmod.harness import _round_configs
 
 
 def _draws(seed, tag, count=3):
@@ -77,6 +86,26 @@ class TestKnownAnswers:
             want = [_mix64((key + (t + 1) * GAMMA) % 2**64) for t in range(600)]
             assert _draws(seed, tag, 600) == want
         assert _draws(0, "coins", 600)[299] == 0x59944C565162A687
+
+    @pytest.mark.parametrize("seed", (0, 5, -5, 2**64 - 1, 2**64 + 5))
+    def test_batched_round_streams_equal_scalar_streams(self, seed):
+        # bound_check and experiments key the streams of all their rounds in
+        # numpy batches of 1024 rounds.  A round's seed, its two-block half
+        # seeds and 300 draws of every stream a round reads (past the 8
+        # prefetched draws and the first 256-draw block) must be the scalar
+        # ones, and its config the plain one.
+        cfgs = list(_round_configs(P_STAR, seed, 1030))
+        for r in (0, 1, 299, 1023, 1024, 1029):
+            cfg, plain = cfgs[r], SamplerConfig(P_STAR, round_seed(seed, r))
+            assert (cfg, hash(cfg), repr(cfg)) == (plain, hash(plain), repr(plain))
+            halves = [_derived(cfg, "half", i) for i in (0, 1)]
+            for i, half in enumerate(halves):
+                plain = SamplerConfig(P_STAR, derive_seed(cfg.seed, "half", i))
+                assert (half, hash(half), repr(half)) == (plain, hash(plain), repr(plain))
+            for batched in [cfg] + halves:
+                for tag in ("coins", "backup"):
+                    stream = _stream(batched, tag)
+                    assert [stream.next64() for _ in range(300)] == _draws(batched.seed, tag, 300)
 
     @pytest.mark.parametrize("p", (P_STAR, 0.0, 1.0, 0.5, 5e-324, 1.0 - 2.0 ** -53))
     def test_coins_are_the_top_53_bits_below_p(self, p):
