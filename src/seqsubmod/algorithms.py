@@ -624,11 +624,10 @@ def presampled_greedy(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None
 
 
 def _draw_backup(cfg: SamplerConfig, pool: list[int], m: int, forced) -> list[int]:
-    """Uniform m-subset of pool in draw order from cfg's backup stream; forced
-    lists are validated.  The stream is keyed only for a draw of m > 0 items
-    (an empty draw consumes no state, so skipping it changes nothing)."""
-    if m < 0:
-        raise InfeasibleError("backup pool smaller than the required fill")
+    """Uniform m-subset of pool in draw order from cfg's backup stream, for
+    0 <= m <= len(pool) (every caller's fill fits its pool); forced lists are
+    validated.  The stream is keyed only for a draw of m > 0 items (an empty
+    draw consumes no state, so skipping it changes nothing)."""
     if forced is not None:
         picked = [int(i) for i in forced]
         if len(picked) != m:
@@ -636,8 +635,6 @@ def _draw_backup(cfg: SamplerConfig, pool: list[int], m: int, forced) -> list[in
         if len(set(picked)) != len(picked) or not set(picked) <= set(pool):
             raise ValueError("forced backup must be distinct unused items")
         return picked
-    if m > len(pool):
-        raise InfeasibleError("backup pool smaller than the required fill")
     if m == 0:
         return []
     return _stream(cfg, "backup").sample(pool, m)
@@ -653,14 +650,14 @@ def fixed_length_solve(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | Non
     cfg = cfg if cfg is not None else SamplerConfig()
     k = _check_k(bundle, k)
     seq, _ = sampling_greedy(bundle, k, cfg, coins=coins)
-    return Sequence(_pad_to_k(bundle, seq.items, cfg, backup))
+    return Sequence(_pad_to_k(bundle, seq.items, k, cfg, backup))
 
 
-def _pad_to_k(bundle: ObjectiveBundle, items: tuple, cfg: SamplerConfig, forced=None) -> tuple:
-    """``items`` plus a uniform draw of k - len(items) unused items from cfg's
-    backup stream, in ascending id order, for k = bundle.k; ``forced`` fixes
-    the draw.  No oracle calls."""
-    k = bundle.k
+def _pad_to_k(bundle: ObjectiveBundle, items: tuple, k: int, cfg: SamplerConfig,
+              forced=None) -> tuple:
+    """``items`` plus a uniform draw of k - len(items) unused ground items from
+    cfg's backup stream, in ascending id order; ``forced`` fixes the draw.
+    No oracle calls."""
     if len(items) == k:
         return items
     pool = sorted(bundle.ground_set.difference(items))
@@ -702,9 +699,9 @@ def homogeneous_first_half(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig |
 def _first_half(bundle: ObjectiveBundle, accepted: tuple, cfg: SamplerConfig,
                 forced=None) -> tuple:
     """The first-half items from the accepts of the greedy on
-    ``bundle.head(ceil(n/2))``: padded to ceil(n/2) as a fixed-length run of
-    that head pads, then by the unused items in ascending id order up to k."""
-    core = _pad_to_k(bundle.head(_half(bundle.n)), accepted, cfg, forced)
+    ``bundle.head(ceil(n/2))``: padded to ceil(n/2) from cfg's backup stream,
+    then by the unused items in ascending id order up to k."""
+    core = _pad_to_k(bundle, accepted, _half(bundle.n), cfg, forced)
     return core + tuple(sorted(bundle.ground_set.difference(core)))[: bundle.k - len(core)]
 
 
@@ -799,7 +796,7 @@ def _homogeneous_run(memo: _RoundMemo, cfg: SamplerConfig) -> tuple[tuple, float
     _require_homogeneous(bundle, "homogeneous_solve")
     k = _check_k(bundle, None)
     if k < _half(bundle.n):
-        return _pad_to_k(bundle, memo.accepts(_PLAIN, cfg), cfg), None
+        return _pad_to_k(bundle, memo.accepts(_PLAIN, cfg), k, cfg), None
     first_cfg, second_cfg = (_derived(cfg, "half", i) for i in (0, 1))
     first = _first_half(bundle, memo.accepts(_HEAD, first_cfg), first_cfg)
     second = _second_half(bundle, memo.accepts(_COMPLEMENT, second_cfg), second_cfg)
@@ -1047,7 +1044,7 @@ def _run(name: str, memo: _RoundMemo, cfg: SamplerConfig, constraint: str,
     algo = ALGORITHMS[name]
     items, value = algo.run(memo, cfg, constraint, ratings)
     if constraint in algo.pads:
-        items, value = _pad_to_k(memo.bundle, items, cfg), None
+        items, value = _pad_to_k(memo.bundle, items, memo.bundle.k, cfg), None
     if value is None:
         value = memo.value(items)
     return items, value

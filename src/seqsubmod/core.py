@@ -177,7 +177,6 @@ class ObjectiveBundle:
     counter: EvalCounter = field(default_factory=EvalCounter, compare=False, repr=False)
     ground_set: frozenset = field(init=False, compare=False, repr=False)
     prefix_evaluator: Callable | None = field(init=False, compare=False, repr=False)
-    _heads: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         ground = tuple(sorted(int(i) for i in self.ground))
@@ -213,14 +212,10 @@ class ObjectiveBundle:
         return self.oracles[0]
 
     def head(self, k: int) -> "ObjectiveBundle":
-        """The homogeneous bundle of the first ``k`` positions, sharing this
-        bundle's oracle, ground and counter; built once per bundle and k."""
-        head = self._heads.get(k)
-        if head is None:
-            head = self._heads[k] = homogeneous_bundle(
-                self.base_oracle, self.weights.lambdas[:k], ground=self.ground,
-                counter=self.counter)
-        return head
+        """A new homogeneous bundle of the first ``k`` positions, sharing this
+        bundle's oracle, ground and counter."""
+        return homogeneous_bundle(self.base_oracle, self.weights.lambdas[:k],
+                                  ground=self.ground, counter=self.counter)
 
     def oracle_value(self, j: int, items: frozenset) -> float:
         """Evaluate f_j on a set, counting the call and wrapping failures,

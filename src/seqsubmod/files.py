@@ -482,17 +482,9 @@ def read_experiment(path: str) -> ExperimentFile:
     if "instance_path" not in fields or "k" not in fields:
         raise InstanceFormatError("experiment spec needs instance and k")
     k = fields["k"]
-    dists = [_distribution(row, k) for row in fields["distributions"]]
-    if not dists:
-        dists = [UserTypeDistribution.uniform(k)]
-    return ExperimentFile(
-        instance_path=fields["instance_path"], k=k,
-        p=fields.get("p", P_STAR), seed=fields.get("seed", 0),
-        rounds=fields.get("rounds", 100),
-        constraints=fields.get("constraints", ("flexible", "fixed")),
-        algorithms=fields.get("algorithms", ("sg", "covdiv", "quality")),
-        distributions=tuple(dists),
-    )
+    fields["distributions"] = (tuple(_distribution(row, k) for row in fields["distributions"])
+                               or (UserTypeDistribution.uniform(k),))
+    return ExperimentFile(**fields)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ class ModularPenaltyFn:
     checks) that is faster than numpy round-trips.
     """
 
-    __slots__ = ("rewards", "penalties", "n", "_complement_start")
+    __slots__ = ("rewards", "penalties", "n")
 
     def __init__(self, rewards, penalties):
         self.rewards = [float(r) for r in rewards]
@@ -65,7 +65,6 @@ class ModularPenaltyFn:
                 if rows[i][j] < 0.0:
                     raise ValueError("penalties must be nonnegative")
         self.penalties = rows
-        self._complement_start = None
 
     def __call__(self, items) -> float:
         return self._sorted_value(_ids(items))
@@ -115,20 +114,17 @@ class ModularPenaltyFn:
         g(i | S) = -f(i | V minus S minus {i}) = sum_{j in V, j != i} p_ij
         - r_i - sum_{s in S} p_is, and the zero diagonal lets the first sum
         run over all of V.  So the state starts from the row sums over V minus
-        the rewards, computed once per ground set, and an accept of x
-        subtracts p_ix like ``running_gains`` does.
+        the rewards, and an accept of x subtracts p_ix like ``running_gains``
+        does.
         """
         ground = tuple(ground)
-        cached = self._complement_start
-        if cached is None or cached[0] != ground:
-            start = []
-            for reward, row in zip(self.rewards, self.penalties):
-                total = 0.0
-                for j in ground:
-                    total += row[j]
-                start.append(total - reward)
-            self._complement_start = cached = (ground, start)
-        return RunningGains(cached[1], self.penalties)
+        start = []
+        for reward, row in zip(self.rewards, self.penalties):
+            total = 0.0
+            for j in ground:
+                total += row[j]
+            start.append(total - reward)
+        return RunningGains(start, self.penalties)
 
 
 class RunningGains:

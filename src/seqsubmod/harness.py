@@ -264,7 +264,7 @@ class _ProfileRuns:
                                   lambda: algo.run(_RoundMemo(bundle), cfg, FLEXIBLE, spec.ratings))
         if constraint in algo.pads:
             items = self._once(("pad", algo.run, r),
-                               lambda: (_pad_to_k(bundle, items, cfg), None))[0]
+                               lambda: (_pad_to_k(bundle, items, k, cfg), None))[0]
         value = self._values.get(items)
         if value is None:
             head = items[:k]
@@ -369,6 +369,8 @@ def bound_check(bundle, k, mode: str, cfg: SamplerConfig, rounds: int,
     """
     if mode not in CHECK_ALGORITHMS:
         raise ValueError(f"unknown mode {mode!r}")
+    if rounds < 1:
+        raise ValueError("rounds must be positive")
     opt_constraint = FLEXIBLE if mode == FLEXIBLE else FIXED
     opt_seq, opt_value = brute_force(bundle, k, opt_constraint)
     memo = _RoundMemo(bundle)

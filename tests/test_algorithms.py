@@ -710,6 +710,28 @@ class TestVerifyTrace:
         with pytest.raises(ValueError):
             verify_trace(tiny_bundle, bad)
 
+    def test_rejects_a_consideration_after_k_accepts(self, tiny_bundle):
+        _, trace = sampling_greedy(tiny_bundle, 2, SamplerConfig(0.5, 0), coins=[1, 1])
+        assert len(trace.output) == 2
+        bad = trace.__class__(considered=trace.considered + ((1, 1.0, 0),), output=trace.output)
+        with pytest.raises(ValueError, match="after the sequence was full"):
+            verify_trace(tiny_bundle, bad)
+
+    def test_rejects_a_consideration_without_positive_gains(self, tiny_bundle_k3):
+        # After 0 and 2, item 1's gain is 2 - 2 - 3 < 0: the run stopped early.
+        _, trace = sampling_greedy(tiny_bundle_k3, 3, SamplerConfig(0.5, 0), coins=[1, 1])
+        assert trace.output.items == (0, 2)
+        bad = trace.__class__(considered=trace.considered + ((1, 1.0, 1),),
+                              output=Sequence((0, 2, 1)))
+        with pytest.raises(ValueError, match="no candidate had positive gain"):
+            verify_trace(tiny_bundle_k3, bad)
+
+    def test_rejects_an_output_the_accepts_do_not_give(self, tiny_bundle):
+        _, trace = sampling_greedy(tiny_bundle, 2, SamplerConfig(0.5, 0), coins=[1, 1])
+        bad = trace.__class__(considered=trace.considered, output=Sequence((2, 0)))
+        with pytest.raises(ValueError, match="do not reproduce"):
+            verify_trace(tiny_bundle, bad)
+
 
 class TestPresampled:
     def test_forced_full_pool_is_plain_greedy(self, tiny_bundle):
@@ -753,6 +775,16 @@ class TestFixedLength:
         seq = fixed_length_solve(tiny_bundle_k3, 3, SamplerConfig(0.5, 0),
                                  coins=[0, 0, 0], backup=(2, 0, 1))
         assert seq.items == (0, 1, 2)  # appended in ascending order
+
+    @pytest.mark.parametrize("coins, backup, message", (
+        ([0, 0, 0], (2, 0), "exactly 3 items"),
+        ([0, 0, 0], (0, 0, 1), "distinct unused"),
+        ([1, 0], (0, 1), "distinct unused"),  # 0 was accepted
+    ))
+    def test_bad_forced_backup(self, tiny_bundle_k3, coins, backup, message):
+        with pytest.raises(ValueError, match=message):
+            fixed_length_solve(tiny_bundle_k3, 3, SamplerConfig(0.5, 0),
+                               coins=coins, backup=backup)
 
     def test_k_too_large(self, tiny_fn):
         bundle = homogeneous_bundle(tiny_fn, (1.0,) * 4, n=3)
@@ -824,6 +856,20 @@ class TestSecondHalf:
             assert len(seq.items) == len(set(seq.items))
             assert set(seq.items) <= set(range(7))
             assert len(seq) >= 4
+
+    @pytest.mark.parametrize("accepted, message", (
+        ((0, 0), "distinct ground items"),
+        ((0, 5), "distinct ground items"),
+        ((0, 1, 2), r"at most ceil\(n/2\)=2"),
+    ))
+    def test_bad_forced_accepts(self, tiny_bundle, accepted, message):
+        with pytest.raises(ValueError, match=message):
+            alg2_second_half(tiny_bundle, 2, SamplerConfig(0.5, 0), forced_accepted=accepted)
+
+    def test_requires_large_k(self):
+        bundle = homogeneous_bundle(synthetic_modular_instance(6, seed=9).oracle(), (1.0, 1.0), n=6)
+        with pytest.raises(InfeasibleError, match=r"below ceil\(n/2\)=3"):
+            alg2_second_half(bundle, 2, SamplerConfig(0.5, 0))
 
 
 class TestSamplingGreedyJ:

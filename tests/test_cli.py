@@ -305,6 +305,14 @@ class TestCheck:
         assert code == 2
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("rounds", ("0", "-3"))
+    def test_non_positive_rounds_are_bad_input(self, tiny_path, capsys, rounds):
+        code, _ = run_cli("check", "--instance", tiny_path, "--k", "2", "--rounds", rounds)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == "error: rounds must be positive"
+
     def test_absurd_factor_fails(self, tiny_path, capsys):
         code, out = run_cli("check", "--instance", tiny_path, "--k", "2",
                             "--rounds", "100", "--factor", "10.0", capsys=capsys)
@@ -413,6 +421,25 @@ class TestExperiment:
         stats, meta = read_results(out)
         assert meta["rounds"] == "4"
         assert all(c.rounds == 4 for c in stats.cells)
+
+    def test_seed_override(self, tmp_path, capsys):
+        spec = self._setup(tmp_path)
+        with open(spec) as fh:
+            text = fh.read()
+        seeded = str(tmp_path / "seeded.txt")
+        with open(seeded, "w") as fh:
+            fh.write(text.replace("seed 5\n", "seed 11\n"))
+        paths = {name: str(tmp_path / f"{name}.csv") for name in ("override", "spec", "own")}
+        assert run_cli("experiment", "--spec", spec, "--out", paths["override"],
+                       "--seed", "11", capsys=capsys)[0] == 0
+        assert run_cli("experiment", "--spec", seeded, "--out", paths["spec"], capsys=capsys)[0] == 0
+        assert run_cli("experiment", "--spec", spec, "--out", paths["own"], capsys=capsys)[0] == 0
+        data = {}
+        for name, path in paths.items():
+            with open(path, "rb") as fh:
+                data[name] = fh.read()
+        assert data["override"] == data["spec"]
+        assert data["override"] != data["own"]
 
     @pytest.mark.parametrize("key", ("k", "p", "seed", "rounds"))
     def test_bare_spec_key_is_bad_input(self, tmp_path, capsys, key):

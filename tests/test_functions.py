@@ -124,7 +124,8 @@ class TestModularRunningGains:
                         assert complement.gains[i] == comp.marginal(i, members)
 
     def test_complement_start_follows_the_ground_set(self, tiny_fn):
-        # The start vector is cached per oracle; another ground set rebuilds it.
+        # The start vector is the row sums over the ground set asked for, so
+        # calls with other ground sets in between do not change it.
         assert tiny_fn.complement_gains((0, 1, 2)).gains == [-1.0, 3.0, 1.0]
         assert tiny_fn.complement_gains((0, 2)).gains == [-3.0, 3.0, -2.0]
         assert tiny_fn.complement_gains((0, 1, 2)).gains == [-1.0, 3.0, 1.0]

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 from dataclasses import replace
@@ -8,12 +9,14 @@ import pytest
 from seqsubmod import (
     FIXED,
     FLEXIBLE,
+    HOMOGENEOUS,
     CellStats,
     CoverageFn,
     ExperimentSpec,
     P_STAR,
     SamplerConfig,
     UserTypeDistribution,
+    alg2_second_half,
     baseline_quality,
     bound_check,
     bound_factor,
@@ -22,11 +25,13 @@ from seqsubmod import (
     evaluate_F,
     fixed_length_solve,
     homogeneous_bundle,
+    homogeneous_first_half,
     homogeneous_solve,
     make_weights,
     round_seed,
     run_monte_carlo,
     sampling_greedy,
+    sampling_greedy_j,
     write_instance,
 )
 from seqsubmod.algorithms import run_algorithm
@@ -292,6 +297,42 @@ class TestBoundCheck:
         verdict = bound_check(bundle, 2, FIXED, SamplerConfig(P_STAR, 4), rounds=200)
         assert verdict.factor == pytest.approx(bound_factor(P_STAR, FIXED, k=2, n=6))
         assert verdict.passed
+
+    @pytest.mark.parametrize("rounds", (0, -3))
+    def test_rounds_must_be_positive(self, tiny_bundle, rounds):
+        with pytest.raises(ValueError, match="rounds must be positive"):
+            bound_check(tiny_bundle, 2, FLEXIBLE, SamplerConfig(P_STAR, 0), rounds)
+        assert tiny_bundle.counter.calls == 0  # refused before brute force ran
+
+    def test_unknown_mode(self, tiny_bundle):
+        with pytest.raises(ValueError, match="unknown mode 'greedy'"):
+            bound_check(tiny_bundle, 2, "greedy", SamplerConfig(P_STAR, 0), 10)
+
+
+class TestCallerState:
+    def test_solver_calls_leave_bundle_and_oracle_as_they_were(self):
+        # A caller may share one bundle and oracle between calls: nothing but
+        # the counter may remember a call.
+        fn = synthetic_modular_instance(6, seed=5).oracle()
+        bundle = homogeneous_bundle(fn, (0.9, 0.6, 0.3), n=6)
+
+        def state():
+            # Containers by value; the oracle (and its bound methods) as itself.
+            attributes = {name: value for name, value in vars(bundle).items()
+                          if name != "counter"}
+            slots = {name: getattr(fn, name) for name in type(fn).__slots__}
+            return copy.deepcopy((attributes, slots), {id(fn): fn})
+
+        before = state()
+        for mode in (FLEXIBLE, FIXED, HOMOGENEOUS):
+            bound_check(bundle, 3, mode, SamplerConfig(P_STAR, 7), 50)
+        cfg = SamplerConfig(P_STAR, 8)
+        homogeneous_solve(bundle, 3, cfg)
+        homogeneous_first_half(bundle, 3, cfg)
+        alg2_second_half(bundle, 3, cfg)
+        sampling_greedy_j(fn, 6, 2, cfg)
+        assert bundle.counter.calls > 0
+        assert state() == before
 
 
 # ---------------------------------------------------------------------------
