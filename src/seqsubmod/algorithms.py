@@ -57,7 +57,7 @@ P_STAR = (math.sqrt(3.0) - 1.0) / 2.0
 FLEXIBLE = "flexible"
 FIXED = "fixed"
 
-ENUMERATION_LIMIT = 10_000_000
+ENUMERATION_LIMIT = 10_000_000  # (set, next item) extensions brute_force may search
 MEMO_LIMIT = 100_000
 
 
@@ -66,7 +66,7 @@ class InfeasibleError(ValueError):
 
 
 class EnumerationTooLargeError(ValueError):
-    """Exhaustive search would exceed the sequence-count guard."""
+    """Exhaustive search would exceed the extension-count guard."""
 
 
 @dataclass(frozen=True)
@@ -909,31 +909,77 @@ class _RoundMemo:
 
 
 def brute_force(bundle: ObjectiveBundle, k=None, constraint: str = FLEXIBLE) -> tuple[Sequence, float]:
-    """Optimal sequence by enumeration; ties go to the lexicographically
-    smallest item tuple.
+    """Optimal sequence and its F by a forward DP over prefix sets (Bellman,
+    JACM 1962; Held & Karp, 1962).  Flexible searches lengths 0..k, fixed
+    exactly k; ties go to the lexicographically smallest item tuple.
 
-    Flexible enumerates all ordered selections of length 0..k, fixed exactly
-    k.  Guarded: more than ten million sequences raises instead of running.
+    Term j of F is lambda_j * f_j of the j-item prefix set, so orderings of
+    one set S differ only in their partial sum P.  Each set is read once
+    through ``bundle.oracle_value`` (heterogeneous flexible also reads
+    f_j(S), j > |S|, for the saturated suffix); F adds in ``evaluate_F``'s
+    order, and fl(P + c) is nondecreasing in P, so the maximum has the
+    enumeration's bits.  For the tuple each set keeps a staircase, ascending
+    tuples with rising P: a smaller tuple with no smaller P dominates, and
+    one with a smaller P stays while its gap is at most k * 2^-51 *
+    sum(lambda) * max|f|.  Every sum stays below B = 2 * sum(lambda) *
+    max|f|, so each of the <= k additions left narrows a gap by at most
+    2 * 2^-53 * B, and a larger gap survives rounding.  max|f| is final only
+    at the end, so a pass that pruned a gap within the final bound reruns.
+    More than ENUMERATION_LIMIT (set, next item) extensions raise first.
     """
     k = _check_k(bundle, k)
     _check_constraint(constraint)
-    ids = bundle.ground
-    n = len(ids)
-    lengths = range(k, k + 1) if constraint == FIXED else range(0, k + 1)
-    total = sum(math.perm(n, length) for length in lengths)
-    if total > ENUMERATION_LIMIT:
+    n, lams, homogeneous = bundle.n, bundle.weights.lambdas, bundle.homogeneous
+    extensions = sum(math.comb(n, m) * (n - m) for m in range(k))
+    if extensions > ENUMERATION_LIMIT:
         raise EnumerationTooLargeError(
-            f"{total} sequences exceed the {ENUMERATION_LIMIT} enumeration guard")
-    best_items: tuple[int, ...] | None = None
-    best_value = -math.inf
-    for length in lengths:
-        for perm in itertools.permutations(ids, length):
-            value = evaluate_F(bundle, perm)
-            if value > best_value or (value == best_value and
-                                      (best_items is None or perm < best_items)):
-                best_value = value
-                best_items = perm
-    return Sequence(best_items), best_value
+            f"{extensions} set extensions exceed the {ENUMERATION_LIMIT} enumeration guard")
+    flexible, reach, top = constraint == FLEXIBLE, 2.0 ** -51 * k * math.fsum(lams), 0.0
+
+    def read(j, items):
+        nonlocal top
+        value = bundle.oracle_value(j, frozenset(items))
+        top = max(top, abs(value))
+        return value
+
+    for _ in range(2):  # the second pass prunes at the max|f| of the first
+        best, pruned = (-math.inf, ()), math.inf
+        # set bitmask -> (f(S) homogeneous, f_|S|(S) heterogeneous; staircase)
+        layer = {0: (read(1, ()) if flexible and homogeneous else None, [(0.0, ())])}
+        for m in range(k + 1):
+            for value, stair in layer.values() if flexible or m == k else ():
+                if homogeneous:
+                    terms = [bundle.weights.suffix_sum(m + 1) * value] if m < k else []
+                else:
+                    terms = [lams[j - 1] * read(j, stair[0][1]) for j in range(m + 1, k + 1)]
+                for total, items in stair:
+                    for term in terms:
+                        total += term
+                    if total > best[0] or total == best[0] and items < best[1]:
+                        best = total, items
+            if m == k:
+                break
+            grown = {}
+            # The layer's orderings in tuple order, each extended in id order:
+            # every staircase grows in tuple order.
+            for items, total, mask in sorted((items, total, mask) for mask, (_, stair)
+                                             in layer.items() for total, items in stair):
+                for p, item in enumerate(bundle.ground):
+                    if mask >> p & 1:
+                        continue
+                    slot = grown.get(mask | 1 << p)
+                    if slot is None:
+                        slot = grown[mask | 1 << p] = (read(m + 1, items + (item,)), [])
+                    extended, stair = total + lams[m] * slot[0], slot[1]
+                    if stair and extended <= stair[-1][0]:
+                        continue
+                    stair.append((extended, items + (item,)))
+                    while extended - stair[0][0] > reach * top:
+                        pruned = min(pruned, extended - stair.pop(0)[0])
+            layer = grown
+        if pruned > reach * top:
+            break
+    return Sequence(best[1]), best[0]
 
 
 def baseline_covdiv(fn, bundle: ObjectiveBundle, k=None) -> Sequence:

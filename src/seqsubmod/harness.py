@@ -352,7 +352,7 @@ def bound_check(bundle, k, mode: str, cfg: SamplerConfig, rounds: int,
                 *, factor: float | None = None, monotone: bool = False) -> BoundVerdict:
     """Empirically test a guarantee: Monte Carlo mean >= factor * OPT - 3 stderr.
 
-    OPT comes from brute_force (flexible mode enumerates all lengths up to k,
+    OPT comes from brute_force (flexible mode searches all lengths up to k,
     the other modes exactly k), the mean from ``rounds`` runs of the
     algorithm CHECK_ALGORITHMS gives the mode, on seeds derived from
     cfg.seed.  ``factor`` overrides the formula value of bound_factor.

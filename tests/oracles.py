@@ -38,13 +38,22 @@ class ScaledFn:
 
 
 def naive_best(oracles, lambdas, ids, k, constraint="flexible"):
-    """Exhaustive optimum; ties to the lexicographically smallest tuple."""
+    """Exhaustive optimum of naive_F; ties to the lexicographically smallest tuple."""
+    return enumerated_best(lambda perm: naive_F(oracles, lambdas, perm), ids, k, constraint)
+
+
+def enumerated_best(score, ids, k, constraint="flexible"):
+    """Exhaustive optimum of ``score`` over every ordered selection of ``ids``
+    of length k (fixed) or 0..k (flexible); ties to the lexicographically
+    smallest tuple.  With the package's public ``evaluate_F`` as ``score``
+    this is the permutation loop ``brute_force`` ran before its DP, so the
+    two must agree in value bits and tuple."""
     lengths = [k] if constraint == "fixed" else list(range(0, k + 1))
     best_items = None
     best_value = float("-inf")
     for length in lengths:
         for perm in itertools.permutations(sorted(ids), length):
-            value = naive_F(oracles, lambdas, perm)
+            value = score(perm)
             if value > best_value or (value == best_value
                                       and (best_items is None or perm < best_items)):
                 best_value = value

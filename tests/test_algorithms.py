@@ -40,7 +40,7 @@ from seqsubmod.files import synthetic_covdiv_instance, synthetic_modular_instanc
 from seqsubmod.harness import UserTypeDistribution, make_weights
 
 import families
-from oracles import ScaledFn, naive_best, naive_diversity_greedy
+from oracles import ScaledFn, enumerated_best, naive_best, naive_diversity_greedy
 
 
 class TestCoinStream:
@@ -1018,11 +1018,80 @@ class TestBruteForce:
                 assert seq.items == want_items
                 assert value == pytest.approx(want_value)
 
+    @pytest.mark.parametrize("family", ("modular", "coverage", "homogeneous", "covdiv",
+                                        "heterogeneous"))
+    def test_bits_and_tuple_equal_enumeration(self, family):
+        # The DP against the permutation loop it replaced: every ordered
+        # selection scored by the public evaluate_F, ties to the smallest tuple.
+        for bundle in _exactness_bundles(family):
+            for constraint in (FLEXIBLE, FIXED):
+                seq, value = brute_force(bundle, bundle.k, constraint)
+                want_items, want_value = enumerated_best(
+                    lambda perm: evaluate_F(bundle, perm), bundle.ground, bundle.k, constraint)
+                assert (seq.items, value.hex()) == (want_items, want_value.hex())
+
+    def test_rounding_near_tie_keeps_the_smaller_tuple(self):
+        # (1, 0) has the larger partial sum of the set {0, 1}, but adding
+        # f_3 = 2^54 rounds both orderings' F to 2^54, so (0, 1, 2) wins the
+        # tie.  A DP that keeps one ordering per set answers (0, 2, 1).
+        first = {frozenset({1}): 1.0}
+        bundle = heterogeneous_bundle(
+            (lambda s: first.get(s, 0.0), lambda s: 0.0,
+             lambda s: 2.0 ** 54 if len(s) == 3 else 0.0), (1.0, 1.0, 1.0), n=3)
+        assert evaluate_F(bundle, (1, 0, 2)) == evaluate_F(bundle, (0, 1, 2)) == 2.0 ** 54
+        assert brute_force(bundle, 3, FIXED) == (Sequence((0, 1, 2)), 2.0 ** 54)
+        assert enumerated_best(lambda perm: evaluate_F(bundle, perm), range(3), 3,
+                               FIXED)[0] == (0, 1, 2)
+
     def test_enumeration_guard(self):
-        fn = ModularPenaltyFn((1.0,) * 12, [[0.0] * 12] * 12)
-        bundle = homogeneous_bundle(fn, (1.0,) * 12, n=12)
+        # n=20, k=20: 20 * 2^19 (set, next item) extensions, past the guard.
+        fn = ModularPenaltyFn((1.0,) * 20, [[0.0] * 20] * 20)
+        bundle = homogeneous_bundle(fn, (1.0,) * 20, n=20)
         with pytest.raises(EnumerationTooLargeError):
-            brute_force(bundle, 12, FIXED)
+            brute_force(bundle, 20, FIXED)
+        assert bundle.counter.calls == 0
+
+    def test_guard_counts_extensions(self, tiny_fn, monkeypatch):
+        # n=3, k=2: 3 extensions of the empty set and 2 of each single.
+        bundle = homogeneous_bundle(tiny_fn, (1.0, 1.0), n=3)
+        monkeypatch.setattr(algorithms, "ENUMERATION_LIMIT", 9)
+        assert brute_force(bundle, 2, FLEXIBLE) == (Sequence((0, 2)), 8.0)
+        monkeypatch.setattr(algorithms, "ENUMERATION_LIMIT", 8)
+        calls = bundle.counter.calls
+        with pytest.raises(EnumerationTooLargeError, match="9 set extensions"):
+            brute_force(bundle, 2, FLEXIBLE)
+        assert bundle.counter.calls == calls
+
+    def test_past_the_permutation_guard(self):
+        # 12! orderings, far past ten million, in 12 * 2^11 extensions.  With
+        # no penalties and unit weights F = sum_i r_(i) * (13 - i), largest
+        # at descending rewards: sum of v^2 for v = 1..12.
+        fn = ModularPenaltyFn(tuple(float(i + 1) for i in range(12)), [[0.0] * 12] * 12)
+        bundle = homogeneous_bundle(fn, (1.0,) * 12, n=12)
+        for constraint in (FLEXIBLE, FIXED):
+            assert brute_force(bundle, 12, constraint) == (
+                Sequence(tuple(range(11, -1, -1))), float(sum(v * v for v in range(1, 13))))
+
+
+def _exactness_bundles(family):
+    """Small bundles of one family for the DP-against-enumeration test; the
+    modular, covdiv and heterogeneous ones include k = 1..n."""
+    if family in ("coverage", "homogeneous"):
+        return getattr(families, f"{family}_bundles")()
+    rng = np.random.default_rng(29)
+    if family != "heterogeneous":
+        inst = (synthetic_modular_instance(6, seed=31, penalty_prob=0.6) if family == "modular"
+                else synthetic_covdiv_instance(6, d=4, seed=3, density=0.4, eta=3.0))
+        every_k = [homogeneous_bundle(inst.oracle(), tuple(rng.uniform(0.1, 1.0, k)), n=6)
+                   for k in range(1, 7)]
+        return (families.modular_bundles() if family == "modular" else []) + every_k
+    out = []
+    for n in (4, 5, 6):
+        fns = [ScaledFn(synthetic_modular_instance(n, seed=40 + 10 * n + j, penalty_prob=0.6)
+                        .oracle(), rng.uniform(0.5, 1.5)) for j in range(n)]
+        out += [heterogeneous_bundle(fns[:k], tuple(rng.uniform(0.1, 1.0, k)), n=n)
+                for k in range(1, n + 1)]
+    return out
 
 
 class TestBaselines:

@@ -121,10 +121,11 @@ class TestSolve:
         assert code == 3
 
     def test_enumeration_guard(self, tmp_path, capsys):
+        # n = k = 20: 20 * 2^19 (set, next item) extensions, past the guard.
         big = str(tmp_path / "big.txt")
-        run_cli("gen", "--family", "modular-penalty", "--n", "12",
+        run_cli("gen", "--family", "modular-penalty", "--n", "20",
                 "--seed", "1", "--out", big, capsys=capsys)
-        code, _ = run_cli("solve", "--instance", big, "--k", "12",
+        code, _ = run_cli("solve", "--instance", big, "--k", "20",
                           "--algorithm", "brute", "--constraint", "fixed",
                           capsys=capsys)
         assert code == 3
@@ -255,11 +256,13 @@ class TestSolveGolden:
     dispatch.  Retaken once when ``brute`` stopped rescoring its optimum and
     ``presampled`` started padding under the fixed constraint: only the rows
     of those runs changed.  Retaken again when the SplitMix64 streams
-    replaced Mersenne Twister ones: every seeded row changed."""
+    replaced Mersenne Twister ones: every seeded row changed.  Retaken when
+    ``brute_force`` became a DP over prefix sets: only the ``oracle_calls``
+    lines of the ``brute`` rows changed."""
 
     @pytest.mark.parametrize("family, digest", (
-        ("modular-penalty", "31dbcd78246640c0350690f495793b9c7e508d0064cf0f672a239dbd7f2bee80"),
-        ("covdiv", "6a90908c0aa12e0b4cc1c7d1f1acc93a82a8feaf731b41d1c7ffbc93543f3ffc"),
+        ("modular-penalty", "f2ab4d0c09a6ee1fbe567146f3f3847c6403713d09c46d6d73249486c0e17cb6"),
+        ("covdiv", "8d0874bf343eaff5f65eea8fe207d26bdb997bbf643dc21430ea77381469e412"),
     ), ids=("modular-penalty", "covdiv"))
     def test_stdout_unchanged(self, tmp_path, capsys, family, digest):
         path = str(tmp_path / "inst.txt")
