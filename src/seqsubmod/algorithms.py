@@ -813,66 +813,29 @@ def _homogeneous_run(memo: _RoundMemo, cfg: SamplerConfig) -> tuple[tuple, float
 _PLAIN, _HEAD, _COMPLEMENT = "plain", "head", "complement"
 
 
-class _CoinTree:
-    """The accepts of ``sampling_greedy(bundle, bundle.k, coins=...)``,
-    keyed by the coin bits it reads.
-
-    An internal node is a list [child after a 0, child after a 1]; a leaf is
-    the item tuple of accepts of every run that reads exactly the bits on its
-    path; an unknown child is None.  ``accepts(cfg)`` walks the trie with
-    cfg's coin stream.  On a miss it runs the greedy with the bits walked so
-    far, then the rest of the stream, and stores the bits its GreedyTrace
-    shows it read and its accepts.  A run is a function of the bits it
-    reads, so no stored path is a prefix of another, and a walk returns what
-    a run on cfg returns.  The stored bits and accepted items are capped at
-    MEMO_LIMIT; past it a miss runs and is not stored.
-    """
-
-    def __init__(self, bundle: ObjectiveBundle):
-        self._bundle = bundle
-        self._root = None
-        self._size = 0
-
-    def accepts(self, cfg: SamplerConfig) -> tuple:
-        coins = _coins(cfg, None)
-        node, walked, parent = self._root, [], None
-        while node.__class__ is list:
-            parent = node
-            bit = next(coins)
-            walked.append(bit)
-            node = node[bit]
-        if node is not None:
-            return node
-        seq, trace = sampling_greedy(self._bundle, self._bundle.k,
-                                     coins=itertools.chain(walked, coins))
-        out = seq.items
-        read = [coin for _, _, coin in trace.considered]
-        size = self._size + len(read) - len(walked) + len(out) + 1
-        if size <= MEMO_LIMIT:
-            self._size = size
-            # The new branch hangs from the empty slot where the walk stopped.
-            branch = out
-            for bit in reversed(read[len(walked):]):
-                branch = [None, branch] if bit else [branch, None]
-            if parent is None:
-                self._root = branch
-            else:
-                parent[walked[-1]] = branch
-        return out
-
-
 class _RoundMemo:
-    """The greedy runs and F values of one bundle, served from coin trees
-    and an F table.  Every ``ALGORITHMS`` run reads its bundle from one: a
-    standalone run builds a fresh memo, so its oracle calls are those of one
-    execution, and a bound check keeps one per call.
+    """The greedy runs and F values of one bundle.  Every ``ALGORITHMS`` run
+    reads its bundle from one: a standalone run builds a fresh memo, so its
+    oracle calls are those of one execution, and a bound check keeps one per
+    call.
 
     ``accepts(greedy, cfg)`` gives the accepts that sampling_greedy makes on
     cfg's coins on the bundle (_PLAIN), on ``bundle.head(ceil(n/2))``
     (_HEAD) or on the complement bundle of alg2_second_half (_COMPLEMENT),
-    each from its own ``_CoinTree``, as an item tuple.  ``value(items)`` is
-    evaluate_F(bundle, items), kept by ``items[:k]`` (F reads no item past
-    k) for at most MEMO_LIMIT stored item ids.
+    as an item tuple.  Each greedy keeps a slot [root, bundle] of a trie
+    keyed by the coin bits its runs read: an internal node is a list [child
+    after a 0, child after a 1]; a leaf is the accepts of every run that
+    reads exactly the bits on its path; an unknown child is None.  A walk
+    follows cfg's coin stream.  On a miss the greedy runs on the bits walked
+    so far, then the rest of the stream, and the bits its GreedyTrace shows
+    it read are stored with its accepts.  A run is a function of the bits it
+    reads, so no stored path is a prefix of another, and a walk returns what
+    a run on cfg returns.  ``value(items)`` is evaluate_F(bundle, items),
+    kept by ``items[:k]`` (F reads no item past k).
+
+    ``_size`` counts every stored id: one per trie bit, and a leaf's or an F
+    key's items plus one.  It is capped at MEMO_LIMIT; past it a miss is
+    computed and not stored.
     """
 
     def __init__(self, bundle: ObjectiveBundle):
@@ -882,16 +845,32 @@ class _RoundMemo:
         self._size = 0
 
     def accepts(self, greedy: str, cfg: SamplerConfig) -> tuple:
-        tree = self._trees.get(greedy)
-        if tree is None:
+        slot = self._trees.get(greedy)
+        if slot is None:
             bundle = self.bundle
             if greedy == _HEAD:
                 bundle = bundle.head(_half(bundle.n))
             elif greedy == _COMPLEMENT:
                 bundle = _complement_bundle(bundle.base_oracle, bundle.ground, _half(bundle.n),
                                             bundle.counter)
-            tree = self._trees[greedy] = _CoinTree(bundle)
-        return tree.accepts(cfg)
+            slot = self._trees[greedy] = [None, bundle]
+        coins, walked, parent, at = _coins(cfg, None), [], slot, 0
+        node = slot[0]
+        while node.__class__ is list:
+            parent, at = node, next(coins)
+            walked.append(at)
+            node = node[at]
+        if node is not None:
+            return node
+        seq, trace = sampling_greedy(slot[1], slot[1].k, coins=itertools.chain(walked, coins))
+        read = [coin for _, _, coin in trace.considered][len(walked):]
+        size = self._size + len(read) + len(seq.items) + 1
+        if size <= MEMO_LIMIT:
+            self._size, branch = size, seq.items
+            for bit in reversed(read):
+                branch = [None, branch] if bit else [branch, None]
+            parent[at] = branch  # the empty slot where the walk stopped
+        return seq.items
 
     def value(self, items: tuple) -> float:
         key = items[:self.bundle.k]
@@ -1102,21 +1081,27 @@ def verify_trace(bundle: ObjectiveBundle, trace: GreedyTrace, tol: float = 1e-9)
     Checks, step by step, that every considered item had the maximum weighted
     marginal among surviving candidates with positive gain (lowest id on
     ties), that the recorded gain matches a fresh marginal_gain computation,
-    and that the accepted items reproduce the output sequence.
+    and that the accepted items reproduce the output sequence.  Gains change
+    only at an accept, so the survivors are scored once per epoch and each
+    considered item is checked against the next of that ranking.
     """
     alive = set(bundle.ground)
     accepted: list[int] = []
-    t = 1
+    t, ranking = 1, None
+
+    def ranked():
+        base = frozenset(accepted)
+        gains = [(i, _gain(bundle, base, i, t)) for i in sorted(alive)]
+        return iter(sorted([pair for pair in gains if pair[1] > 0.0],
+                           key=lambda pair: (-pair[1], pair[0])))
+
     for item, gain, coin in trace.considered:
         if t > bundle.k:
             raise ValueError("trace considers items after the sequence was full")
-        base = frozenset(accepted)
-        gains = {i: _gain(bundle, base, i, t) for i in sorted(alive)}
-        positive = [(i, g) for i, g in gains.items() if g > 0.0]
-        if not positive:
+        ranking = ranking or ranked()
+        want_item, want_gain = next(ranking, (None, None))
+        if want_item is None:
             raise ValueError(f"trace considers {item} but no candidate had positive gain")
-        positive.sort(key=lambda pair: (-pair[1], pair[0]))
-        want_item, want_gain = positive[0]
         if item != want_item:
             raise ValueError(f"trace considered {item}, expected argmax {want_item}")
         if abs(gain - want_gain) > tol * (1.0 + abs(want_gain)):
@@ -1124,11 +1109,10 @@ def verify_trace(bundle: ObjectiveBundle, trace: GreedyTrace, tol: float = 1e-9)
         alive.discard(item)
         if coin:
             accepted.append(item)
-            t += 1
+            t, ranking = t + 1, None
     if tuple(accepted) != trace.output.items:
         raise ValueError("coin-1 items do not reproduce the recorded output")
     if t <= bundle.k:
-        base = frozenset(accepted)
-        leftovers = [i for i in sorted(alive) if _gain(bundle, base, i, t) > 0.0]
+        leftovers = sorted(i for i, _ in ranking or ranked())
         if leftovers:
             raise ValueError(f"trace ended with positive candidates {leftovers} unconsidered")

@@ -89,6 +89,7 @@ class WeightProfile:
 
     lambdas: tuple[float, ...]
     _suffix: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    k: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lams = tuple(float(x) for x in self.lambdas)
@@ -103,10 +104,7 @@ class WeightProfile:
             suffix[t] = suffix[t + 1] + lams[t]
         object.__setattr__(self, "lambdas", lams)
         object.__setattr__(self, "_suffix", tuple(suffix))
-
-    @property
-    def k(self) -> int:
-        return len(self.lambdas)
+        object.__setattr__(self, "k", len(lams))
 
     def weigh(self, scores, limit: int) -> float:
         """F of a homogeneous objective from its prefix scores: sum_j
@@ -167,7 +165,8 @@ class ObjectiveBundle:
     their contribution collapses to suffix_sum(t) times one evaluation).
     ``ground_set`` holds the ground ids as a frozenset for membership checks.
     ``prefix_evaluator`` is the shared oracle's ``prefix_values`` method when
-    the bundle is homogeneous and the oracle has one, else None.
+    the bundle is homogeneous and the oracle has one, else None.  ``k`` and
+    ``n`` count the positions and the ground items.
     """
 
     weights: WeightProfile
@@ -177,6 +176,8 @@ class ObjectiveBundle:
     counter: EvalCounter = field(default_factory=EvalCounter, compare=False, repr=False)
     ground_set: frozenset = field(init=False, compare=False, repr=False)
     prefix_evaluator: Callable | None = field(init=False, compare=False, repr=False)
+    k: int = field(init=False, compare=False, repr=False)
+    n: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         ground = tuple(sorted(int(i) for i in self.ground))
@@ -195,14 +196,8 @@ class ObjectiveBundle:
         object.__setattr__(self, "oracles", tuple(self.oracles))
         evaluator = getattr(self.oracles[0], "prefix_values", None) if self.homogeneous else None
         object.__setattr__(self, "prefix_evaluator", evaluator)
-
-    @property
-    def k(self) -> int:
-        return self.weights.k
-
-    @property
-    def n(self) -> int:
-        return len(self.ground)
+        object.__setattr__(self, "k", self.weights.k)
+        object.__setattr__(self, "n", len(ground))
 
     @property
     def base_oracle(self) -> SetOracle:

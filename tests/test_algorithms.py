@@ -704,6 +704,29 @@ class TestVerifyTrace:
         with pytest.raises(ValueError):
             verify_trace(tiny_bundle, bad)
 
+    def test_rejects_an_item_considered_twice_in_one_epoch(self, tiny_bundle):
+        # Item 0 is rejected, so its second consideration is against the
+        # epoch's next candidate, item 1.
+        _, trace = sampling_greedy(tiny_bundle, 2, SamplerConfig(0.5, 0), coins=[0, 1])
+        verify_trace(tiny_bundle, trace)
+        bad = trace.__class__(considered=trace.considered[:1] + trace.considered,
+                              output=trace.output)
+        with pytest.raises(ValueError, match="trace considered 0, expected argmax 1"):
+            verify_trace(tiny_bundle, bad)
+
+    def test_rejects_a_tampered_gain_later_in_an_epoch(self, tiny_bundle):
+        # Three considerations, one accept: the second's gain is checked
+        # against the ranking the epoch's first one was checked against.
+        _, trace = sampling_greedy(tiny_bundle, 2, SamplerConfig(0.5, 0), coins=[0, 0, 1])
+        assert [coin for _, _, coin in trace.considered] == [0, 0, 1]
+        verify_trace(tiny_bundle, trace)
+        item, gain, coin = trace.considered[1]
+        bad = trace.__class__(
+            considered=(trace.considered[0], (item, gain + 0.5, coin), trace.considered[2]),
+            output=trace.output)
+        with pytest.raises(ValueError, match=f"recorded gain {gain + 0.5} != recomputed {gain}"):
+            verify_trace(tiny_bundle, bad)
+
     def test_rejects_truncated_consideration(self, tiny_bundle):
         _, trace = sampling_greedy(tiny_bundle, 2, SamplerConfig(0.5, 0), coins=[0, 0, 0])
         bad = trace.__class__(considered=trace.considered[:-1], output=trace.output)

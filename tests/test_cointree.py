@@ -1,5 +1,5 @@
-"""Memoized bound-check rounds: every round served from the coin trees and
-the F table equals a round built from the public solvers alone, and every
+"""Memoized bound-check rounds: every round served from the memo's coin
+tries and F table equals a round built from the public solvers alone, and every
 verdict equals the one a loop of such rounds gives."""
 
 import numpy as np
@@ -133,6 +133,17 @@ class TestRounds:
         assert built == []
 
 
+def _stored(memo):
+    """The ids ``memo`` keeps, walked as its ``_size`` counts them: one per
+    trie bit, and a leaf's or an F key's items plus one."""
+    def walk(node):
+        if node.__class__ is list:
+            return 1 + walk(node[0]) + walk(node[1])
+        return 0 if node is None else len(node) + 1
+    return (sum(walk(root) for root, _ in memo._trees.values())
+            + sum(len(key) + 1 for key in memo._values))
+
+
 def _verdict_cases():
     cases = [(bundle, mode, 100 + i) for i, (_, bundle, mode) in enumerate(CASES)]
     return cases[::3]
@@ -185,13 +196,16 @@ class TestVerdicts:
 
     @pytest.mark.parametrize("limit", (3, 40))
     def test_stored_size_stays_within_the_limit(self, monkeypatch, limit):
+        # One cap for the whole memo: the tries of every greedy and the F
+        # table, counted by walking them, stay within MEMO_LIMIT together.
         monkeypatch.setattr(algorithms, "MEMO_LIMIT", limit)
         bundle = families.homogeneous_bundles()[7]
-        memo = _RoundMemo(bundle)
-        for r in range(300):
-            _run("homog", memo, SamplerConfig(P_STAR, round_seed(1, r)), FLEXIBLE, None)
-        assert memo._size <= limit
-        assert all(tree._size <= limit for tree in memo._trees.values())
+        for mode in (FLEXIBLE, FIXED, HOMOGENEOUS):
+            memo = _RoundMemo(bundle)
+            for r in range(300):
+                cfg = SamplerConfig(P_STAR, round_seed(1, r))
+                _run(CHECK_ALGORITHMS[mode], memo, cfg, FLEXIBLE, None)
+            assert _stored(memo) == memo._size <= limit, mode
 
 
 class TestEdges:
@@ -217,7 +231,7 @@ class TestEdges:
         memo = _RoundMemo(bundle)
         for r in range(5):
             assert memo.accepts(_PLAIN, SamplerConfig(P_STAR, r)) == ()
-        assert memo._trees[_PLAIN]._root == ()
+        assert memo._trees[_PLAIN][0] == ()
         for mode in (FLEXIBLE, FIXED, HOMOGENEOUS):
             cfg = SamplerConfig(P_STAR, 3)
             assert (bound_check(bundle, 2, mode, cfg, 50)
