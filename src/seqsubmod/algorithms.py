@@ -893,8 +893,8 @@ def brute_force(bundle: ObjectiveBundle, k=None, constraint: str = FLEXIBLE) -> 
     exactly k; ties go to the lexicographically smallest item tuple.
 
     Term j of F is lambda_j * f_j of the j-item prefix set, so orderings of
-    one set S differ only in their partial sum P.  Each set is read once
-    through ``bundle.oracle_value`` (heterogeneous flexible also reads
+    one set S differ only in their partial sum P.  A pass reads each set
+    once through ``bundle.oracle_value`` (heterogeneous flexible also reads
     f_j(S), j > |S|, for the saturated suffix); F adds in ``evaluate_F``'s
     order, and fl(P + c) is nondecreasing in P, so the maximum has the
     enumeration's bits.  For the tuple each set keeps a staircase, ascending
@@ -903,7 +903,8 @@ def brute_force(bundle: ObjectiveBundle, k=None, constraint: str = FLEXIBLE) -> 
     sum(lambda) * max|f|.  Every sum stays below B = 2 * sum(lambda) *
     max|f|, so each of the <= k additions left narrows a gap by at most
     2 * 2^-53 * B, and a larger gap survives rounding.  max|f| is final only
-    at the end, so a pass that pruned a gap within the final bound reruns.
+    at the end, so a pass that pruned a gap within the final bound reruns,
+    reading every set again.
     More than ENUMERATION_LIMIT (set, next item) extensions raise first.
     """
     k = _check_k(bundle, k)

@@ -30,9 +30,8 @@ from .files import (
     _distribution,
     _one_float,
     _one_int,
-    _read_instance,
-    _validate_instance,
     read_experiment,
+    read_instance,
     synthetic_covdiv_instance,
     synthetic_modular_instance,
     write_instance,
@@ -86,15 +85,15 @@ def cmd_gen(args) -> int:
                                          density=args.density, eta=args.eta)
     else:
         inst = synthetic_modular_instance(args.n, seed=args.seed)
-    _validate_instance(inst)  # a file every reader rejects is never written
+    inst.oracle()  # a file every reader rejects is never written
     write_instance(args.out, inst)
     print(f"wrote {args.family} instance with n={args.n} to {args.out}")
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
-    instance, oracle = _read_instance(args.instance)
-    bundle = instance.bundle(_weights(args.weights, args.k), oracle=oracle)
+    instance = read_instance(args.instance)
+    bundle = instance.bundle(_weights(args.weights, args.k))
     cfg = SamplerConfig(p=args.p, seed=args.seed)
     seq, value = run_algorithm(args.algorithm, bundle, args.k, cfg, args.constraint,
                                instance.ratings)
@@ -105,8 +104,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    instance, oracle = _read_instance(args.instance)
-    bundle = instance.bundle(_weights(args.weights, args.k), oracle=oracle)
+    instance = read_instance(args.instance)
+    bundle = instance.bundle(_weights(args.weights, args.k))
     cfg = SamplerConfig(p=args.p, seed=args.seed)
     verdict = bound_check(bundle, args.k, args.mode, cfg, args.rounds,
                           factor=args.factor, monotone=args.monotone)
@@ -125,11 +124,11 @@ def cmd_experiment(args) -> int:
         exp.rounds = args.rounds
     if args.seed is not None:
         exp.seed = args.seed
-    instance, oracle = _read_instance(exp.instance_path)
+    instance = read_instance(exp.instance_path)
     if instance.scales is not None:
         raise InstanceFormatError("experiments run on instances without scales")
     spec = ExperimentSpec(
-        oracle=oracle,
+        oracle=instance.oracle(),
         ratings=instance.ratings,
         n=instance.n,
         k=exp.k,

@@ -160,7 +160,8 @@ class EvalCounter:
 class ObjectiveBundle:
     """A problem instance: weights, one oracle per position, and the ground set.
 
-    ``homogeneous`` marks that every position shares one oracle object, which
+    ``homogeneous`` marks that every position shares one oracle object (a
+    bundle that claims it with different objects is a ValueError), which
     unlocks suffix-weight shortcuts (all positions j >= t see the same set, so
     their contribution collapses to suffix_sum(t) times one evaluation).
     ``ground_set`` holds the ground ids as a frozenset for membership checks.
@@ -191,9 +192,12 @@ class ObjectiveBundle:
                 f"need one oracle per position: got {len(self.oracles)} "
                 f"for k={self.weights.k}"
             )
+        oracles = tuple(self.oracles)
+        if self.homogeneous and any(f is not oracles[0] for f in oracles):
+            raise ValueError("a homogeneous bundle needs one oracle object at every position")
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "ground_set", ground_set)
-        object.__setattr__(self, "oracles", tuple(self.oracles))
+        object.__setattr__(self, "oracles", oracles)
         evaluator = getattr(self.oracles[0], "prefix_values", None) if self.homogeneous else None
         object.__setattr__(self, "prefix_evaluator", evaluator)
         object.__setattr__(self, "k", self.weights.k)

@@ -51,16 +51,16 @@ class InstanceFormatError(ValueError):
     """An instance or spec file violates the format contract."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Instance:
     """One on-disk problem instance.
 
     ``ratings`` double as the rewards of the modular-penalty family.  A
     covdiv instance may carry the ``tags`` its ``similarity`` derives from;
     it is then written as its tags.  A non-None ``scales`` tuple sets
-    f_j = scales[j] times the base function; ``bundle`` holds scales finite
-    and nonnegative and each lambda_j * s_j finite, so sum_j lambda_j * s_j
-    * f is the identical-utility objective under the weights
+    f_j = scales[j] times the base function; ``oracle`` holds scales finite
+    and nonnegative and ``bundle`` each lambda_j * s_j finite, so sum_j
+    lambda_j * s_j * f is the identical-utility objective under the weights
     lambda_j * s_j, and every bundle is homogeneous.
     """
 
@@ -74,20 +74,48 @@ class Instance:
     penalties: np.ndarray | None = None
     scales: tuple[float, ...] | None = None
     tags: np.ndarray | None = None
+    _oracle: object = field(default=None, init=False, repr=False, compare=False)
 
     def oracle(self):
-        if self.family == "covdiv":
-            return CoverageDiversityFn(self.ratings, self.similarity,
-                                       self.alpha, self.beta, self.eta)
-        if self.family == "modular-penalty":
-            return ModularPenaltyFn(self.ratings, self.penalties.tolist())
-        raise InstanceFormatError(f"unknown family {self.family!r}")
+        """The instance's oracle, built on the first call and kept (the instance
+        is frozen, so no field is reassigned under it); InstanceFormatError if
+        it cannot be built."""
+        if self._oracle is not None:
+            return self._oracle
+        family, n = self.family, self.n
+        if family == "covdiv":
+            if self.similarity is None:
+                raise InstanceFormatError("covdiv instances need similarity or tags")
+            if self.similarity.shape != (n, n):
+                raise InstanceFormatError(
+                    f"similarity is {self.similarity.shape}, expected ({n}, {n})")
+            if self.alpha is None or self.beta is None or self.eta is None:
+                raise InstanceFormatError("covdiv instances need alpha, beta, and eta")
+        elif family == "modular-penalty":
+            if self.penalties is None:
+                raise InstanceFormatError("modular-penalty instances need penalties")
+            if self.penalties.shape != (n, n):
+                raise InstanceFormatError(
+                    f"penalties are {self.penalties.shape}, expected ({n}, {n})")
+        else:
+            raise InstanceFormatError(f"unknown family {family!r}")
+        bad = [s for s in self.scales or () if not 0.0 <= s < math.inf]
+        if bad:
+            raise InstanceFormatError(f"scales: {bad[0]!r} is not finite and nonnegative")
+        try:
+            oracle = (CoverageDiversityFn(self.ratings, self.similarity, self.alpha, self.beta,
+                                          self.eta) if family == "covdiv"
+                      else ModularPenaltyFn(self.ratings, self.penalties.tolist()))
+        except ValueError as exc:
+            raise InstanceFormatError(str(exc)) from exc
+        object.__setattr__(self, "_oracle", oracle)
+        return oracle
 
-    def bundle(self, weights, oracle=None) -> ObjectiveBundle:
-        """Bundle under ``weights``; pass ``oracle`` if this instance's oracle is built."""
+    def bundle(self, weights) -> ObjectiveBundle:
+        """Bundle of this instance's oracle under ``weights``."""
+        base = self.oracle()  # checks the scales before they fold into the weights
         profile = as_weights(weights)
         if self.scales is not None:
-            _check_scales(self.scales)
             if len(self.scales) != profile.k:
                 raise InstanceFormatError(
                     f"{len(self.scales)} scales cannot serve k={profile.k} positions")
@@ -96,7 +124,6 @@ class Instance:
                 if not math.isfinite(w):
                     raise InstanceFormatError(f"scales: lambda_{j} * {s!r} = {w!r} is not finite")
             profile = WeightProfile(folded)
-        base = oracle if oracle is not None else self.oracle()
         return homogeneous_bundle(base, profile, n=self.n)
 
     def __eq__(self, other):
@@ -216,13 +243,8 @@ def read_instance(path: str) -> Instance:
 
     Only key lines are split into tokens; an inline matrix block goes to
     numpy whole, so a large matrix costs one parse, not one ``float`` per
-    entry.
+    entry.  The oracle is built here, so a file it cannot serve is refused.
     """
-    return _read_instance(path)[0]
-
-
-def _read_instance(path: str) -> tuple[Instance, object]:
-    """read_instance, plus the oracle built to validate the instance."""
     lines = _content_lines(path)
     base_dir = os.path.dirname(os.path.abspath(path))
     fields: dict = {}
@@ -282,45 +304,11 @@ def _read_instance(path: str) -> tuple[Instance, object]:
             similarity = similarity_from_tags(tags)
         except ValueError as exc:
             raise InstanceFormatError(f"tags: {exc}") from exc
-    penalties = fields.get("penalties")
-    inst = Instance(
-        family=family, n=n, ratings=ratings,
-        alpha=fields.get("alpha"), beta=fields.get("beta"), eta=fields.get("eta"),
-        similarity=similarity, penalties=penalties, scales=fields.get("scales"), tags=tags,
-    )
-    return inst, _validate_instance(inst)
-
-
-def _validate_instance(inst: Instance):
-    """The instance's oracle; InstanceFormatError if it cannot be built."""
-    if inst.family == "covdiv":
-        if inst.similarity is None:
-            raise InstanceFormatError("covdiv instances need similarity or tags")
-        if inst.similarity.shape != (inst.n, inst.n):
-            raise InstanceFormatError(
-                f"similarity is {inst.similarity.shape}, expected ({inst.n}, {inst.n})")
-        if inst.alpha is None or inst.beta is None or inst.eta is None:
-            raise InstanceFormatError("covdiv instances need alpha, beta, and eta")
-    elif inst.family == "modular-penalty":
-        if inst.penalties is None:
-            raise InstanceFormatError("modular-penalty instances need penalties")
-        if inst.penalties.shape != (inst.n, inst.n):
-            raise InstanceFormatError(
-                f"penalties are {inst.penalties.shape}, expected ({inst.n}, {inst.n})")
-    _check_scales(inst.scales or ())
-    try:
-        return inst.oracle()
-    except InstanceFormatError:
-        raise
-    except ValueError as exc:
-        raise InstanceFormatError(str(exc)) from exc
-
-
-def _check_scales(scales) -> None:
-    """InstanceFormatError unless every scale is finite and nonnegative."""
-    bad = [s for s in scales if not 0.0 <= s < math.inf]
-    if bad:
-        raise InstanceFormatError(f"scales: {bad[0]!r} is not finite and nonnegative")
+    inst = Instance(family=family, n=n, ratings=ratings, alpha=fields.get("alpha"),
+                    beta=fields.get("beta"), eta=fields.get("eta"), similarity=similarity,
+                    penalties=fields.get("penalties"), scales=fields.get("scales"), tags=tags)
+    inst.oracle()
+    return inst
 
 
 def write_instance(path: str, inst: Instance) -> None:

@@ -126,7 +126,8 @@ class ExperimentSpec:
     ``oracle`` is the shared set function (a CoverageDiversityFn when the
     covdiv baseline is among the algorithms, checked when the spec is
     built); ``ratings`` feed the quality baseline, one per item.  The ground
-    set is 0..n-1.
+    set is 0..n-1.  Every distribution has k positions and a label of its
+    own, since results name a cell by its label.
     """
 
     oracle: object
@@ -153,6 +154,15 @@ class ExperimentSpec:
         _check_constraint(self.constraint)
         if "covdiv" in self.algorithms:
             _check_covdiv_oracle(self.oracle)
+        labels = set()
+        for dist in self.distributions:
+            k = make_weights(dist).k
+            if k != self.k:
+                raise ValueError(f"distribution {dist.label} has k={k}, expected {self.k}")
+            if dist.label in labels:
+                raise ValueError(f"distribution label {dist.label} is repeated; "
+                                 "the profiles of one experiment need distinct labels")
+            labels.add(dist.label)
 
 
 @dataclass(frozen=True)
@@ -238,11 +248,8 @@ class _ProfileRuns:
     """
 
     def __init__(self, spec: ExperimentSpec, dist: UserTypeDistribution, scores: dict):
-        weights = make_weights(dist)
-        if weights.k != spec.k:
-            raise ValueError(f"distribution {dist.label} has k={weights.k}, expected {spec.k}")
         self.spec = spec
-        self.bundle = homogeneous_bundle(spec.oracle, weights, n=spec.n)
+        self.bundle = homogeneous_bundle(spec.oracle, make_weights(dist), n=spec.n)
         self._runs: dict = {}
         self._values: dict = {}
         self._scores = scores

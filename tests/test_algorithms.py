@@ -1061,8 +1061,11 @@ class TestBruteForce:
         bundle = heterogeneous_bundle(
             (lambda s: first.get(s, 0.0), lambda s: 0.0,
              lambda s: 2.0 ** 54 if len(s) == 3 else 0.0), (1.0, 1.0, 1.0), n=3)
-        assert evaluate_F(bundle, (1, 0, 2)) == evaluate_F(bundle, (0, 1, 2)) == 2.0 ** 54
         assert brute_force(bundle, 3, FIXED) == (Sequence((0, 1, 2)), 2.0 ** 54)
+        # The first pass prunes within the final bound, so a second pass reads
+        # all 7 nonempty sets again.
+        assert bundle.counter.calls == 14
+        assert evaluate_F(bundle, (1, 0, 2)) == evaluate_F(bundle, (0, 1, 2)) == 2.0 ** 54
         assert enumerated_best(lambda perm: evaluate_F(bundle, perm), range(3), 3,
                                FIXED)[0] == (0, 1, 2)
 

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -323,6 +324,42 @@ class TestCheck:
         assert out.strip().splitlines()[-1] == "FAIL"
 
 
+class TestOneRead:
+    """Each command reads its instance through ``read_instance`` once, so a
+    wrapper of that one function sees every parse."""
+
+    @pytest.mark.parametrize("argv", (
+        ("solve", "--k", "2", "--algorithm", "homog"),
+        ("check", "--k", "2", "--rounds", "5"),
+        ("experiment",),
+    ))
+    def test_commands_call_read_instance_once(self, tmp_path, capsys, monkeypatch, argv):
+        import seqsubmod.files
+        path = str(tmp_path / "inst.txt")
+        write_instance(path, synthetic_modular_instance(6, seed=3))
+        original, reads = seqsubmod.files.read_instance, []
+
+        def counting(instance_path):
+            reads.append(instance_path)
+            return original(instance_path)
+
+        for name, module in list(sys.modules.items()):
+            if name == "seqsubmod" or name.startswith("seqsubmod."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        command, *flags = argv
+        if command == "experiment":
+            spec = str(tmp_path / "exp.txt")
+            with open(spec, "w") as fh:
+                fh.write("instance inst.txt\nk 2\nrounds 2\nalgorithms sg\n")
+            flags = ["--spec", spec, "--out", str(tmp_path / "r.csv")]
+        else:
+            flags = ["--instance", path, *flags]
+        assert run_cli(command, *flags, capsys=capsys)[0] == 0
+        assert reads == [path]
+
+
 class TestScaledInstances:
     """A scales line folds into the weights: a scaled instance under
     ``normal:10,4`` prints what the same instance without scales prints under
@@ -484,6 +521,16 @@ class TestExperiment:
         assert code == 2
         assert not out.exists()
         assert "outside the float range" in capsys.readouterr().err
+
+    def test_repeated_profile_label_writes_nothing(self, tmp_path, capsys):
+        spec = self._setup(tmp_path)
+        with open(spec, "a") as fh:
+            fh.write("distribution normal 2 5\n")
+        out = tmp_path / "r.csv"
+        code, _ = run_cli("experiment", "--spec", spec, "--out", str(out))
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: distribution label M-2 is repeated")
 
     def test_covdiv_on_wrong_family(self, tmp_path, capsys):
         spec = self._setup(tmp_path, algorithms="sg covdiv")

@@ -389,6 +389,21 @@ class TestGroundSet:
         assert a == b
 
 
+class TestHomogeneousFlag:
+    def test_needs_one_oracle_object(self, tiny_fn):
+        # Unchecked, brute_force reads oracles[0] at every position and
+        # evaluate_F reads oracles[j - 1], so the two disagree on OPT.
+        other = ModularPenaltyFn((1.0, 1.0, 4.0), [[0.0] * 3] * 3)
+        for oracles in ((tiny_fn, other), (tiny_fn, tiny_instance())):
+            with pytest.raises(ValueError, match="one oracle object at every position"):
+                ObjectiveBundle(weights=WeightProfile((1.0, 1.0)), oracles=oracles,
+                                ground=(0, 1, 2), homogeneous=True)
+        shared = ObjectiveBundle(weights=WeightProfile((1.0, 1.0)), oracles=(tiny_fn, tiny_fn),
+                                 ground=(0, 1, 2), homogeneous=True)
+        assert shared == homogeneous_bundle(tiny_fn, (1.0, 1.0), n=3)
+        assert heterogeneous_bundle((tiny_fn, other), (1.0, 1.0), n=3).oracles == (tiny_fn, other)
+
+
 class TestTelescoping:
     def test_demo_value(self, tiny_bundle):
         assert telescoping_value(tiny_bundle, [0, 2]) == pytest.approx(8.0)

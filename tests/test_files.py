@@ -29,7 +29,7 @@ from seqsubmod import (
     write_results,
 )
 from seqsubmod.cli import main
-from seqsubmod.functions import similarity_from_tags, tiny_instance
+from seqsubmod.functions import ModularPenaltyFn, similarity_from_tags, tiny_instance
 
 from oracles import ScaledFn
 
@@ -467,6 +467,40 @@ class TestInstanceErrors:
         inst = dataclasses.replace(synthetic_modular_instance(4, seed=1), scales=scales)
         with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}$"):
             inst.bundle(lams)
+
+
+
+class TestInstanceOracle:
+    """An instance builds its oracle once: at read time, or on the first
+    ``oracle()`` call, and every later call and bundle shares it."""
+
+    def test_read_and_bundle_build_one_oracle(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "inst.txt")
+        write_instance(path, synthetic_modular_instance(6, seed=2))
+        built = []
+        init = ModularPenaltyFn.__init__
+
+        def counting_init(fn, *args, **kwargs):
+            built.append(fn)
+            init(fn, *args, **kwargs)
+
+        monkeypatch.setattr(ModularPenaltyFn, "__init__", counting_init)
+        inst = read_instance(path)
+        bundle = inst.bundle((0.5, 0.5))
+        assert len(built) == 1
+        assert bundle.base_oracle is built[0]
+        assert inst.oracle() is inst.oracle() is built[0]
+
+    def test_fields_are_frozen(self):
+        inst = synthetic_modular_instance(4, seed=1)
+        oracle = inst.oracle()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inst.ratings = (0.0,) * 4
+        assert inst.oracle() is oracle
+        # replace builds a new instance, which builds its own oracle.
+        zeroed = dataclasses.replace(inst, ratings=(0.0,) * 4)
+        assert zeroed.oracle() is not oracle
+        assert zeroed.oracle()(frozenset({0})) == 0.0 != oracle(frozenset({0}))
 
 
 class TestSynthetic:

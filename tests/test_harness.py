@@ -458,6 +458,28 @@ class TestPlanner:
                            algorithms=("sg", "covdiv"),
                            distributions=(UserTypeDistribution.uniform(4),))
 
+    @pytest.mark.parametrize("dists, label", (
+        ((UserTypeDistribution.normal(4, 2.0, 1.0), UserTypeDistribution.normal(4, 2.0, 5.0)),
+         "M-2"),
+        ((UserTypeDistribution.explicit((1.0, 0.0, 0.0, 0.0)), UserTypeDistribution.uniform(4),
+          UserTypeDistribution.explicit((0.0, 0.0, 0.0, 1.0))), "EXPLICIT"),
+    ), ids=("normal", "explicit"))
+    def test_repeated_labels_fail_when_built(self, dists, label):
+        # Unchecked, both profiles write cells under one key, and read_results
+        # merges them into one cell of twice the rounds.
+        inst = synthetic_modular_instance(7, seed=3)
+        with pytest.raises(ValueError, match=f"^distribution label {label} is repeated"):
+            ExperimentSpec(oracle=inst.oracle(), ratings=inst.ratings, n=7, k=4,
+                           algorithms=("sg",), distributions=dists)
+
+    def test_profile_positions_checked_when_built(self):
+        inst = synthetic_modular_instance(7, seed=3)
+        with pytest.raises(ValueError, match="^distribution UNIFORM has k=3, expected 4$"):
+            ExperimentSpec(oracle=inst.oracle(), ratings=inst.ratings, n=7, k=4,
+                           algorithms=("sg",),
+                           distributions=(UserTypeDistribution.normal(4, 2.0, 1.0),
+                                          UserTypeDistribution.uniform(3)))
+
     @pytest.mark.parametrize("count", (3, 7))
     def test_ratings_must_number_n(self, count):
         # Unchecked, 3 ratings rank items 0..2 alone, and 7 fail only when
