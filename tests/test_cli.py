@@ -334,10 +334,9 @@ class TestOneRead:
         ("experiment",),
     ))
     def test_commands_call_read_instance_once(self, tmp_path, capsys, monkeypatch, argv):
-        import seqsubmod.files
         path = str(tmp_path / "inst.txt")
         write_instance(path, synthetic_modular_instance(6, seed=3))
-        original, reads = seqsubmod.files.read_instance, []
+        original, reads = read_instance, []
 
         def counting(instance_path):
             reads.append(instance_path)

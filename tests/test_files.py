@@ -469,7 +469,6 @@ class TestInstanceErrors:
             inst.bundle(lams)
 
 
-
 class TestInstanceOracle:
     """An instance builds its oracle once: at read time, or on the first
     ``oracle()`` call, and every later call and bundle shares it."""
