@@ -81,7 +81,6 @@ from .harness import (
     comparative_experiment,
     make_weights,
     round_seed,
-    run_monte_carlo,
 )
 
 __version__ = "0.1.0"
@@ -104,5 +103,5 @@ __all__ = [
     "submodularity_probe", "tiny_instance",
     "HOMOGENEOUS", "BoundVerdict", "CellStats", "ExperimentSpec", "RunStats",
     "UserTypeDistribution", "bound_check", "bound_factor",
-    "comparative_experiment", "make_weights", "round_seed", "run_monte_carlo",
+    "comparative_experiment", "make_weights", "round_seed",
 ]

@@ -9,6 +9,7 @@ infeasible request (k too large, enumeration guard tripped).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -25,7 +26,6 @@ from .algorithms import (
 from .core import OracleEvaluationError
 from .files import (
     FAMILIES,
-    ExperimentFile,
     InstanceFormatError,
     _distribution,
     _one_float,
@@ -37,13 +37,7 @@ from .files import (
     write_instance,
     write_results,
 )
-from .harness import (
-    CHECK_ALGORITHMS,
-    ExperimentSpec,
-    bound_check,
-    comparative_experiment,
-    make_weights,
-)
+from .harness import CHECK_ALGORITHMS, bound_check, comparative_experiment, make_weights
 
 EXIT_OK = 0
 EXIT_BOUND_FAILED = 1
@@ -119,33 +113,19 @@ def cmd_check(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    exp: ExperimentFile = read_experiment(args.spec)
+    spec = read_experiment(args.spec)
     if args.rounds is not None:
-        exp.rounds = args.rounds
+        spec = dataclasses.replace(spec, rounds=args.rounds)
     if args.seed is not None:
-        exp.seed = args.seed
-    instance = read_instance(exp.instance_path)
-    if instance.scales is not None:
-        raise InstanceFormatError("experiments run on instances without scales")
-    spec = ExperimentSpec(
-        oracle=instance.oracle(),
-        ratings=instance.ratings,
-        n=instance.n,
-        k=exp.k,
-        algorithms=exp.algorithms,
-        distributions=exp.distributions,
-        rounds=exp.rounds,
-        base_seed=exp.seed,
-        p=exp.p,
-    )
-    stats = comparative_experiment(spec, exp.constraints)
+        spec = dataclasses.replace(spec, base_seed=args.seed)
+    stats = comparative_experiment(spec)
     metadata = {
-        "algorithms": " ".join(exp.algorithms),
-        "constraints": " ".join(exp.constraints),
-        "k": str(exp.k),
-        "p": repr(exp.p),
-        "rounds": str(exp.rounds),
-        "seed": str(exp.seed),
+        "algorithms": " ".join(spec.algorithms),
+        "constraints": " ".join(spec.constraints),
+        "k": str(spec.k),
+        "p": repr(spec.p),
+        "rounds": str(spec.rounds),
+        "seed": str(spec.base_seed),
     }
     write_results(args.out, stats, metadata)
     width = max(len(c.algorithm) for c in stats.cells)

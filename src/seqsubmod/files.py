@@ -1,14 +1,16 @@
 """Plain-text formats: problem instances, experiment specs, and result tables.
 
-Instances and specs are `key value` line files (``#`` starts a comment);
-matrices are headerless whitespace-separated float rows, either inline after
-their introducing key or in a companion file.  A file is read once and only
-its key lines are split into tokens: every matrix, inline or companion, is
-parsed by a single ``np.loadtxt`` call, and key-line numbers are held to
-the same number grammar, so every float field accepts the same numbers.  All
-floats are written with ``repr`` and parsed with correct rounding, so
-write -> read round-trips bit-exactly and rerunning a seeded experiment
-reproduces its output file byte for byte.
+Instances and specs are `key value` line files (``#`` starts a comment) in
+which a key appears once, except a spec's ``distribution`` lines; a spec
+reads into a checked ``ExperimentSpec``.  Matrices are headerless
+whitespace-separated float rows, either inline after their introducing key
+or in a companion file.  A file is read once and only its key lines are
+split into tokens: every matrix, inline or companion, is parsed by a single
+``np.loadtxt`` call, and key-line numbers are held to the same number
+grammar, so every float field accepts the same numbers.  All floats are
+written with ``repr`` and parsed with correct rounding, so write -> read
+round-trips bit-exactly and rerunning a seeded experiment reproduces its
+output file byte for byte.
 
 A covdiv similarity W is given either as its dense ``similarity`` block or
 by the ``tags`` it derives from, never both.  An instance that carries its
@@ -27,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algorithms import P_STAR
 from .core import ObjectiveBundle, WeightProfile, as_weights, homogeneous_bundle
 from .functions import (
     CoverageDiversityFn,
@@ -36,7 +37,7 @@ from .functions import (
     similarity_from_tags,
     tiny_instance,
 )
-from .harness import CellStats, RunStats, UserTypeDistribution
+from .harness import CellStats, ExperimentSpec, RunStats, UserTypeDistribution
 
 FAMILIES = ("covdiv", "modular-penalty")
 
@@ -252,6 +253,8 @@ def read_instance(path: str) -> Instance:
     while i < len(lines):
         key, *rest = lines[i].split()
         i += 1
+        if ("ratings" if key == "rewards" else key) in fields:
+            raise InstanceFormatError(f"{key}: given twice")
         if key in ("similarity", "penalties", "tags"):
             if not rest:
                 raise InstanceFormatError(f"{key}: expected 'inline' or 'file PATH'")
@@ -405,20 +408,6 @@ def synthetic_covdiv_instance(n: int, d: int = 25, seed: int = 0,
 # Experiment specs.
 
 
-@dataclass
-class ExperimentFile:
-    """Parsed experiment spec: which instance, contenders, and sweep to run."""
-
-    instance_path: str
-    k: int
-    p: float = P_STAR
-    seed: int = 0
-    rounds: int = 100
-    constraints: tuple[str, ...] = ("flexible", "fixed")
-    algorithms: tuple[str, ...] = ("sg", "covdiv", "quality")
-    distributions: tuple[UserTypeDistribution, ...] = field(default_factory=tuple)
-
-
 def _distribution(tokens, k: int) -> UserTypeDistribution:
     """A k-position weight profile from its kind and number tokens, the one
     grammar of ``--weights`` and of spec ``distribution`` lines: ``uniform``,
@@ -439,17 +428,28 @@ def _distribution(tokens, k: int) -> UserTypeDistribution:
     raise InstanceFormatError(f"unknown weight profile {' '.join([kind, *tokens])!r}")
 
 
-def read_experiment(path: str) -> ExperimentFile:
-    base_dir = os.path.dirname(os.path.abspath(path))
-    fields: dict = {"distributions": []}
+def read_experiment(path: str) -> ExperimentSpec:
+    """Parse an experiment spec into a checked ExperimentSpec.
+
+    ``read_instance`` reads the instance the spec names, relative to the
+    spec; one with scales is refused, since the ``distribution`` lines alone
+    set the weights.  The spec's ValueError is raised as InstanceFormatError
+    with the same text.
+    """
+    fields: dict = {"algorithms": ("sg", "covdiv", "quality")}
+    seen, rows = set(), []
     for line in _content_lines(path):
         key, *rest = line.split()
+        if key in seen:
+            raise InstanceFormatError(f"{key}: given twice")
         if key == "instance":
             if len(rest) != 1:
                 raise InstanceFormatError("instance: expected one path")
-            fields["instance_path"] = os.path.join(base_dir, rest[0])
-        elif key in ("k", "seed", "rounds"):
+            instance_file = rest[0]
+        elif key in ("k", "rounds"):
             fields[key] = _one_int(rest, key)
+        elif key == "seed":
+            fields["base_seed"] = _one_int(rest, key)
         elif key == "p":
             fields["p"] = _one_float(rest, key)
         elif key == "constraint":
@@ -464,15 +464,24 @@ def read_experiment(path: str) -> ExperimentFile:
                 raise InstanceFormatError("algorithms: expected at least one name")
             fields["algorithms"] = tuple(rest)
         elif key == "distribution":
-            fields["distributions"].append(rest)
+            rows.append(rest)
+            continue
         else:
             raise InstanceFormatError(f"unknown key {key!r}")
-    if "instance_path" not in fields or "k" not in fields:
+        seen.add(key)
+    if "instance" not in seen or "k" not in seen:
         raise InstanceFormatError("experiment spec needs instance and k")
     k = fields["k"]
-    fields["distributions"] = (tuple(_distribution(row, k) for row in fields["distributions"])
+    fields["distributions"] = (tuple(_distribution(row, k) for row in rows)
                                or (UserTypeDistribution.uniform(k),))
-    return ExperimentFile(**fields)
+    instance = read_instance(os.path.join(os.path.dirname(os.path.abspath(path)), instance_file))
+    if instance.scales is not None:
+        raise InstanceFormatError("experiments run on instances without scales")
+    try:
+        return ExperimentSpec(oracle=instance.oracle(), ratings=instance.ratings, n=instance.n,
+                              **fields)
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -126,8 +126,9 @@ class ExperimentSpec:
     ``oracle`` is the shared set function (a CoverageDiversityFn when the
     covdiv baseline is among the algorithms, checked when the spec is
     built); ``ratings`` feed the quality baseline, one per item.  The ground
-    set is 0..n-1.  Every distribution has k positions and a label of its
-    own, since results name a cell by its label.
+    set is 0..n-1.  Every distribution has k positions, and no algorithm,
+    constraint or distribution label is given twice, since results name a
+    cell by (algorithm, label, constraint).
     """
 
     oracle: object
@@ -136,7 +137,7 @@ class ExperimentSpec:
     k: int
     algorithms: tuple[str, ...]
     distributions: tuple[UserTypeDistribution, ...]
-    constraint: str = FLEXIBLE
+    constraints: tuple[str, ...] = (FLEXIBLE, FIXED)
     rounds: int = 100
     base_seed: int = 0
     p: float = P_STAR
@@ -148,10 +149,17 @@ class ExperimentSpec:
             raise ValueError(f"k={self.k} outside 1..{self.n}")
         if len(self.ratings) != self.n:
             raise ValueError(f"{len(self.ratings)} ratings for n={self.n}")
-        for name in self.algorithms:
+        for i, name in enumerate(self.algorithms):
             if name not in EXPERIMENT_ALGORITHMS:
                 raise ValueError(f"unknown algorithm {name!r}")
-        _check_constraint(self.constraint)
+            if name in self.algorithms[:i]:
+                raise ValueError(f"algorithm {name} is repeated; "
+                                 "the algorithms of one experiment need distinct names")
+        for constraint in self.constraints:
+            _check_constraint(constraint)
+        if not self.constraints or len(set(self.constraints)) < len(self.constraints):
+            raise ValueError(f"constraints {self.constraints}: expected {FLEXIBLE}, {FIXED} "
+                             "or both, each once")
         if "covdiv" in self.algorithms:
             _check_covdiv_oracle(self.oracle)
         labels = set()
@@ -282,15 +290,9 @@ class _ProfileRuns:
         return value, len(items), calls
 
 
-def run_monte_carlo(spec: ExperimentSpec) -> RunStats:
-    """comparative_experiment under ``spec.constraint`` alone."""
-    return comparative_experiment(spec, (spec.constraint,))
-
-
-def comparative_experiment(spec: ExperimentSpec,
-                           constraints: tuple[str, ...] = (FLEXIBLE, FIXED)) -> RunStats:
-    """Every (constraint, distribution, algorithm) cell for ``spec.rounds``
-    rounds, in that order.
+def comparative_experiment(spec: ExperimentSpec) -> RunStats:
+    """Every (constraint, distribution, algorithm) cell of ``spec`` for
+    ``spec.rounds`` rounds, in that order.
 
     Round r of every cell uses SamplerConfig(spec.p, round_seed(base_seed, r))
     from ``_round_configs``, so cells see matched randomness and the whole
@@ -301,8 +303,7 @@ def comparative_experiment(spec: ExperimentSpec,
     """
     cfgs = list(_round_configs(spec.p, spec.base_seed, spec.rounds))
     profiles, cells, scores = [], [], {}
-    for constraint in constraints:
-        _check_constraint(constraint)
+    for constraint in spec.constraints:
         for i, dist in enumerate(spec.distributions):
             if i == len(profiles):
                 profiles.append(_ProfileRuns(spec, dist, scores))

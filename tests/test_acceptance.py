@@ -30,7 +30,6 @@ from seqsubmod import (
     evaluate_F,
     homogeneous_bundle,
     presampled_greedy,
-    run_monte_carlo,
     sampling_greedy,
     sampling_greedy_j,
     submodularity_probe,
@@ -233,8 +232,8 @@ def test_10_exact_expectation(report):
         oracle=inst, ratings=(3.0, 2.0, 2.0), n=3, k=2,
         algorithms=("sg",),
         distributions=(UserTypeDistribution.explicit((1.0, 1.0)),),
-        constraint=FLEXIBLE, rounds=10_000, base_seed=42, p=0.5)
-    cell = run_monte_carlo(spec).cell("sg", "EXPLICIT")
+        constraints=(FLEXIBLE,), rounds=10_000, base_seed=42, p=0.5)
+    cell = comparative_experiment(spec).cell("sg", "EXPLICIT")
     exact = exact_expectation(inst, (1.0, 1.0), range(3), 0.5)
     gap = abs(cell.mean - exact)
     ok = gap <= 3.0 * cell.stderr
@@ -256,8 +255,8 @@ def test_11_benchmark_ordering(report):
             UserTypeDistribution.normal(k, 25.0, 5.0),
             UserTypeDistribution.normal(k, 40.0, 5.0),
         ),
-        constraint=FLEXIBLE, rounds=100, base_seed=7, p=P_STAR)
-    stats = comparative_experiment(spec, (FLEXIBLE, FIXED))
+        constraints=(FLEXIBLE, FIXED), rounds=100, base_seed=7, p=P_STAR)
+    stats = comparative_experiment(spec)
     ok = True
     gaps = []
     for dist in spec.distributions:

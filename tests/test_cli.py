@@ -531,6 +531,44 @@ class TestExperiment:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: distribution label M-2 is repeated")
 
+    @pytest.mark.parametrize("algorithms, line, error", (
+        ("sg sg", "", "error: algorithm sg is repeated; "),
+        ("sg quality", "k 2\n", "error: k: given twice\n"),
+        ("sg quality", "algorithms quality\n", "error: algorithms: given twice\n"),
+    ), ids=("algorithm", "k", "algorithms"))
+    def test_repeated_spec_entry_writes_nothing(self, tmp_path, capsys, algorithms, line, error):
+        spec = self._setup(tmp_path, algorithms=algorithms)
+        with open(spec, "a") as fh:
+            fh.write(line)
+        out = tmp_path / "r.csv"
+        code, _ = run_cli("experiment", "--spec", spec, "--out", str(out))
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(error)
+
+    def test_repeated_instance_key_is_bad_input(self, tmp_path, capsys):
+        spec = self._setup(tmp_path)
+        with open(tmp_path / "inst.txt", "a") as fh:
+            fh.write("rewards 1 1 1 1 1 1\n")
+        out = tmp_path / "r.csv"
+        code, _ = run_cli("experiment", "--spec", spec, "--out", str(out))
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: rewards: given twice\n"
+
+    def test_spec_rounds_are_checked_under_an_override(self, tmp_path, capsys):
+        # The spec file is checked as written before --rounds replaces its value.
+        spec = self._setup(tmp_path)
+        with open(spec) as fh:
+            text = fh.read()
+        with open(spec, "w") as fh:
+            fh.write(text.replace("rounds 10\n", "rounds 0\n"))
+        out = tmp_path / "r.csv"
+        code, _ = run_cli("experiment", "--spec", spec, "--out", str(out), "--rounds", "4")
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: rounds must be positive\n"
+
     def test_covdiv_on_wrong_family(self, tmp_path, capsys):
         spec = self._setup(tmp_path, algorithms="sg covdiv")
         code, _ = run_cli("experiment", "--spec", spec,

@@ -15,13 +15,13 @@ from seqsubmod import (
     InstanceFormatError,
     P_STAR,
     UserTypeDistribution,
+    comparative_experiment,
     evaluate_F,
     heterogeneous_bundle,
     read_experiment,
     read_instance,
     read_matrix,
     read_results,
-    run_monte_carlo,
     synthetic_covdiv_instance,
     synthetic_modular_instance,
     write_instance,
@@ -420,13 +420,25 @@ class TestInstanceErrors:
         (COVDIV_TAGS.format(rows="0.5 0.5\n0.5 0.1\n0.1 0.2\n")
          + "penalties inline\n0 1 1\n1 0 1\n1 1 0\n",
          "penalties: a covdiv instance has no penalties"),
+        # A key given twice is bad input, not overwritten by its last value.
+        (MODULAR.format(n=3, rows="0 0 0\n0 0 0\n0 0 0\n").replace("rewards 1 1 1",
+                                                                    "rewards 1 2 3\nrewards 5 6 7"),
+         "rewards: given twice"),
+        (MODULAR.format(n=3, rows="0 0 0\n0 0 0\n0 0 0\n").replace("rewards 1 1 1",
+                                                                    "ratings 1 2 3\nrewards 5 6 7"),
+         "rewards: given twice"),
+        (MODULAR.format(n=3, rows="0 0 0\n0 0 0\n0 0 0\npenalties inline\n0 1 1\n1 0 1\n1 1 0\n"),
+         "penalties: given twice"),
+        (MODULAR.format(n=3, rows="0 0 0\n0 0 0\n0 0 0\nn 3\n"), "n: given twice"),
+        (COVDIV_TAGS.format(rows="0.5 0.5\n0.5 0.1\n0.1 0.2\n") + "eta 3\n", "eta: given twice"),
     ), ids=("ragged", "short", "short-then-key", "underscore", "word",
             "ragged-tags", "short-tags", "tag-above-one", "negative-tag", "nan-tag",
             "inf-tag", "negative-n", "zero-n", "underscore-rewards", "arabic-digit-ratings",
             "underscore-alpha", "underscore-scales", "underscore-tag-row",
             "underscore-n", "arabic-digit-n", "extra-row", "extra-tag-rows",
             "extra-similarity-row", "tags-then-similarity", "similarity-then-tags",
-            "modular-similarity", "modular-tags", "modular-alpha", "covdiv-penalties"))
+            "modular-similarity", "modular-tags", "modular-alpha", "covdiv-penalties",
+            "rewards-twice", "ratings-then-rewards", "penalties-twice", "n-twice", "eta-twice"))
     def test_bad_block_names_its_key(self, tmp_path, body, key):
         with pytest.raises(InstanceFormatError, match=rf"^{key}\b"):
             read_instance(self._write(tmp_path, body))
@@ -539,18 +551,27 @@ class TestSynthetic:
 
 
 class TestExperimentFiles:
-    def test_parse_full_spec(self, tmp_path):
-        inst_path = str(tmp_path / "inst.txt")
-        write_instance(inst_path, synthetic_modular_instance(5, seed=9))
+    @staticmethod
+    def _write(tmp_path, body, instance=None):
+        """The spec ``body`` next to an instance file ``inst.txt`` (a covdiv
+        one by default, which the default algorithms can run on)."""
+        write_instance(str(tmp_path / "inst.txt"),
+                       instance or synthetic_covdiv_instance(6, d=4, seed=1, density=0.5))
         spec_path = str(tmp_path / "exp.txt")
         with open(spec_path, "w") as fh:
-            fh.write("instance inst.txt\nk 3\np 0.4\nseed 17\nrounds 50\n"
-                     "constraint both\nalgorithms sg quality\n"
-                     "distribution uniform\ndistribution normal 2 1\n"
-                     "distribution explicit 0.5 0.25 0.25\n")
+            fh.write(body)
+        return spec_path
+
+    def test_parse_full_spec(self, tmp_path):
+        spec_path = self._write(
+            tmp_path, "instance inst.txt\nk 3\np 0.4\nseed 17\nrounds 50\n"
+                      "constraint both\nalgorithms sg quality\n"
+                      "distribution uniform\ndistribution normal 2 1\n"
+                      "distribution explicit 0.5 0.25 0.25\n",
+            synthetic_modular_instance(5, seed=9))
         exp = read_experiment(spec_path)
-        assert exp.instance_path.endswith("inst.txt")
-        assert exp.k == 3 and exp.p == 0.4 and exp.seed == 17 and exp.rounds == 50
+        assert exp.n == 5 and exp.ratings == read_instance(str(tmp_path / "inst.txt")).ratings
+        assert exp.k == 3 and exp.p == 0.4 and exp.base_seed == 17 and exp.rounds == 50
         assert exp.constraints == (FLEXIBLE, FIXED)
         assert exp.algorithms == ("sg", "quality")
         kinds = [d.kind for d in exp.distributions]
@@ -559,22 +580,73 @@ class TestExperimentFiles:
         assert exp.distributions[2].values == (0.5, 0.25, 0.25)
 
     def test_defaults(self, tmp_path):
-        spec_path = str(tmp_path / "exp.txt")
-        with open(spec_path, "w") as fh:
-            fh.write("instance inst.txt\nk 2\n")
-        exp = read_experiment(spec_path)
+        exp = read_experiment(self._write(tmp_path, "instance inst.txt\nk 2\n"))
         assert exp.p == pytest.approx(P_STAR)
         assert exp.rounds == 100
         assert exp.constraints == (FLEXIBLE, FIXED)
         assert [d.kind for d in exp.distributions] == ["uniform"]
 
     def test_single_constraint(self, tmp_path):
-        spec_path = str(tmp_path / "exp.txt")
-        with open(spec_path, "w") as fh:
-            fh.write("instance inst.txt\nk 2\nconstraint fixed\n")
+        spec_path = self._write(tmp_path, "instance inst.txt\nk 2\nconstraint fixed\n")
         assert read_experiment(spec_path).constraints == (FIXED,)
 
+    def test_same_cells_from_another_directory(self, tmp_path, monkeypatch):
+        spec_path = self._write(
+            tmp_path, "instance inst.txt\nk 3\nrounds 4\nseed 8\nconstraint fixed\n"
+                      "distribution normal 2 1\n")
+        inst = read_instance(str(tmp_path / "inst.txt"))
+        by_hand = ExperimentSpec(
+            oracle=inst.oracle(), ratings=inst.ratings, n=inst.n, k=3,
+            algorithms=("sg", "covdiv", "quality"),
+            distributions=(UserTypeDistribution.normal(3, 2.0, 1.0),),
+            constraints=(FIXED,), rounds=4, base_seed=8)
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        got = comparative_experiment(read_experiment(spec_path)).cells
+        assert got == comparative_experiment(by_hand).cells
+        assert len(got) == 3
+
+    def test_scaled_instance_is_refused(self, tmp_path):
+        # The distribution lines set the weights; an ExperimentSpec has no scales.
+        scaled = dataclasses.replace(synthetic_modular_instance(5, seed=9), scales=(1.0, 2.0))
+        spec_path = self._write(tmp_path, "instance inst.txt\nk 2\nalgorithms sg\n", scaled)
+        with pytest.raises(InstanceFormatError,
+                           match="^experiments run on instances without scales$"):
+            read_experiment(spec_path)
+
+    @pytest.mark.parametrize("lines, message", (
+        ("k 2\nrounds 0\n", "rounds must be positive"),
+        ("k 7\n", "k=7 outside 1..6"),
+        ("k 2\nalgorithms sg sg\n", "algorithm sg is repeated"),
+        ("k 2\nalgorithms sg covdiv\n", "the covdiv baseline needs a CoverageDiversityFn oracle"),
+    ), ids=("rounds", "k", "repeated-algorithm", "covdiv"))
+    def test_spec_errors_are_format_errors(self, tmp_path, lines, message):
+        spec_path = self._write(tmp_path, "instance inst.txt\n" + lines,
+                                synthetic_modular_instance(6, seed=1))
+        with pytest.raises(InstanceFormatError, match=f"^{message}"):
+            read_experiment(spec_path)
+
+    @pytest.mark.parametrize("key, lines", (
+        ("k", "k 2\nk 3\n"),
+        ("algorithms", "k 2\nalgorithms sg\nalgorithms quality\n"),
+        ("instance", "k 2\ninstance inst.txt\n"),
+        ("constraint", "k 2\nconstraint fixed\nconstraint fixed\n"),
+        ("seed", "k 2\nseed 1\nseed 1\n"),
+    ))
+    def test_repeated_key_is_bad_input(self, tmp_path, key, lines):
+        spec_path = self._write(tmp_path, "instance inst.txt\n" + lines)
+        with pytest.raises(InstanceFormatError, match=f"^{key}: given twice$"):
+            read_experiment(spec_path)
+
     def test_bad_lines(self, tmp_path):
+        # a.txt is a valid instance, so each body fails on its own line.
+        write_instance(str(tmp_path / "a.txt"),
+                       synthetic_covdiv_instance(6, d=4, seed=1, density=0.5))
+        spec_path = str(tmp_path / "exp.txt")
+        with open(spec_path, "w") as fh:
+            fh.write("instance a.txt\nk 2\n")
+        read_experiment(spec_path)
         for body in ("k 2\n",                        # no instance
                      "instance a.txt\n",             # no k
                      "instance a.txt\nk 2\nconstraint sometimes\n",
@@ -593,7 +665,6 @@ class TestExperimentFiles:
                      "instance a.txt\nk 0_2\n",     # integers take the same grammar
                      "instance a.txt\nk 2\nseed 1_7\n",
                      "instance a.txt\nk 2\nrounds \u0665\n"):
-            spec_path = str(tmp_path / "exp.txt")
             with open(spec_path, "w") as fh:
                 fh.write(body)
             with pytest.raises(InstanceFormatError):
@@ -608,8 +679,8 @@ class TestResultsFiles:
             algorithms=("sg", "quality"),
             distributions=(UserTypeDistribution.uniform(2),
                            UserTypeDistribution.normal(2, 1.0, 1.0)),
-            constraint=FLEXIBLE, rounds=12, base_seed=2, p=P_STAR)
-        return run_monte_carlo(spec)
+            constraints=(FLEXIBLE,), rounds=12, base_seed=2, p=P_STAR)
+        return comparative_experiment(spec)
 
     def test_round_trip(self, tmp_path):
         stats = self._stats()

@@ -29,7 +29,6 @@ from seqsubmod import (
     homogeneous_solve,
     make_weights,
     round_seed,
-    run_monte_carlo,
     sampling_greedy,
     sampling_greedy_j,
     write_instance,
@@ -109,28 +108,28 @@ class TestMonteCarlo:
             oracle=inst.oracle(), ratings=inst.ratings, n=6, k=3,
             algorithms=("sg", "quality"),
             distributions=(UserTypeDistribution.uniform(3),),
-            constraint=FLEXIBLE, rounds=40, base_seed=11, p=P_STAR)
+            constraints=(FLEXIBLE,), rounds=40, base_seed=11, p=P_STAR)
         base.update(over)
         return ExperimentSpec(**base)
 
     def test_rerun_is_identical(self):
         spec = self._spec()
-        a = run_monte_carlo(spec)
-        b = run_monte_carlo(spec)
+        a = comparative_experiment(spec)
+        b = comparative_experiment(spec)
         for ca, cb in zip(a.cells, b.cells):
             assert ca.values == cb.values
             assert ca.lengths == cb.lengths
             assert ca.oracle_calls == cb.oracle_calls
 
     def test_deterministic_baseline_has_zero_spread(self):
-        stats = run_monte_carlo(self._spec())
+        stats = comparative_experiment(self._spec())
         quality = stats.cell("quality", "UNIFORM")
         assert len(set(quality.values)) == 1
         assert quality.std == pytest.approx(0.0, abs=1e-12)
         assert quality.oracle_calls == (0,) * 40  # never touches the oracle
 
     def test_oracle_call_accounting(self):
-        stats = run_monte_carlo(self._spec(rounds=10))
+        stats = comparative_experiment(self._spec(rounds=10))
         sg = stats.cell("sg", "UNIFORM")
         assert all(c > 0 for c in sg.oracle_calls)
         # a full solve at n=6 never needs more than a few dozen evaluations
@@ -140,7 +139,7 @@ class TestMonteCarlo:
         spec = self._spec(distributions=(
             UserTypeDistribution.uniform(3),
             UserTypeDistribution.normal(3, 2.0, 1.0)))
-        stats = run_monte_carlo(spec)
+        stats = comparative_experiment(spec)
         assert len(stats.cells) == 4
         cell = stats.cell("sg", "M-2")
         assert cell.rounds == 40
@@ -152,7 +151,7 @@ class TestMonteCarlo:
         # Each recorded value must equal F of a fresh solve under that
         # round's derived seed -- the harness adds nothing of its own.
         spec = self._spec(rounds=6)
-        stats = run_monte_carlo(spec)
+        stats = comparative_experiment(spec)
         weights = make_weights(spec.distributions[0])
         bundle = homogeneous_bundle(spec.oracle, weights, n=spec.n)
         cell = stats.cell("sg", "UNIFORM")
@@ -167,8 +166,8 @@ class TestMonteCarlo:
             oracle=inst, ratings=(3.0, 2.0, 2.0), n=3, k=2,
             algorithms=("sg",),
             distributions=(UserTypeDistribution.explicit((1.0, 1.0)),),
-            constraint=FLEXIBLE, rounds=1500, base_seed=3, p=0.5)
-        cell = run_monte_carlo(spec).cell("sg", "EXPLICIT")
+            constraints=(FLEXIBLE,), rounds=1500, base_seed=3, p=0.5)
+        cell = comparative_experiment(spec).cell("sg", "EXPLICIT")
         exact = exact_expectation(inst, (1.0, 1.0), range(3), 0.5)
         assert exact == pytest.approx(5.0)
         assert abs(cell.mean - exact) <= 5.0 * cell.stderr + 1e-12
@@ -179,8 +178,8 @@ class TestMonteCarlo:
             oracle=inst.oracle(), ratings=inst.ratings, n=15, k=4,
             algorithms=("sg", "covdiv", "quality"),
             distributions=(UserTypeDistribution.uniform(4),),
-            constraint=FIXED, rounds=5, base_seed=0, p=P_STAR)
-        stats = run_monte_carlo(spec)
+            constraints=(FIXED,), rounds=5, base_seed=0, p=P_STAR)
+        stats = comparative_experiment(spec)
         assert {c.algorithm for c in stats.cells} == {"sg", "covdiv", "quality"}
         assert all(all(l == 4 for l in c.lengths) for c in stats.cells)
 
@@ -192,9 +191,9 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             self._spec(algorithms=("sg", "magic"))
         with pytest.raises(ValueError):
-            self._spec(constraint="loose")
+            self._spec(constraints=("loose",))
         with pytest.raises(ValueError):
-            run_monte_carlo(self._spec(
+            comparative_experiment(self._spec(
                 distributions=(UserTypeDistribution.uniform(2),)))
 
 
@@ -205,7 +204,7 @@ class TestComparative:
             oracle=inst.oracle(), ratings=inst.ratings, n=5, k=2,
             algorithms=("sg", "fixed"),
             distributions=(UserTypeDistribution.uniform(2),),
-            constraint=FLEXIBLE, rounds=8, base_seed=1, p=P_STAR)
+            constraints=(FLEXIBLE, FIXED), rounds=8, base_seed=1, p=P_STAR)
         stats = comparative_experiment(spec)
         constraints = {c.constraint for c in stats.cells}
         assert constraints == {FLEXIBLE, FIXED}
@@ -419,10 +418,10 @@ class TestPlanner:
     def test_equals_standalone_cells(self, make_spec, seed, constraints):
         spec = make_spec(seed)
         want = _reference_cells(spec, constraints)
-        got = comparative_experiment(spec, constraints).cells
+        got = comparative_experiment(replace(spec, constraints=constraints)).cells
         assert got == tuple(want)  # values, lengths, oracle_calls and cell order
         if len(constraints) == 1:
-            single = run_monte_carlo(replace(spec, constraint=constraints[0])).cells
+            single = comparative_experiment(replace(spec, constraints=(constraints[0],))).cells
             assert single == tuple(want)
 
     @pytest.mark.parametrize("seed", (0, 29))
@@ -472,6 +471,16 @@ class TestPlanner:
             ExperimentSpec(oracle=inst.oracle(), ratings=inst.ratings, n=7, k=4,
                            algorithms=("sg",), distributions=dists)
 
+    def test_repeated_algorithm_fails_when_built(self):
+        # Unchecked, `algorithms sg sg` writes two sg cells under one key.
+        with pytest.raises(ValueError, match="^algorithm sg is repeated"):
+            replace(_modular_spec(0), algorithms=("sg", "quality", "sg"))
+
+    @pytest.mark.parametrize("constraints", ((), (FIXED, FIXED), (FLEXIBLE, FIXED, FLEXIBLE)))
+    def test_constraints_must_be_distinct_and_given(self, constraints):
+        with pytest.raises(ValueError, match=r"^constraints \("):
+            replace(_modular_spec(0), constraints=constraints)
+
     def test_profile_positions_checked_when_built(self):
         inst = synthetic_modular_instance(7, seed=3)
         with pytest.raises(ValueError, match="^distribution UNIFORM has k=3, expected 4$"):
@@ -498,7 +507,7 @@ class TestPlanner:
         with pytest.raises(ValueError, match="ratings"):  # 3 ratings for n=7
             comparative_experiment(replace(spec, ratings=spec.ratings[:3]))
         with pytest.raises(ValueError):
-            comparative_experiment(spec, (FLEXIBLE, "loose"))
+            comparative_experiment(replace(spec, constraints=(FLEXIBLE, "loose")))
 
     @pytest.mark.parametrize("family, digest", (
         ("covdiv", "bd034cba3bb96885f5169bbe096f433bc9ea7f6fcb365e72ee7898b655548d6a"),
