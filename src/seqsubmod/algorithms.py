@@ -132,8 +132,9 @@ def stream_key(seed: int, tag: str) -> int:
 
 _FIRST, _BLOCK, _BATCH = 8, 256, 1024
 _NP_GAMMA, _NP_M1, _NP_M2 = (np.uint64(c) for c in (GAMMA, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
-_NP_30, _NP_27, _NP_31 = (np.uint64(s) for s in (30, 27, 31))
+_NP_30, _NP_27, _NP_31, _NP_11 = (np.uint64(s) for s in (30, 27, 31, 11))
 _FIRST_COUNTERS = np.arange(1, _FIRST + 1, dtype=np.uint64)
+_CODE_WEIGHTS = np.uint64(1) << np.arange(_FIRST, dtype=np.uint64)  # coin t is bit t
 
 
 def _np_draws(keys, counters: np.ndarray) -> np.ndarray:
@@ -233,6 +234,8 @@ class _StreamBatch:
     ``derive_seed`` as a batch of its own.  ``config(p, i)`` is
     SamplerConfig(p, seeds[i]) carrying its row, so ``_stream`` and
     ``_derived`` read the batch where they would key a stream.
+    ``coin_code(i, p)`` packs row i's first _FIRST Bernoulli(p) coins,
+    coin t as bit t, from the same first draws.
     """
 
     def __init__(self, seeds: np.ndarray):
@@ -240,10 +243,21 @@ class _StreamBatch:
         self.seeds = seeds.tolist()
         self._children: dict = {}
         self._streams: dict = {}
+        self._codes: dict = {}
 
     def _keys(self, tag: str) -> np.ndarray:
         # stream_key's one-word branch: draw 0 of the stream keyed tag ^ seed
         return _np_draws(self._array ^ np.uint64(_tag_state(tag, False)), _FIRST_COUNTERS[:1])
+
+    def _column(self, tag: str) -> tuple:
+        """Every row's key and first _FIRST draws of the stream tag, as
+        lists, and the draws as an array; one numpy pass per tag."""
+        column = self._streams.get(tag)
+        if column is None:
+            keys = self._keys(tag)
+            draws = _np_draws(keys[:, None], _FIRST_COUNTERS)
+            column = self._streams[tag] = (keys.tolist(), draws.tolist(), draws)
+        return column
 
     def config(self, p: float, i: int) -> SamplerConfig:
         cfg = SamplerConfig(p, self.seeds[i])
@@ -258,13 +272,17 @@ class _StreamBatch:
         return batch
 
     def stream(self, i: int, tag: str) -> SplitMix64:
-        column = self._streams.get(tag)
-        if column is None:
-            keys = self._keys(tag)
-            column = self._streams[tag] = (keys.tolist(),
-                                           _np_draws(keys[:, None], _FIRST_COUNTERS).tolist())
-        keys, first = column
+        keys, first, _ = self._column(tag)
         return SplitMix64._keyed(keys[i], first[i])
+
+    def coin_code(self, i: int, p: float) -> int:
+        codes = self._codes.get(p)
+        if codes is None:
+            # SplitMix64.coins' test x < ceil(p * 2^53) * 2^11, taken on
+            # x >> 11: at p = 1 the threshold 2^64 is no uint64
+            coins = self._column("coins")[2] >> _NP_11 < np.uint64(math.ceil(p * 2.0 ** 53))
+            codes = self._codes[p] = (coins @ _CODE_WEIGHTS).tolist()
+        return codes[i]
 
 
 def _child_configs(p: float, seed: int, tag: str, count: int):
@@ -833,18 +851,35 @@ class _RoundMemo:
     a run on cfg returns.  ``value(items)`` is evaluate_F(bundle, items),
     kept by ``items[:k]`` (F reads no item past k).
 
+    Each greedy also keeps a table of 2^_FIRST entries, from a code whose
+    bit t is coin t to the leaf those first coins reach.  A leaf stored on a
+    path of d <= _FIRST bits fills the 2^(_FIRST - d) codes that extend the
+    path; every other entry is None.  A cfg from a _StreamBatch looks its
+    row's coin code up first, and a hit keys no stream.  A None entry, a
+    path deeper than _FIRST bits and a cfg without a batch row (a solve, a
+    direct call) walk the trie as above.
+
     ``_size`` counts every stored id: one per trie bit, and a leaf's or an F
     key's items plus one.  It is capped at MEMO_LIMIT; past it a miss is
-    computed and not stored.
+    computed and not stored.  The tables only point at stored leaves, so
+    they add nothing to ``_size`` and stay empty at MEMO_LIMIT 0.
     """
 
     def __init__(self, bundle: ObjectiveBundle):
         self.bundle = bundle
         self._trees: dict = {}
+        self._tables: dict = {}
         self._values: dict = {}
         self._size = 0
 
     def accepts(self, greedy: str, cfg: SamplerConfig) -> tuple:
+        row = cfg._row
+        if row is not None:
+            table = self._tables.get(greedy)
+            if table is not None:
+                leaf = table[row[0].coin_code(row[1], cfg.p)]
+                if leaf is not None:
+                    return leaf
         slot = self._trees.get(greedy)
         if slot is None:
             bundle = self.bundle
@@ -854,6 +889,7 @@ class _RoundMemo:
                 bundle = _complement_bundle(bundle.base_oracle, bundle.ground, _half(bundle.n),
                                             bundle.counter)
             slot = self._trees[greedy] = [None, bundle]
+            self._tables[greedy] = [None] * (1 << _FIRST)
         coins, walked, parent, at = _coins(cfg, None), [], slot, 0
         node = slot[0]
         while node.__class__ is list:
@@ -863,13 +899,19 @@ class _RoundMemo:
         if node is not None:
             return node
         seq, trace = sampling_greedy(slot[1], slot[1].k, coins=itertools.chain(walked, coins))
-        read = [coin for _, _, coin in trace.considered][len(walked):]
+        path = [coin for _, _, coin in trace.considered]
+        read = path[len(walked):]
         size = self._size + len(read) + len(seq.items) + 1
         if size <= MEMO_LIMIT:
             self._size, branch = size, seq.items
             for bit in reversed(read):
                 branch = [None, branch] if bit else [branch, None]
             parent[at] = branch  # the empty slot where the walk stopped
+            if len(path) <= _FIRST:  # every code that extends the path
+                table = self._tables[greedy]
+                for code in range(sum(bit << t for t, bit in enumerate(path)), 1 << _FIRST,
+                                  1 << len(path)):
+                    table[code] = seq.items
         return seq.items
 
     def value(self, items: tuple) -> float:

@@ -373,7 +373,11 @@ def bound_check(bundle, k, mode: str, cfg: SamplerConfig, rounds: int,
     runs and F values the call had to compute.  The rounds' seeds, half
     seeds, stream keys and first draws are computed for all rounds at once
     (``_round_configs``); they are the integers round_seed, derive_seed and
-    SplitMix64 give.
+    SplitMix64 give.  Each round's first 8 coins, packed into a code from
+    those first draws, find a greedy's leaf on a path of at most 8 bits by
+    one table lookup, with no stream keyed.  A miss and a deeper path walk
+    the memo's trie one coin at a time, in round order, as does a config
+    without a batch row.
     """
     if mode not in CHECK_ALGORITHMS:
         raise ValueError(f"unknown mode {mode!r}")

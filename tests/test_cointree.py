@@ -2,6 +2,8 @@
 tries and F table equals a round built from the public solvers alone, and every
 verdict equals the one a loop of such rounds gives."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -27,10 +29,18 @@ from seqsubmod import (
     sampling_greedy,
 )
 from seqsubmod import algorithms
-from seqsubmod.algorithms import _PLAIN, _RoundMemo, _run
+from seqsubmod.algorithms import (
+    _COMPLEMENT,
+    _HEAD,
+    _PLAIN,
+    SplitMix64,
+    _derived,
+    _RoundMemo,
+    _run,
+)
 from seqsubmod.core import Sequence
 from seqsubmod.files import synthetic_modular_instance
-from seqsubmod.harness import CHECK_ALGORITHMS, BoundVerdict, CellStats
+from seqsubmod.harness import CHECK_ALGORITHMS, BoundVerdict, CellStats, _round_configs
 
 import families
 
@@ -206,6 +216,85 @@ class TestVerdicts:
                 cfg = SamplerConfig(P_STAR, round_seed(1, r))
                 _run(CHECK_ALGORITHMS[mode], memo, cfg, FLEXIBLE, None)
             assert _stored(memo) == memo._size <= limit, mode
+
+
+def _walks(bundle, name, cfg):
+    """The (greedy, config) pairs whose accepts a round of ``name`` reads."""
+    if name != "homog" or bundle.k < (bundle.n + 1) // 2:
+        return [(_PLAIN, cfg)]
+    return [(_HEAD, _derived(cfg, "half", 0)), (_COMPLEMENT, _derived(cfg, "half", 1))]
+
+
+def _leaf(memo, greedy, bits):
+    """What a walk of greedy's trie on ``bits`` reaches: a leaf, None at an
+    unknown child, or the internal node where the bits ran out."""
+    node, bits = memo._trees[greedy][0], iter(bits)
+    while node.__class__ is list:
+        bit = next(bits, None)
+        if bit is None:
+            return node
+        node = node[bit]
+    return node
+
+
+def _deep_walks(memo, bundle, name, cfgs):
+    """How many of the rounds' walks read more than 8 coin bits."""
+    return sum(_leaf(memo, greedy, itertools.islice(SplitMix64(walk.seed, "coins").coins(walk.p),
+                                                    8)).__class__ is list
+               for cfg in cfgs for greedy, walk in _walks(bundle, name, cfg))
+
+
+class TestPrefixTable:
+    """Each greedy's table from a round's first 8 coin bits (its batch
+    row's coin code) to the leaf those bits reach."""
+
+    @pytest.mark.parametrize("name, bundle", (
+        ("sg", families.modular_bundles()[2]),
+        ("fixed", families.modular_bundles()[7]),
+        ("homog", families.homogeneous_bundles()[3]),
+        ("sg", homogeneous_bundle(synthetic_modular_instance(10, seed=1, penalty_prob=0.6)
+                                  .oracle(), (0.5, 0.3, 0.2), n=10)),
+    ), ids=("sg", "fixed", "homog", "sg-n10"))
+    def test_a_warm_shallow_walk_keys_no_coin_stream(self, monkeypatch, name, bundle):
+        # Warm rounds are all stored, so only a walk deeper than 8 bits keys
+        # its coin stream; at n=10 some do.
+        memo, cfgs = _RoundMemo(bundle), list(_round_configs(P_STAR, 1, 300))
+        cold = [_run(name, memo, cfg, FLEXIBLE, None) for cfg in cfgs]
+        deep = _deep_walks(memo, bundle, name, cfgs)
+        assert (deep > 0) == (bundle.n == 10)
+        keyed, real = [], algorithms._stream
+        monkeypatch.setattr(algorithms, "_stream",
+                            lambda cfg, tag: keyed.append(tag) or real(cfg, tag))
+        assert [_run(name, memo, cfg, FLEXIBLE, None) for cfg in cfgs] == cold
+        assert keyed.count("coins") == deep
+
+    @pytest.mark.parametrize("limit", (None, 3, 40), ids=("limit", "three", "forty"))
+    def test_each_code_maps_to_the_leaf_its_bits_reach(self, monkeypatch, limit):
+        # None where the walk needs a 9th bit or meets an unknown child.
+        if limit is not None:
+            monkeypatch.setattr(algorithms, "MEMO_LIMIT", limit)
+        cases = ([("sg", bundle) for bundle in families.modular_bundles()]
+                 + [("homog", bundle) for bundle in families.homogeneous_bundles()])
+        for name, bundle in cases:
+            memo = _RoundMemo(bundle)
+            for cfg in _round_configs(P_STAR, 1, 300):
+                _run(name, memo, cfg, FLEXIBLE, None)
+            for greedy, table in memo._tables.items():
+                assert len(table) == 256
+                for code in range(256):
+                    leaf = _leaf(memo, greedy, [code >> t & 1 for t in range(8)])
+                    assert table[code] is (None if leaf.__class__ is list else leaf), code
+            assert _stored(memo) == memo._size
+
+    @pytest.mark.parametrize("mode", (FLEXIBLE, FIXED, HOMOGENEOUS))
+    def test_no_room_leaves_the_table_empty(self, monkeypatch, mode):
+        monkeypatch.setattr(algorithms, "MEMO_LIMIT", 0)
+        bundle = families.homogeneous_bundles()[7]
+        memo = _RoundMemo(bundle)
+        for cfg in _round_configs(P_STAR, 1, 300):
+            _run(CHECK_ALGORITHMS[mode], memo, cfg, FLEXIBLE, None)
+        assert memo._tables and all(table == [None] * 256 for table in memo._tables.values())
+        assert _stored(memo) == memo._size == 0
 
 
 class TestEdges:
