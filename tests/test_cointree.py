@@ -239,9 +239,12 @@ def _leaf(memo, greedy, bits):
 
 def _deep_walks(memo, bundle, name, cfgs):
     """How many of the rounds' walks read more than 8 coin bits."""
-    return sum(_leaf(memo, greedy, itertools.islice(SplitMix64(walk.seed, "coins").coins(walk.p),
-                                                    8)).__class__ is list
-               for cfg in cfgs for greedy, walk in _walks(bundle, name, cfg))
+    deep = 0
+    for cfg in cfgs:
+        for greedy, walk in _walks(bundle, name, cfg):
+            bits = itertools.islice(SplitMix64(walk.seed, "coins").coins(walk.p), 8)
+            deep += _leaf(memo, greedy, bits).__class__ is list
+    return deep
 
 
 class TestPrefixTable:
