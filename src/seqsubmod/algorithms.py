@@ -841,45 +841,33 @@ class _RoundMemo:
     cfg's coins on the bundle (_PLAIN), on ``bundle.head(ceil(n/2))``
     (_HEAD) or on the complement bundle of alg2_second_half (_COMPLEMENT),
     as an item tuple.  Each greedy keeps a slot [root, bundle] of a trie
-    keyed by the coin bits its runs read: an internal node is a list [child
-    after a 0, child after a 1]; a leaf is the accepts of every run that
-    reads exactly the bits on its path; an unknown child is None.  A walk
-    follows cfg's coin stream.  On a miss the greedy runs on the bits walked
-    so far, then the rest of the stream, and the bits its GreedyTrace shows
-    it read are stored with its accepts.  A run is a function of the bits it
-    reads, so no stored path is a prefix of another, and a walk returns what
-    a run on cfg returns.  ``value(items)`` is evaluate_F(bundle, items),
-    kept by ``items[:k]`` (F reads no item past k).
+    keyed by the coin bits its runs read.  The root has 2^_FIRST entries, one
+    per code of the first _FIRST coins (coin t is bit t); below it an
+    internal node is a list [child after a 0, child after a 1].  A leaf is
+    the accepts of every run that reads exactly the bits on its path (for
+    n <= _FIRST, every path ends at the root), and a path of d <= _FIRST bits
+    fills the 2^(_FIRST - d) root entries whose codes extend it; an unknown
+    child is None.  A cfg with a _StreamBatch row reads its code there, so
+    a hit at the root keys no stream; any other cfg reads the first coins of
+    its stream.  On a miss the greedy runs on cfg, and the bits its
+    GreedyTrace shows it read are stored with its accepts where the lookup
+    stopped.  A run is a function of the bits it reads, so no stored path is
+    a prefix of another, and a lookup returns what a run on cfg returns.
+    ``value(items)`` is evaluate_F(bundle, items), kept by ``items[:k]`` (F
+    reads no item past k).
 
-    Each greedy also keeps a table of 2^_FIRST entries, from a code whose
-    bit t is coin t to the leaf those first coins reach.  A leaf stored on a
-    path of d <= _FIRST bits fills the 2^(_FIRST - d) codes that extend the
-    path; every other entry is None.  A cfg from a _StreamBatch looks its
-    row's coin code up first, and a hit keys no stream.  A None entry, a
-    path deeper than _FIRST bits and a cfg without a batch row (a solve, a
-    direct call) walk the trie as above.
-
-    ``_size`` counts every stored id: one per trie bit, and a leaf's or an F
-    key's items plus one.  It is capped at MEMO_LIMIT; past it a miss is
-    computed and not stored.  The tables only point at stored leaves, so
-    they add nothing to ``_size`` and stay empty at MEMO_LIMIT 0.
+    ``_size`` counts every stored id: one per bit below the root, and a
+    leaf's or an F key's items plus one.  It is capped at MEMO_LIMIT; past
+    it a miss is computed and not stored.
     """
 
     def __init__(self, bundle: ObjectiveBundle):
         self.bundle = bundle
         self._trees: dict = {}
-        self._tables: dict = {}
         self._values: dict = {}
         self._size = 0
 
     def accepts(self, greedy: str, cfg: SamplerConfig) -> tuple:
-        row = cfg._row
-        if row is not None:
-            table = self._tables.get(greedy)
-            if table is not None:
-                leaf = table[row[0].coin_code(row[1], cfg.p)]
-                if leaf is not None:
-                    return leaf
         slot = self._trees.get(greedy)
         if slot is None:
             bundle = self.bundle
@@ -888,30 +876,36 @@ class _RoundMemo:
             elif greedy == _COMPLEMENT:
                 bundle = _complement_bundle(bundle.base_oracle, bundle.ground, _half(bundle.n),
                                             bundle.counter)
-            slot = self._trees[greedy] = [None, bundle]
-            self._tables[greedy] = [None] * (1 << _FIRST)
-        coins, walked, parent, at = _coins(cfg, None), [], slot, 0
-        node = slot[0]
-        while node.__class__ is list:
-            parent, at = node, next(coins)
-            walked.append(at)
-            node = node[at]
+            slot = self._trees[greedy] = [[None] * (1 << _FIRST), bundle]
+        row, coins = cfg._row, None
+        if row is None:
+            coins = _coins(cfg, None)
+            at = sum(bit << t for t, bit in enumerate(itertools.islice(coins, _FIRST)))
+        else:
+            at = row[0].coin_code(row[1], cfg.p)
+        parent, depth = slot[0], _FIRST
+        node = parent[at]
+        if node.__class__ is list:
+            if coins is None:
+                coins = itertools.islice(_coins(cfg, None), _FIRST, None)
+            while node.__class__ is list:
+                parent, at, depth = node, next(coins), depth + 1
+                node = node[at]
         if node is not None:
             return node
-        seq, trace = sampling_greedy(slot[1], slot[1].k, coins=itertools.chain(walked, coins))
+        seq, trace = sampling_greedy(slot[1], slot[1].k, cfg)
         path = [coin for _, _, coin in trace.considered]
-        read = path[len(walked):]
+        read = path[depth:]
         size = self._size + len(read) + len(seq.items) + 1
         if size <= MEMO_LIMIT:
             self._size, branch = size, seq.items
-            for bit in reversed(read):
-                branch = [None, branch] if bit else [branch, None]
-            parent[at] = branch  # the empty slot where the walk stopped
-            if len(path) <= _FIRST:  # every code that extends the path
-                table = self._tables[greedy]
-                for code in range(sum(bit << t for t, bit in enumerate(path)), 1 << _FIRST,
-                                  1 << len(path)):
-                    table[code] = seq.items
+            if len(path) < _FIRST:  # at the root: every code that extends the path
+                for code in range(at % (1 << len(path)), 1 << _FIRST, 1 << len(path)):
+                    parent[code] = branch
+            else:
+                for bit in reversed(read):
+                    branch = [None, branch] if bit else [branch, None]
+                parent[at] = branch  # the empty entry or child where the lookup stopped
         return seq.items
 
     def value(self, items: tuple) -> float:

@@ -145,6 +145,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError("rounds must be positive")
+        SamplerConfig(self.p)  # refuses p outside [0, 1] and NaN
         if not 1 <= self.k <= self.n:
             raise ValueError(f"k={self.k} outside 1..{self.n}")
         if len(self.ratings) != self.n:
@@ -302,13 +303,12 @@ def comparative_experiment(spec: ExperimentSpec) -> RunStats:
     of a sequence once per experiment.
     """
     cfgs = list(_round_configs(spec.p, spec.base_seed, spec.rounds))
-    profiles, cells, scores = [], [], {}
+    scores, cells = {}, []
+    profiles = [_ProfileRuns(spec, dist, scores) for dist in spec.distributions]
     for constraint in spec.constraints:
-        for i, dist in enumerate(spec.distributions):
-            if i == len(profiles):
-                profiles.append(_ProfileRuns(spec, dist, scores))
+        for dist, profile in zip(spec.distributions, profiles):
             for name in spec.algorithms:
-                rows = [profiles[i].row(name, constraint, r, cfg) for r, cfg in enumerate(cfgs)]
+                rows = [profile.row(name, constraint, r, cfg) for r, cfg in enumerate(cfgs)]
                 cells.append(CellStats(name, dist.label, constraint, *zip(*rows)))
     return RunStats(tuple(cells))
 
@@ -374,10 +374,8 @@ def bound_check(bundle, k, mode: str, cfg: SamplerConfig, rounds: int,
     seeds, stream keys and first draws are computed for all rounds at once
     (``_round_configs``); they are the integers round_seed, derive_seed and
     SplitMix64 give.  Each round's first 8 coins, packed into a code from
-    those first draws, find a greedy's leaf on a path of at most 8 bits by
-    one table lookup, with no stream keyed.  A miss and a deeper path walk
-    the memo's trie one coin at a time, in round order, as does a config
-    without a batch row.
+    those first draws, index the root of a greedy's trie in the memo (see
+    ``_RoundMemo``); misses run the greedy in round order.
     """
     if mode not in CHECK_ALGORITHMS:
         raise ValueError(f"unknown mode {mode!r}")

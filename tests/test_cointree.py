@@ -145,13 +145,17 @@ class TestRounds:
 
 def _stored(memo):
     """The ids ``memo`` keeps, walked as its ``_size`` counts them: one per
-    trie bit, and a leaf's or an F key's items plus one."""
+    trie bit below a root, and a leaf's or an F key's items plus one.  A
+    leaf on a path of at most 8 bits counts once, however many root entries
+    it fills."""
     def walk(node):
         if node.__class__ is list:
             return 1 + walk(node[0]) + walk(node[1])
         return 0 if node is None else len(node) + 1
-    return (sum(walk(root) for root, _ in memo._trees.values())
-            + sum(len(key) + 1 for key in memo._values))
+    total = sum(len(key) + 1 for key in memo._values)
+    for root, _ in memo._trees.values():
+        total += sum(walk(leaf) for leaf in {id(node): node for node in root}.values())
+    return total
 
 
 def _verdict_cases():
@@ -225,38 +229,41 @@ def _walks(bundle, name, cfg):
     return [(_HEAD, _derived(cfg, "half", 0)), (_COMPLEMENT, _derived(cfg, "half", 1))]
 
 
-def _leaf(memo, greedy, bits):
-    """What a walk of greedy's trie on ``bits`` reaches: a leaf, None at an
-    unknown child, or the internal node where the bits ran out."""
-    node, bits = memo._trees[greedy][0], iter(bits)
-    while node.__class__ is list:
-        bit = next(bits, None)
-        if bit is None:
-            return node
-        node = node[bit]
-    return node
-
-
 def _deep_walks(memo, bundle, name, cfgs):
-    """How many of the rounds' walks read more than 8 coin bits."""
+    """How many of the rounds' lookups read more than 8 coin bits: those
+    whose root entry is an internal node."""
     deep = 0
     for cfg in cfgs:
         for greedy, walk in _walks(bundle, name, cfg):
             bits = itertools.islice(SplitMix64(walk.seed, "coins").coins(walk.p), 8)
-            deep += _leaf(memo, greedy, bits).__class__ is list
+            code = sum(bit << t for t, bit in enumerate(bits))
+            deep += memo._trees[greedy][0][code].__class__ is list
     return deep
 
 
+def _paths(node, bits):
+    """(path, leaf) for every leaf at or below ``node``, whose path is ``bits``."""
+    if node.__class__ is list:
+        for bit in (0, 1):
+            yield from _paths(node[bit], bits + [bit])
+    elif node is not None:
+        yield bits, node
+
+
 class TestPrefixTable:
-    """Each greedy's table from a round's first 8 coin bits (its batch
-    row's coin code) to the leaf those bits reach."""
+    """Each greedy's prefix table, the root of its trie, indexed by a
+    round's first 8 coin bits (its batch row's coin code)."""
+
+    N10 = homogeneous_bundle(synthetic_modular_instance(10, seed=1, penalty_prob=0.6).oracle(),
+                             (0.5, 0.3, 0.2), n=10)
+    N12 = homogeneous_bundle(synthetic_modular_instance(12, seed=1, penalty_prob=0.6).oracle(),
+                             (0.5,) * 6, n=12)
 
     @pytest.mark.parametrize("name, bundle", (
         ("sg", families.modular_bundles()[2]),
         ("fixed", families.modular_bundles()[7]),
         ("homog", families.homogeneous_bundles()[3]),
-        ("sg", homogeneous_bundle(synthetic_modular_instance(10, seed=1, penalty_prob=0.6)
-                                  .oracle(), (0.5, 0.3, 0.2), n=10)),
+        ("sg", N10),
     ), ids=("sg", "fixed", "homog", "sg-n10"))
     def test_a_warm_shallow_walk_keys_no_coin_stream(self, monkeypatch, name, bundle):
         # Warm rounds are all stored, so only a walk deeper than 8 bits keys
@@ -273,20 +280,30 @@ class TestPrefixTable:
 
     @pytest.mark.parametrize("limit", (None, 3, 40), ids=("limit", "three", "forty"))
     def test_each_code_maps_to_the_leaf_its_bits_reach(self, monkeypatch, limit):
-        # None where the walk needs a 9th bit or meets an unknown child.
+        # A leaf at the root is the run on any coins that extend its code,
+        # and fills every code that extends the bits the run read; a leaf
+        # below it is the run that reads exactly the bits of its path.
         if limit is not None:
             monkeypatch.setattr(algorithms, "MEMO_LIMIT", limit)
         cases = ([("sg", bundle) for bundle in families.modular_bundles()]
-                 + [("homog", bundle) for bundle in families.homogeneous_bundles()])
+                 + [("homog", bundle) for bundle in families.homogeneous_bundles()]
+                 + [("sg", self.N10)])
         for name, bundle in cases:
             memo = _RoundMemo(bundle)
             for cfg in _round_configs(P_STAR, 1, 300):
                 _run(name, memo, cfg, FLEXIBLE, None)
-            for greedy, table in memo._tables.items():
-                assert len(table) == 256
-                for code in range(256):
-                    leaf = _leaf(memo, greedy, [code >> t & 1 for t in range(8)])
-                    assert table[code] is (None if leaf.__class__ is list else leaf), code
+            for root, greedy_bundle in memo._trees.values():
+                assert len(root) == 256
+                for code, node in enumerate(root):
+                    for path, leaf in _paths(node, [code >> t & 1 for t in range(8)]):
+                        seq, trace = sampling_greedy(greedy_bundle, greedy_bundle.k,
+                                                     coins=itertools.chain(path, itertools.repeat(0)))
+                        read = len(trace.considered)
+                        assert seq.items == leaf and (read <= 8 if len(path) == 8
+                                                      else read == len(path)), code
+                        if read <= 8:
+                            assert all(root[c] is leaf for c in range(code % (1 << read), 256,
+                                                                      1 << read)), code
             assert _stored(memo) == memo._size
 
     @pytest.mark.parametrize("mode", (FLEXIBLE, FIXED, HOMOGENEOUS))
@@ -296,8 +313,32 @@ class TestPrefixTable:
         memo = _RoundMemo(bundle)
         for cfg in _round_configs(P_STAR, 1, 300):
             _run(CHECK_ALGORITHMS[mode], memo, cfg, FLEXIBLE, None)
-        assert memo._tables and all(table == [None] * 256 for table in memo._tables.values())
+        assert memo._trees and all(root == [None] * 256 for root, _ in memo._trees.values())
         assert _stored(memo) == memo._size == 0
+
+    @pytest.mark.parametrize("mode, bundle", ((FLEXIBLE, N10), (HOMOGENEOUS, N12)),
+                             ids=("sg-n10", "homog-n12"))
+    def test_a_check_runs_each_coin_path_once(self, monkeypatch, mode, bundle):
+        # Deep paths are stored below the root, so a check runs the greedy
+        # once per distinct coin path its rounds read, however deep.
+        h = (bundle.n + 1) // 2
+        greedies = {_PLAIN: bundle, _HEAD: bundle.head(h),
+                    _COMPLEMENT: algorithms._complement_bundle(bundle.base_oracle, bundle.ground, h)}
+        cfg, walks = SamplerConfig(P_STAR, 11), []
+        for r in range(300):
+            round_cfg = SamplerConfig(P_STAR, round_seed(cfg.seed, r))
+            for greedy, walk in _walks(bundle, CHECK_ALGORITHMS[mode], round_cfg):
+                trace = sampling_greedy(greedies[greedy], greedies[greedy].k, walk)[1]
+                walks.append((greedy, tuple(coin for _, _, coin in trace.considered)))
+        deep = sum(len(path) > 8 for _, path in walks)
+        assert deep > (len(walks) / 2 if bundle.n == 12 else 0)
+        runs, real = [], algorithms.sampling_greedy
+        monkeypatch.setattr(algorithms, "sampling_greedy",
+                            lambda *args, **kwargs: runs.append(args) or real(*args, **kwargs))
+        check = bound_check(bundle, bundle.k, mode, cfg, 300)
+        assert len(runs) == len(set(walks))
+        monkeypatch.setattr(algorithms, "sampling_greedy", real)
+        assert check == _direct_bound_check(bundle, bundle.k, mode, cfg, 300)
 
 
 class TestEdges:
@@ -323,7 +364,7 @@ class TestEdges:
         memo = _RoundMemo(bundle)
         for r in range(5):
             assert memo.accepts(_PLAIN, SamplerConfig(P_STAR, r)) == ()
-        assert memo._trees[_PLAIN][0] == ()
+        assert memo._trees[_PLAIN][0] == [()] * 256
         for mode in (FLEXIBLE, FIXED, HOMOGENEOUS):
             cfg = SamplerConfig(P_STAR, 3)
             assert (bound_check(bundle, 2, mode, cfg, 50)

@@ -620,7 +620,9 @@ class TestExperimentFiles:
         ("k 7\n", "k=7 outside 1..6"),
         ("k 2\nalgorithms sg sg\n", "algorithm sg is repeated"),
         ("k 2\nalgorithms sg covdiv\n", "the covdiv baseline needs a CoverageDiversityFn oracle"),
-    ), ids=("rounds", "k", "repeated-algorithm", "covdiv"))
+        ("k 2\nalgorithms sg\np 2\n", r"p=2\.0 outside \[0, 1\]$"),
+        ("k 2\nalgorithms sg\np nan\n", r"p=nan outside \[0, 1\]$"),
+    ), ids=("rounds", "k", "repeated-algorithm", "covdiv", "p", "p-nan"))
     def test_spec_errors_are_format_errors(self, tmp_path, lines, message):
         spec_path = self._write(tmp_path, "instance inst.txt\n" + lines,
                                 synthetic_modular_instance(6, seed=1))
