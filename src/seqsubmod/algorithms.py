@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -47,8 +48,9 @@ from .core import (
     ObjectiveBundle,
     OracleEvaluationError,
     Sequence,
+    _checked_items,
+    _evaluate,
     _gain,
-    evaluate_F,
     homogeneous_bundle,
 )
 from .functions import ComplementFn, CoverageDiversityFn
@@ -69,9 +71,19 @@ class EnumerationTooLargeError(ValueError):
     """Exhaustive search would exceed the extension-count guard."""
 
 
+def _as_seed(seed) -> int:
+    """``seed`` as a Python int: any integer, numpy integers included; a
+    float, a string or any other non-integer is a TypeError that names it."""
+    try:
+        return operator.index(seed)
+    except TypeError:
+        raise TypeError(f"seed {seed!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Sampling probability and master seed for one solver run."""
+    """Sampling probability and master seed for one solver run.  The seed
+    is stored as the Python int ``_as_seed`` gives."""
 
     p: float = P_STAR
     seed: int = 0
@@ -83,12 +95,14 @@ class SamplerConfig:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p={self.p} outside [0, 1]")
+        object.__setattr__(self, "seed", _as_seed(self.seed))
 
 
 # ---------------------------------------------------------------------------
 # Random streams.
 
-_MASK = (1 << 64) - 1
+_SPAN = 1 << 64
+_MASK = _SPAN - 1
 GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's odd increment, 2^64 / golden ratio
 
 
@@ -123,8 +137,9 @@ def stream_key(seed: int, tag: str) -> int:
     2^64 and above is absorbed whole, every bit of it counts, and its key
     equals the key of exactly one seed in [0, 2^64): a 64-bit key cannot tell
     every integer apart.  So ``-5`` and ``2**64 + 5`` are keyed apart from
-    ``5``, not folded onto it.
+    ``5``, not folded onto it.  A numpy integer is keyed as the equal int.
     """
+    seed = _as_seed(seed)
     if 0 <= seed <= _MASK:  # one word: _absorb's first step
         return _mix64(((_tag_state(tag, False) ^ seed) + GAMMA) & _MASK)
     return _absorb(_tag_state(tag, seed < 0), abs(seed))
@@ -192,7 +207,7 @@ class SplitMix64:
     def below(self, n: int) -> int:
         """Unbiased uniform integer in [0, n) for 1 <= n <= 2^64: draws at or
         above the largest multiple of n are redrawn."""
-        limit = (1 << 64) - (1 << 64) % n
+        limit = _SPAN - _SPAN % n
         for x in self._draws:
             if x < limit:
                 return x % n
@@ -219,7 +234,7 @@ def derive_seed(base_seed: int, tag: str, index: int = 0) -> int:
     stream (base_seed, tag), read at random access.  A 64-bit value; for one
     (base_seed, tag) the seeds of indices 0..2^64-1 are pairwise distinct,
     since ``_mix64`` is a bijection and GAMMA is odd."""
-    return _mix64((stream_key(base_seed, tag) + (index + 1) * GAMMA) & _MASK)
+    return _mix64((stream_key(base_seed, tag) + (operator.index(index) + 1) * GAMMA) & _MASK)
 
 
 class _StreamBatch:
@@ -232,10 +247,11 @@ class _StreamBatch:
     (its one-word branch) and first _FIRST draws; the first time any row
     asks for a child seed (tag, index), it computes every row's
     ``derive_seed`` as a batch of its own.  ``config(p, i)`` is
-    SamplerConfig(p, seeds[i]) carrying its row, so ``_stream`` and
-    ``_derived`` read the batch where they would key a stream.
-    ``coin_code(i, p)`` packs row i's first _FIRST Bernoulli(p) coins,
-    coin t as bit t, from the same first draws.
+    SamplerConfig(p, seeds[i]) carrying its row, so ``_stream``,
+    ``_derived`` and ``_draw_backup`` read the batch where they would key a
+    stream.  ``coin_code(i, p)`` packs row i's first _FIRST Bernoulli(p)
+    coins, coin t as bit t, and ``sample(i, pool, m)`` draws row i's backup,
+    from the same first draws.
     """
 
     def __init__(self, seeds: np.ndarray):
@@ -260,8 +276,10 @@ class _StreamBatch:
         return column
 
     def config(self, p: float, i: int) -> SamplerConfig:
-        cfg = SamplerConfig(p, self.seeds[i])
-        object.__setattr__(cfg, "_row", (self, i))
+        """SamplerConfig(p, seeds[i]) with its row, filled in directly: the
+        caller has checked p, and the seeds are ints."""
+        cfg = object.__new__(SamplerConfig)
+        cfg.__dict__.update(p=p, seed=self.seeds[i], _row=(self, i))
         return cfg
 
     def child(self, tag: str, index: int) -> _StreamBatch:
@@ -284,10 +302,30 @@ class _StreamBatch:
             codes = self._codes[p] = (coins @ _CODE_WEIGHTS).tolist()
         return codes[i]
 
+    def sample(self, i: int, pool: list, m: int) -> list:
+        """SplitMix64.sample(pool, m) on row i's "backup" stream.  Pick t
+        reads draw t until a draw is rejected, so up to _FIRST picks read the
+        prefetched draws, each kept by ``below``'s test; more picks, a
+        rejected draw or an m past the pool run the stream itself."""
+        keys, first, _ = self._column("backup")
+        draws, items = first[i], list(pool)
+        if m <= _FIRST and m <= len(items):
+            for t in range(m):
+                size, x = len(items) - t, draws[t]
+                if x >= _SPAN - _SPAN % size:
+                    break
+                j = t + x % size
+                items[t], items[j] = items[j], items[t]
+            else:
+                return items[:m]
+        return SplitMix64._keyed(keys[i], draws).sample(pool, m)
+
 
 def _child_configs(p: float, seed: int, tag: str, count: int):
     """SamplerConfig(p, derive_seed(seed, tag, i)) for i in range(count),
-    each served by its row of a _StreamBatch of at most _BATCH seeds."""
+    each served by its row of a _StreamBatch of at most _BATCH seeds.  p is
+    checked once, before the first config."""
+    SamplerConfig(p)
     key = np.uint64(stream_key(seed, tag))
     for start in range(0, count, _BATCH):
         stop = min(count, start + _BATCH)
@@ -644,7 +682,8 @@ def presampled_greedy(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None
 def _draw_backup(cfg: SamplerConfig, pool: list[int], m: int, forced) -> list[int]:
     """Uniform m-subset of pool in draw order from cfg's backup stream, for
     0 <= m <= len(pool) (every caller's fill fits its pool); forced lists are
-    validated.  The stream is keyed only for a draw of m > 0 items (an empty
+    validated.  A cfg with a batch row draws through ``_StreamBatch.sample``;
+    any other keys the stream, and only for a draw of m > 0 items (an empty
     draw consumes no state, so skipping it changes nothing)."""
     if forced is not None:
         picked = [int(i) for i in forced]
@@ -655,7 +694,10 @@ def _draw_backup(cfg: SamplerConfig, pool: list[int], m: int, forced) -> list[in
         return picked
     if m == 0:
         return []
-    return _stream(cfg, "backup").sample(pool, m)
+    if cfg._row is None:
+        return SplitMix64(cfg.seed, "backup").sample(pool, m)
+    batch, i = cfg._row
+    return batch.sample(i, pool, m)
 
 
 def fixed_length_solve(bundle: ObjectiveBundle, k=None, cfg: SamplerConfig | None = None,
@@ -854,7 +896,8 @@ class _RoundMemo:
     stopped.  A run is a function of the bits it reads, so no stored path is
     a prefix of another, and a lookup returns what a run on cfg returns.
     ``value(items)`` is evaluate_F(bundle, items), kept by ``items[:k]`` (F
-    reads no item past k).
+    reads no item past k); the items are distinct ground ids, which every
+    run's output is, so a miss skips evaluate_F's checks.
 
     ``_size`` counts every stored id: one per bit below the root, and a
     leaf's or an F key's items plus one.  It is capped at MEMO_LIMIT; past
@@ -912,7 +955,7 @@ class _RoundMemo:
         key = items[:self.bundle.k]
         value = self._values.get(key)
         if value is None:
-            value = evaluate_F(self.bundle, items)
+            value = _evaluate(self.bundle, items)
             if self._size + len(key) + 1 <= MEMO_LIMIT:
                 self._size += len(key) + 1
                 self._values[key] = value
@@ -1082,7 +1125,8 @@ ALGORITHMS = {
         baseline_covdiv(memo.bundle.base_oracle, memo.bundle, memo.bundle.k).items, None),
         False, (FIXED,), _EVERYWHERE),
     "quality": Algorithm(lambda memo, cfg, constraint, ratings: (
-        baseline_quality(ratings, memo.bundle.k).items, None), False, (), _EVERYWHERE),
+        _checked_items(memo.bundle, baseline_quality(ratings, memo.bundle.k)), None),
+        False, (), _EVERYWHERE),
     "brute": Algorithm(_brute_run, False, (), ("solve",)),
 }
 

@@ -332,8 +332,11 @@ def evaluate_F(bundle: ObjectiveBundle, seq) -> float:
     ``prefix_scores`` weighed by its profile: the saturated value is read
     once, not once per position.
     """
-    seq = as_sequence(seq)
-    items = _checked_items(bundle, seq)
+    return _evaluate(bundle, _checked_items(bundle, as_sequence(seq)))
+
+
+def _evaluate(bundle: ObjectiveBundle, items: tuple[int, ...]) -> float:
+    """evaluate_F on checked items: distinct ground ids."""
     k = bundle.k
     limit = min(len(items), k)
     if bundle.homogeneous:

@@ -19,6 +19,7 @@ from .algorithms import (
     FLEXIBLE,
     P_STAR,
     SamplerConfig,
+    _as_seed,
     _check_constraint,
     _check_covdiv_oracle,
     _child_configs,
@@ -126,7 +127,8 @@ class ExperimentSpec:
     ``oracle`` is the shared set function (a CoverageDiversityFn when the
     covdiv baseline is among the algorithms, checked when the spec is
     built); ``ratings`` feed the quality baseline, one per item.  The ground
-    set is 0..n-1.  Every distribution has k positions, and no algorithm,
+    set is 0..n-1, and ``base_seed`` is stored as a Python int (see
+    SamplerConfig).  Every distribution has k positions, and no algorithm,
     constraint or distribution label is given twice, since results name a
     cell by (algorithm, label, constraint).
     """
@@ -146,6 +148,7 @@ class ExperimentSpec:
         if self.rounds < 1:
             raise ValueError("rounds must be positive")
         SamplerConfig(self.p)  # refuses p outside [0, 1] and NaN
+        object.__setattr__(self, "base_seed", _as_seed(self.base_seed))
         if not 1 <= self.k <= self.n:
             raise ValueError(f"k={self.k} outside 1..{self.n}")
         if len(self.ratings) != self.n:
@@ -375,7 +378,8 @@ def bound_check(bundle, k, mode: str, cfg: SamplerConfig, rounds: int,
     (``_round_configs``); they are the integers round_seed, derive_seed and
     SplitMix64 give.  Each round's first 8 coins, packed into a code from
     those first draws, index the root of a greedy's trie in the memo (see
-    ``_RoundMemo``); misses run the greedy in round order.
+    ``_RoundMemo``); misses run the greedy in round order.  A pad of at most
+    8 items picks from the first backup draws (``_StreamBatch.sample``).
     """
     if mode not in CHECK_ALGORITHMS:
         raise ValueError(f"unknown mode {mode!r}")

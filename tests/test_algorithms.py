@@ -1139,6 +1139,14 @@ class TestBaselines:
         with pytest.raises(ValueError, match="ratings"):
             algorithms.run_algorithm("quality", bundle, 2, SamplerConfig())
 
+    def test_quality_outside_the_ground_is_refused(self):
+        # Ranked ids come from the ratings, not the ground: the run checks
+        # them before the memo scores them.
+        bundle = synthetic_modular_instance(3, seed=1).bundle((1.0, 1.0))
+        with pytest.raises(ValueError, match=r"items \[3, 4\] are outside the ground set"):
+            algorithms.run_algorithm("quality", bundle, 2, SamplerConfig(),
+                                     ratings=(1.0, 2.0, 3.0, 9.0, 9.0))
+
     def test_covdiv_matches_independent_reimplementation(self):
         for idx in range(6):
             inst = synthetic_covdiv_instance(20, d=6, seed=700 + idx, density=0.3)

@@ -3,6 +3,7 @@ tries and F table equals a round built from the public solvers alone, and every
 verdict equals the one a loop of such rounds gives."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from seqsubmod import (
     HOMOGENEOUS,
     CoverageFn,
     ModularPenaltyFn,
+    OracleEvaluationError,
     P_STAR,
     SamplerConfig,
     alg2_second_half,
@@ -369,3 +371,53 @@ class TestEdges:
             cfg = SamplerConfig(P_STAR, 3)
             assert (bound_check(bundle, 2, mode, cfg, 50)
                     == _direct_bound_check(bundle, 2, mode, cfg, 50))
+
+
+class _PrefixFailing:
+    """A homogeneous oracle with ``prefix_values`` whose value on a set of
+    ``bad`` items is NaN (never, for None)."""
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def __call__(self, items):
+        return math.nan if len(items) == self.bad else float(sum(items)) + 0.5
+
+    def prefix_values(self, items):
+        return [self(items[:m]) for m in range(1, len(items) + 1)]
+
+
+class TestValue:
+    """An F miss of the memo skips evaluate_F's checks, and scores as it
+    does: the same float bits, oracle calls and failures."""
+
+    BUNDLES = (families.modular_bundles()[3], _value_only(families.homogeneous_bundles()[5]),
+               _heterogeneous(1), homogeneous_bundle(_PrefixFailing(None), (0.4, 0.3, 0.2), n=5))
+
+    @pytest.mark.parametrize("bundle", BUNDLES, ids=("prefix", "value-only", "heterogeneous",
+                                                     "prefix-values"))
+    def test_equals_evaluate_F(self, bundle):
+        ground, k = bundle.ground, bundle.k
+        for items in ((), ground[-1:], ground[:k - 1], ground[:k], ground[::-1],
+                      ground[1:] + ground[:1]):
+            counter = bundle.counter
+            before = counter.calls
+            got = _RoundMemo(bundle).value(items)
+            memo_calls, before = counter.calls - before, counter.calls
+            want = evaluate_F(bundle, items)
+            assert (got.hex(), memo_calls) == (want.hex(), counter.calls - before), items
+
+    @pytest.mark.parametrize("bundle, position", (
+        (homogeneous_bundle(lambda s: math.nan if len(s) == 2 else 1.0, (0.5, 0.3, 0.2), n=4), 2),
+        (homogeneous_bundle(_PrefixFailing(3), (0.5, 0.3, 0.2), n=4), 3),
+        (homogeneous_bundle(_PrefixFailing(0), (0.5, 0.3, 0.2), n=4), 1),
+        (heterogeneous_bundle((len, len, lambda s: math.inf), (0.5, 0.3, 0.2), n=4), 3),
+    ), ids=("value", "prefix", "empty", "heterogeneous"))
+    def test_a_non_finite_oracle_fails_at_the_same_position(self, bundle, position):
+        items = (2, 0, 3) if position > 1 else ()
+        with pytest.raises(OracleEvaluationError) as want:
+            evaluate_F(bundle, items)
+        with pytest.raises(OracleEvaluationError) as got:
+            _RoundMemo(bundle).value(items)
+        assert got.value.position == want.value.position == position
+        assert str(got.value) == str(want.value)

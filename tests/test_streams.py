@@ -18,23 +18,32 @@ from seqsubmod import (
     FLEXIBLE,
     HOMOGENEOUS,
     P_STAR,
+    ExperimentSpec,
     SamplerConfig,
     SplitMix64,
+    UserTypeDistribution,
     bound_check,
+    comparative_experiment,
     derive_seed,
     round_seed,
+    sampling_greedy,
     synthetic_covdiv_instance,
+    synthetic_modular_instance,
 )
 from seqsubmod.algorithms import (
     ALGORITHMS,
     GAMMA,
+    _child_configs,
     _derived,
+    _draw_backup,
     _mix64,
     _stream,
     run_algorithm,
     stream_key,
 )
 from seqsubmod.harness import _round_configs
+
+import families
 
 
 def _draws(seed, tag, count=3):
@@ -135,6 +144,52 @@ class TestBatchCoinCodes:
             assert set(codes) == {255 * int(p)}
 
 
+class TestBatchBackupPicks:
+    """A batch row draws its backup from the row's 8 prefetched "backup"
+    draws and runs the stream only past them or after a rejected draw; the
+    picks are the scalar stream's.  Pure integer work, so it runs on every
+    platform with ``TestKnownAnswers``."""
+
+    def test_known_picks(self):
+        cfgs = list(_round_configs(P_STAR, 0, 3))
+        assert cfgs[0].seed == 18140818033815919390
+        assert _draw_backup(cfgs[0], list(range(12)), 8, None) == [6, 5, 8, 2, 9, 1, 0, 3]
+        assert _draw_backup(cfgs[0], list(range(12)), 10, None) == [6, 5, 8, 2, 9, 1, 0, 3, 11, 10]
+        half = _derived(cfgs[2], "half", 1)
+        assert half.seed == 15393999356096481906
+        assert _draw_backup(half, list(range(7)), 3, None) == [0, 6, 2]
+
+    @pytest.mark.parametrize("seed", (0, 5, -5, 2**64 - 1))
+    def test_picks_equal_the_scalar_stream(self, seed):
+        # Rows of a round batch and of its half-seed batches; every pool
+        # size 1..12 and every m 0..10, past the 8 prefetched draws too.
+        cfgs = list(_round_configs(P_STAR, seed, 6))
+        for batched in cfgs + [_derived(cfg, "half", i) for cfg in cfgs for i in (0, 1)]:
+            for size in range(1, 13):
+                pool = list(range(100, 100 + 3 * size, 3))
+                for m in range(0, 11):
+                    if m > size:
+                        with pytest.raises(ValueError, match=f"cannot draw {m} of {size}"):
+                            _draw_backup(batched, pool, m, None)
+                        continue
+                    want = SplitMix64(batched.seed, "backup").sample(pool, m)
+                    assert _draw_backup(batched, pool, m, None) == want, (size, m)
+
+    @pytest.mark.parametrize("m, want", ((1, [11]), (2, [11, 9]), (3, [11, 9, 4])))
+    def test_a_rejected_draw_falls_back_to_the_stream(self, m, want):
+        # 2^64 - 1 is the one draw that a pool of 3 rejects (2^64 % 3 == 1),
+        # so the first pick reads draw 1, as ``below`` redraws: the scalar
+        # stream past its draw 0.  Kept, 2^64 - 1 would pick item 4 first.
+        cfg = next(_round_configs(P_STAR, 3, 1))
+        batch, row = cfg._row
+        first = batch._column("backup")[1][row]
+        assert first[0] < 2**64 - 1
+        first[0] = 2**64 - 1
+        stream = SplitMix64(cfg.seed, "backup")
+        stream.next64()
+        assert _draw_backup(cfg, [4, 9, 11], m, None) == stream.sample([4, 9, 11], m) == want
+
+
 class TestSeedMapping:
     """How an integer seed becomes a stream key (see ``stream_key``)."""
 
@@ -165,6 +220,77 @@ class TestSeedMapping:
         # and round 123 collide; indices are integers now.
         assert round_seed(0, 12) != round_seed(0, 123)
         assert derive_seed(1, "round", 23) != derive_seed(12, "round", 3)
+
+
+class TestNumpySeeds:
+    """A numpy integer seed is the equal Python int; a non-integer seed is
+    refused where it is given."""
+
+    SEEDS = ((np.int64(5), 5), (np.uint64(2**64 - 1), 2**64 - 1), (np.int32(-5), -5))
+
+    @pytest.mark.parametrize("np_seed, seed", SEEDS, ids=("int64", "uint64", "int32"))
+    def test_streams_and_configs(self, np_seed, seed):
+        cfg = SamplerConfig(0.5, np_seed)
+        assert type(cfg.seed) is int
+        assert (cfg, hash(cfg), repr(cfg)) == (SamplerConfig(0.5, seed), hash(SamplerConfig(0.5, seed)),
+                                               repr(SamplerConfig(0.5, seed)))
+        assert derive_seed(np_seed, "round", np.int64(4)) == derive_seed(seed, "round", 4)
+        assert _draws(np_seed, "coins") == _draws(seed, "coins")
+
+    def test_solvers_and_checks(self):
+        bundle = families.modular_bundles()[3]
+        for np_seed, seed in self.SEEDS:
+            got = sampling_greedy(bundle, bundle.k, SamplerConfig(0.5, np_seed))
+            assert got == sampling_greedy(bundle, bundle.k, SamplerConfig(0.5, seed))
+            for mode in (FLEXIBLE, FIXED):
+                assert (bound_check(bundle, bundle.k, mode, SamplerConfig(P_STAR, np_seed), 50)
+                        == bound_check(bundle, bundle.k, mode, SamplerConfig(P_STAR, seed), 50))
+
+    def test_experiment(self):
+        inst = synthetic_modular_instance(6, seed=5)
+
+        def run(base_seed):
+            spec = ExperimentSpec(inst.oracle(), inst.ratings, 6, 3, ("sg", "fixed", "homog"),
+                                  (UserTypeDistribution.uniform(3),), rounds=20,
+                                  base_seed=base_seed)
+            assert type(spec.base_seed) is int
+            return comparative_experiment(spec)
+
+        assert run(np.int64(4)) == run(4)
+
+    @pytest.mark.parametrize("bad", (4.0, "4", None), ids=("float", "str", "none"))
+    def test_non_integer_seeds_are_refused(self, bad):
+        with pytest.raises(TypeError, match=f"seed {bad!r} is not an integer"):
+            SamplerConfig(0.5, bad)
+        inst = synthetic_modular_instance(6, seed=5)
+        with pytest.raises(TypeError, match=f"seed {bad!r} is not an integer"):
+            ExperimentSpec(inst.oracle(), inst.ratings, 6, 3, ("sg",),
+                           (UserTypeDistribution.uniform(3),), base_seed=bad)
+        with pytest.raises(TypeError, match=f"seed {bad!r} is not an integer"):
+            derive_seed(bad, "round", 0)
+
+
+class TestBatchConfigs:
+    """Batch rows fill their configs without SamplerConfig's checks, which
+    ``_child_configs`` runs once, before its first config."""
+
+    @pytest.mark.parametrize("p", (0.0, P_STAR, 0.5, 1.0))
+    def test_configs_equal_plain_ones(self, p):
+        for r, cfg in enumerate(_round_configs(p, 3, 5)):
+            plain = SamplerConfig(p, round_seed(3, r))
+            assert (cfg, hash(cfg), repr(cfg)) == (plain, hash(plain), repr(plain))
+            assert type(cfg.seed) is int and cfg.p is p
+            for i in (0, 1):
+                half, plain = _derived(cfg, "half", i), SamplerConfig(p, derive_seed(cfg.seed, "half", i))
+                assert (half, hash(half), repr(half)) == (plain, hash(plain), repr(plain))
+
+    @pytest.mark.parametrize("p", (1.5, -0.1, float("nan")), ids=("1.5", "negative", "nan"))
+    def test_a_bad_p_raises_before_the_first_config(self, p):
+        configs = _child_configs(p, 0, "round", 5)
+        with pytest.raises(ValueError, match="outside"):
+            next(configs)
+        with pytest.raises(ValueError, match="outside"):
+            list(_round_configs(p, 0, 5))
 
 
 class TestStatistics:
