@@ -309,7 +309,7 @@ class _StreamBatch:
         rejected draw or an m past the pool run the stream itself."""
         keys, first, _ = self._column("backup")
         draws, items = first[i], list(pool)
-        if m <= _FIRST and m <= len(items):
+        if m <= min(_FIRST, len(items)):
             for t in range(m):
                 size, x = len(items) - t, draws[t]
                 if x >= _SPAN - _SPAN % size:

@@ -230,10 +230,9 @@ class TestNumpySeeds:
 
     @pytest.mark.parametrize("np_seed, seed", SEEDS, ids=("int64", "uint64", "int32"))
     def test_streams_and_configs(self, np_seed, seed):
-        cfg = SamplerConfig(0.5, np_seed)
+        cfg, plain = SamplerConfig(0.5, np_seed), SamplerConfig(0.5, seed)
         assert type(cfg.seed) is int
-        assert (cfg, hash(cfg), repr(cfg)) == (SamplerConfig(0.5, seed), hash(SamplerConfig(0.5, seed)),
-                                               repr(SamplerConfig(0.5, seed)))
+        assert (cfg, hash(cfg), repr(cfg)) == (plain, hash(plain), repr(plain))
         assert derive_seed(np_seed, "round", np.int64(4)) == derive_seed(seed, "round", 4)
         assert _draws(np_seed, "coins") == _draws(seed, "coins")
 
