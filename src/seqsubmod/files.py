@@ -16,8 +16,11 @@ A covdiv similarity W is given either as its dense ``similarity`` block or
 by the ``tags`` it derives from, never both.  An instance that carries its
 tags is written as them (n x d numbers instead of n x n), and the reader
 derives W = ``similarity_from_tags(tags)`` from the ``repr``-exact tags, so
-W comes out with the bits the writer's instance held; a known-answer test
-pins those bits across platforms.
+W comes out with the bits the writer's instance held.  Those bits rest on
+the summation order that ``similarity_from_tags`` writes out itself (numpy's
+8-lane pairwise order over each entry's d squared minima), not on a numpy
+reduction: a known-answer test pins them across platforms, and a lane test
+holds them equal to numpy's per-row reduction.
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ class Instance:
         try:
             oracle = (CoverageDiversityFn(self.ratings, self.similarity, self.alpha, self.beta,
                                           self.eta) if family == "covdiv"
-                      else ModularPenaltyFn(self.ratings, self.penalties.tolist()))
+                      else ModularPenaltyFn(self.ratings, self.penalties))
         except ValueError as exc:
             raise InstanceFormatError(str(exc)) from exc
         object.__setattr__(self, "_oracle", oracle)

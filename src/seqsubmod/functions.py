@@ -43,28 +43,33 @@ class ModularPenaltyFn:
     Submodular whenever penalties are nonnegative; non-monotone as soon as one
     item's penalties against a set outweigh its reward.  Keeps plain Python
     lists: at the sizes this family is used for (exhaustive search, expectation
-    checks) that is faster than numpy round-trips.
+    checks) that is faster than numpy round-trips.  The matrix is checked as
+    one numpy array before it becomes lists.
     """
 
     __slots__ = ("rewards", "penalties", "n")
 
     def __init__(self, rewards, penalties):
         self.rewards = [float(r) for r in rewards]
-        self.n = len(self.rewards)
-        rows = [[float(x) for x in row] for row in penalties]
-        if len(rows) != self.n or any(len(row) != self.n for row in rows):
-            raise ValueError(f"penalty matrix must be {self.n}x{self.n}")
+        n = self.n = len(self.rewards)
+        if len(penalties) != n or any(len(row) != n for row in penalties):
+            raise ValueError(f"penalty matrix must be {n}x{n}")
+        pens = np.empty((n, n))
+        pens[...] = penalties
         _require_finite(self.rewards, "rewards")
-        _require_finite(rows, "penalties")
-        for i in range(self.n):
-            if rows[i][i] != 0.0:
+        _require_finite(pens, "penalties")
+        # The first fault in row-major order: row i's diagonal, then its
+        # pairs j > i, each checked for asymmetry before sign.
+        faults = np.triu((pens != pens.T) | (pens < 0.0), 1)
+        faults[np.diag_indices(n)] = pens.diagonal() != 0.0
+        if faults.any():
+            i, j = divmod(int(faults.argmax()), n)
+            if i == j:
                 raise ValueError("penalty diagonal must be zero")
-            for j in range(i + 1, self.n):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"penalty matrix asymmetric at ({i},{j})")
-                if rows[i][j] < 0.0:
-                    raise ValueError("penalties must be nonnegative")
-        self.penalties = rows
+            if pens[i, j] != pens[j, i]:
+                raise ValueError(f"penalty matrix asymmetric at ({i},{j})")
+            raise ValueError("penalties must be nonnegative")
+        self.penalties = pens.tolist()
 
     def __call__(self, items) -> float:
         return self._sorted_value(_ids(items))
@@ -356,12 +361,83 @@ class CoverageDiversityState:
         return fn.alpha * fn.ratings + fn.beta * self.diversity_gains()
 
 
+_BLOCK_ROWS = 32
+
+
+def _pairwise_sum(term, lo: int, hi: int, out: np.ndarray, spare: list) -> np.ndarray:
+    """Write term(lo) + ... + term(hi - 1) into ``out``, added in the order of
+    numpy's ``pairwise_sum`` over one row of hi - lo numbers, and return it.
+    ``term(k, dest)`` writes term k into ``dest`` and returns it; ``spare``
+    holds ``_spare_count(hi - lo)`` scratch arrays of out's shape.
+
+    Below 8 terms the sum runs left to right.  Up to 128 terms, term k goes
+    to lane k % 8 (each lane left to right), the lanes combine as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and the last count % 8 terms are
+    added one by one.  Above 128 the terms split at half the count, rounded
+    down to a multiple of 8, and each part sums the same way.
+    """
+    count = hi - lo
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        _pairwise_sum(term, lo, lo + half, out, spare)
+        out += _pairwise_sum(term, lo + half, hi, spare[0], spare[1:])
+        return out
+    tmp = spare[0]
+    body = hi - count % 8 if count >= 8 else lo + 1
+
+    # Not recursive: a recursive closure is a reference cycle, which would
+    # keep the scratch arrays alive until the cyclic collector ran.
+    def lane(j, dest):
+        term(lo + j, dest)
+        for k in range(lo + j + 8, body, 8):
+            dest += term(k, tmp)
+        return dest
+
+    lane(0, out)
+    if count >= 8:
+        a, b, c = spare[1:4]
+        out += lane(1, a)  # r0 + r1
+        lane(2, a)
+        a += lane(3, b)    # r2 + r3
+        out += a
+        lane(4, a)
+        a += lane(5, b)    # r4 + r5
+        lane(6, b)
+        b += lane(7, c)    # r6 + r7
+        a += b
+        out += a
+    for k in range(body, hi):
+        out += term(k, tmp)
+    return out
+
+
+def _spare_count(count: int) -> int:
+    """Scratch arrays that ``_pairwise_sum`` needs for ``count`` terms: one
+    for a term, three for the lanes, and one more per split on the way to
+    the deepest (right-hand) part."""
+    if count < 8:
+        return 1
+    splits = 0
+    while count > 128:
+        count -= count // 2 - count // 2 % 8
+        splits += 1
+    return 4 + splits
+
+
 def similarity_from_tags(tags) -> np.ndarray:
     """Pairwise similarity W[i][j] = l2-norm of the entrywise minimum of tag rows.
 
     Tag vectors live in [0,1]^d; identical rows give back the row norm, rows
     with disjoint support give 0.  The result is exactly symmetric with a
     nonnegative diagonal W[i][i] = l2-norm of row i.
+
+    Each entry sums its d squared minima in numpy's pairwise order for one
+    row (see ``_pairwise_sum``), so its bits equal those of
+    ``np.sqrt((m * m).sum())`` for m = min(tags[i], tags[j]).  The tags are
+    squared once: for a, b >= 0, fl(min(a, b)^2) = min(fl(a^2), fl(b^2)),
+    since rounding is monotone.  Rows are done in blocks of ``_BLOCK_ROWS``
+    against every later column, one whole-block minimum and add per term,
+    summed in place in W's rows with a few block-sized scratch arrays.
     """
     tags = np.asarray(tags, dtype=float)
     if tags.ndim != 2 or tags.size == 0:
@@ -369,13 +445,22 @@ def similarity_from_tags(tags) -> np.ndarray:
     _require_finite(tags, "tag entries")
     if np.any(tags < 0) or np.any(tags > 1):
         raise ValueError("tag entries must lie in [0, 1]")
-    n = tags.shape[0]
+    n, d = tags.shape
+    # W first, so that it can take the place a previous W left free
     sim = np.zeros((n, n))
-    for i in range(n):
-        mins = np.minimum(tags[i], tags[i:])
-        row = np.sqrt((mins * mins).sum(axis=1))
-        sim[i, i:] = row
-        sim[i:, i] = row
+    scratch = np.empty((_spare_count(d), min(_BLOCK_ROWS, n) * n))
+    squares = np.ascontiguousarray(np.square(tags).T)
+    for s in range(0, n, _BLOCK_ROWS):
+        e = min(s + _BLOCK_ROWS, n)
+        rows, cols = squares[:, s:e, None], squares[:, None, s:]
+
+        def term(k, dest):
+            return np.minimum(rows[k], cols[k], out=dest)
+
+        spare = [buf[:(e - s) * (n - s)].reshape(e - s, n - s) for buf in scratch]
+        block = _pairwise_sum(term, 0, d, sim[s:e, s:], spare)
+        np.sqrt(block, out=block)
+        sim[e:, s:e] = block[:, e - s:].T
     return sim
 
 

@@ -150,3 +150,37 @@ def ix_covdiv_value(fn, items, diversity_only=False) -> float:
     if diversity_only:
         return coverage
     return fn.alpha * float(fn.ratings[idx].sum()) + fn.beta * coverage
+
+
+def similarity_rows(tags) -> np.ndarray:
+    """W from tags one row at a time: row i against rows i.. with numpy's own
+    row reduction ``(m * m).sum(axis=1)``, mirrored into the lower triangle.
+
+    ``similarity_from_tags`` writes numpy's lane order out itself, so the two
+    must agree bit for bit: compare with ``==``.
+    """
+    tags = np.asarray(tags, dtype=float)
+    n = tags.shape[0]
+    sim = np.zeros((n, n))
+    for i in range(n):
+        mins = np.minimum(tags[i], tags[i:])
+        row = np.sqrt((mins * mins).sum(axis=1))
+        sim[i, i:] = row
+        sim[i:, i] = row
+    return sim
+
+
+def first_penalty_fault(rows):
+    """The error of a penalty matrix's first fault, or None, found row by
+    row: the diagonal, then each pair j > i, asymmetry before sign.
+    ``ModularPenaltyFn`` checks whole arrays and must raise the same error."""
+    n = len(rows)
+    for i in range(n):
+        if rows[i][i] != 0.0:
+            return "penalty diagonal must be zero"
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                return f"penalty matrix asymmetric at ({i},{j})"
+            if rows[i][j] < 0.0:
+                return "penalties must be nonnegative"
+    return None

@@ -20,7 +20,8 @@ from seqsubmod import (
     tiny_instance,
 )
 
-from oracles import ix_covdiv_value
+from oracles import first_penalty_fault, ix_covdiv_value, similarity_rows
+from seqsubmod.functions import _BLOCK_ROWS
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
 
@@ -59,6 +60,43 @@ class TestModularPenalty:
             ModularPenaltyFn((bad, 1.0), ((0.0, 1.0), (1.0, 0.0)))
         with pytest.raises(ValueError, match="finite"):
             ModularPenaltyFn((1.0, 1.0), ((0.0, bad), (bad, 0.0)))
+
+    @pytest.mark.parametrize("pens, message", (
+        ([[0.0, 1.0], [1.0]], "penalty matrix must be 2x2"),
+        ([[0.0, math.nan], [1.0, 5.0]], "penalties must be finite"),
+        ([[1.0, -1.0], [2.0, 0.0]], "penalty diagonal must be zero"),
+        ([[0.0, 2.0], [-2.0, 0.0]], "penalty matrix asymmetric at (0,1)"),
+        ([[0.0, -1.0, 3.0], [-1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], "penalties must be nonnegative"),
+        ([[0.0, 0.0, 3.0], [0.0, 1.0, 0.0], [2.0, 0.0, 0.0]], "penalty matrix asymmetric at (0,2)"),
+    ))
+    def test_first_fault_message(self, pens, message):
+        with pytest.raises(ValueError) as err:
+            ModularPenaltyFn([1.0] * len(pens), pens)
+        assert str(err.value) == message
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_first_fault_matches_row_loop(self, data):
+        """Symmetric matrices with up to three faulty entries (or mirrored
+        pairs): the error raised is the one the row-by-row loop meets first,
+        and a clean matrix is kept as the same floats."""
+        n = data.draw(st.integers(1, 6))
+        pens = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                pens[i][j] = pens[j][i] = data.draw(st.sampled_from((0.0, 1.0, 2.0)))
+        for _ in range(data.draw(st.integers(0, 3))):
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            pens[i][j] = data.draw(st.sampled_from((-1.0, -0.0, 0.0, 3.0)))
+            if data.draw(st.booleans()):
+                pens[j][i] = pens[i][j]
+        want = first_penalty_fault(pens)
+        if want is None:
+            assert ModularPenaltyFn([1.0] * len(pens), pens).penalties == pens
+        else:
+            with pytest.raises(ValueError) as err:
+                ModularPenaltyFn([1.0] * len(pens), pens)
+            assert str(err.value) == want
 
 
 @st.composite
@@ -338,9 +376,9 @@ class TestSimilarityFromTags:
 class TestSimilarityKnownAnswer:
     """Covdiv files store tags, and every reader rebuilds W from them, so W's
     bits must be the same on every platform.  The dense tags give each entry
-    25 nonzero squares; summing them left to right instead of by numpy's row
-    reduction changes 1394 of the 4096 entries, so this digest pins the
-    reduction order."""
+    25 nonzero squares; summing them left to right instead of in the 8-lane
+    pairwise order that ``similarity_from_tags`` writes out changes 1394 of
+    the 4096 entries, so this digest pins that lane order."""
 
     def test_digest(self):
         tags = np.random.default_rng(64).uniform(0.0, 1.0, (64, 25))
@@ -349,6 +387,47 @@ class TestSimilarityKnownAnswer:
         sim = similarity_from_tags(tags)
         assert hashlib.sha256(sim.tobytes()).hexdigest() == (
             "26a02e6c6fdfe2057029df4a45962ec699d3501b6c4f00ebe3ed0474a571ebc4")
+
+
+def _lane_tags(kind, n, d, seed=0):
+    """n x d tags of one kind: all 0, all 1, 30%-dense uniform, or uniform
+    scaled down until every square is subnormal or zero."""
+    if kind == "zero":
+        return np.zeros((n, d))
+    if kind == "one":
+        return np.ones((n, d))
+    tags = np.random.default_rng([seed, n, d]).uniform(0.0, 1.0, (n, d))
+    if kind == "subnormal":
+        return tags * 1e-158
+    return tags * (np.random.default_rng([seed, d, n]).uniform(size=(n, d)) < 0.3)
+
+
+class TestSimilarityLanes:
+    """``similarity_from_tags`` sums each entry's d squared minima in row
+    blocks, lane by lane, in the order of numpy's pairwise row reduction.  Its
+    bits must equal those of the per-row reference loop at every d that
+    switches branch (below 8 terms, 8 lanes up to 128, a split above), at n
+    around the block size, and on tags whose squares are zero, one or
+    subnormal."""
+
+    @pytest.mark.parametrize("d", (1, 7, 8, 9, 24, 25, 128, 129, 300))
+    @pytest.mark.parametrize("n", (1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1))
+    @pytest.mark.parametrize("kind", ("sparse", "zero", "one", "subnormal"))
+    def test_bits_equal_row_loop(self, kind, n, d):
+        tags = _lane_tags(kind, n, d)
+        assert similarity_from_tags(tags).tobytes() == similarity_rows(tags).tobytes()
+
+    @pytest.mark.parametrize("d", (1, 7, 8, 9, 24, 25, 128, 129, 300))
+    def test_bits_equal_row_loop_at_catalog_size(self, d):
+        tags = _lane_tags("sparse", 700, d)
+        assert similarity_from_tags(tags).tobytes() == similarity_rows(tags).tobytes()
+
+    @given(st.integers(1, 2 * _BLOCK_ROWS + 3), st.integers(1, 140),
+           st.sampled_from(("sparse", "zero", "one", "subnormal")), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_bits_equal_row_loop_on_random_shapes(self, n, d, kind, seed):
+        tags = _lane_tags(kind, n, d, seed)
+        assert similarity_from_tags(tags).tobytes() == similarity_rows(tags).tobytes()
 
 
 class TestComplement:
