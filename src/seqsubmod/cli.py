@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import math
 import sys
 
@@ -137,11 +136,7 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process.  Each subcommand's ``func`` is its
-    ``cmd_*`` function, and those look up ``read_instance`` and the rest at
-    call time, so a rebinding of a module name still takes effect."""
     parser = argparse.ArgumentParser(
         prog="seqsubmod",
         description="Select and order items under position-weighted submodular utilities.")

@@ -52,6 +52,10 @@ class ModularPenaltyFn:
     def __init__(self, rewards, penalties):
         self.rewards = [float(r) for r in rewards]
         n = self.n = len(self.rewards)
+        if not isinstance(penalties, np.ndarray):
+            # Rows may be any iterables; each is read twice below.
+            penalties = [row if hasattr(row, "__len__") else tuple(row)
+                         for row in penalties]
         if len(penalties) != n or any(len(row) != n for row in penalties):
             raise ValueError(f"penalty matrix must be {n}x{n}")
         pens = np.empty((n, n))

@@ -358,20 +358,6 @@ class TestOneRead:
         assert run_cli(command, *flags, capsys=capsys)[0] == 0
         assert reads == [path]
 
-    def test_one_parser_serves_every_call(self, tmp_path, capsys):
-        """The parser is built once per process; a rejected argv leaves
-        nothing behind for the next call."""
-        from seqsubmod import cli
-
-        path = str(tmp_path / "inst.txt")
-        write_instance(path, synthetic_modular_instance(5, seed=2))
-        parser = cli._build_parser()
-        first = run_cli("solve", "--instance", path, "--k", "3", capsys=capsys)
-        assert run_cli("solve", "--instance", path, "--k", "x", capsys=capsys)[0] == 2
-        second = run_cli("solve", "--instance", path, "--k", "3", capsys=capsys)
-        assert first == second and first[0] == 0
-        assert cli._build_parser() is parser
-
 
 class TestScaledInstances:
     """A scales line folds into the weights: a scaled instance under

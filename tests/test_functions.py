@@ -54,6 +54,16 @@ class TestModularPenalty:
         with pytest.raises(ValueError):
             ModularPenaltyFn((1.0, 1.0), ((0.0, -1.0), (-1.0, 0.0)))  # negative
 
+    def test_iterable_rows(self):
+        """A generator of generators is read like the nested lists."""
+        pens = [[0.0, 1.0, 2.0], [1.0, 0.0, 0.5], [2.0, 0.5, 0.0]]
+        fn = ModularPenaltyFn(iter((3.0, 2.0, 2.0)), ((x for x in row) for row in pens))
+        assert fn.penalties == pens and fn.rewards == [3.0, 2.0, 2.0]
+        with pytest.raises(ValueError, match="penalty matrix must be 3x3"):
+            ModularPenaltyFn((1.0,) * 3, (iter(row[:2]) for row in pens))
+        with pytest.raises(ValueError, match="asymmetric at \\(0,2\\)"):
+            ModularPenaltyFn((1.0,) * 3, (iter(row[:2] + [9.0]) for row in pens))
+
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
